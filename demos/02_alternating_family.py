@@ -29,7 +29,7 @@ report = check_biorthogonality(family)
 print("\nbiorthogonality sweep:", "pass" if report.passed else "FAIL")
 print("off-diagonal maximum:", report.meta["offdiagonal_max"])
 
-print("\nglobal dual at 0:", global_dual(family, 0).vector)
+print("\nglobal dual at 0:", global_dual(family, 0))
 
 # the cancellation vector: transported unit patterns, alternating weights
 w = parse_vector("0:1,1:-1,2:-1/2,3:1/2,4:-1/2,5:1/2")

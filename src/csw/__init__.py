@@ -24,7 +24,6 @@ from .analysis import (
 from .hull import HullCertificate, dual_norm, in_symmetric_hull, polar_support
 from .norming import (
     Functional,
-    GlobalDual,
     NormingFamily,
     Origin,
     build_K_family,

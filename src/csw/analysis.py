@@ -20,7 +20,7 @@ from .errors import (
     PatternOutOfRangeError,
     WrongSpaceKindError,
 )
-from .hull import dual_norm, in_symmetric_hull, norming_max, polar_support
+from .hull import dual_norm, in_symmetric_hull, norming_max, polar_support, verify_decomposition
 from .norming import (
     EPS_FORM_OF_RULE,
     EPS_KIND,
@@ -127,7 +127,7 @@ def check_biorthogonality(family: NormingFamily) -> ExperimentReport:
     off_max = Fraction(0)
     witness = None
     for a in universe:
-        h = global_dual(family, a).vector
+        h = global_dual(family, a)
         if h[a] != 1 and diag_bad is None:
             diag_bad = {"alpha": a, "value": format_rational(h[a])}
         for b, v in h.items():
@@ -263,12 +263,13 @@ def coherence_report(family: NormingFamily, lp_every=0) -> ExperimentReport:
             cert = in_symmetric_hull(restricted, vectors_E)
             hull_count += 1
             instance += 1
-            ok = cert.member and _reconstructs(restricted, vectors_E, cert.coefficients)
+            ok = cert.member and verify_decomposition(restricted, vectors_E,
+                                                      cert.coefficients)
             if ok and lp_every and instance % lp_every == 0 and cert.method == "direct":
                 lp_cert = in_symmetric_hull(restricted, vectors_E, try_direct=False)
                 lp_checked += 1
-                ok = lp_cert.member and _reconstructs(restricted, vectors_E,
-                                                      lp_cert.coefficients)
+                ok = lp_cert.member and verify_decomposition(restricted, vectors_E,
+                                                             lp_cert.coefficients)
             if not ok and hull_bad is None:
                 hull_bad = {"E": str(E), "F": str(F), "functional": f.label()}
     if family.space_kind == EPS_KIND:
@@ -293,17 +294,6 @@ def _unique_label(used, label):
         return label
     used[label] += 1
     return f"{label}#{used[label]}"
-
-
-def _reconstructs(target, vectors, coefficients):
-    if coefficients is None:
-        return False
-    total = SparseVector()
-    mass = Fraction(0)
-    for i, c in coefficients.items():
-        total = total + vectors[i].scale(c)
-        mass += abs(c)
-    return total == target and mass <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +356,20 @@ class KExperimentConfig:
     pattern: SparseVector | None = None
     site: SchemeSet | None = None
 
+    def validated(self, K):
+        """(n, L, K') once n >= 1, 1 <= K' < L < K and 1/K + 1/n < 1/L hold."""
+        n, L, kprime = self.n, Fraction(self.L), Fraction(self.kprime)
+        if n < 1:
+            raise ConfigInvalidError("n must be a positive integer")
+        if not (1 <= kprime < L < K):
+            raise ConfigInvalidError(
+                f"need 1 <= K' < L < K, got K'={kprime}, L={L}, K={format_rational(K)}")
+        if Fraction(1) / K + Fraction(1, n) >= Fraction(1) / L:
+            raise ConfigInvalidError(
+                f"need 1/K + 1/n < 1/L: {format_rational(Fraction(1)/K)} + 1/{n} "
+                f">= {format_rational(Fraction(1)/L)}")
+        return n, L, kprime
+
 
 def _pick_site(scheme: Scheme, pieces_needed: int, site=None) -> SchemeSet:
     if site is not None:
@@ -398,6 +402,25 @@ def _prepare_pattern(family, first_child, site, pattern):
     return pattern / scale
 
 
+def _alternating_difference(xs, n, m):
+    """(x_0 - x_1) - (1/m) sum_{i=1..n} (x_{2i} - x_{2i+1})."""
+    w = xs[0] - xs[1]
+    for i in range(1, n + 1):
+        w = w - (xs[2 * i] - xs[2 * i + 1]).scale(Fraction(1, m))
+    return w
+
+
+def _block_sums(xs, n):
+    """v = sum_{i<n} x_i and w = v - sum_{i>=n} x_i."""
+    v = SparseVector()
+    for x in xs[:n]:
+        v = v + x
+    w = v
+    for x in xs[n:]:
+        w = w - x
+    return v, w
+
+
 def run_eps_experiment(scheme: Scheme, family: NormingFamily,
                        config: EpsExperimentConfig) -> ExperimentReport:
     """Capture 2n+2 aligned copies of a pattern and verify the exact
@@ -424,10 +447,8 @@ def run_eps_experiment(scheme: Scheme, family: NormingFamily,
     members = make_captured_family(scheme, site, z.support, count)
     capture = find_capture(scheme, members, count)
     xs = [position_map(children[0], children[i]).transport(z) for i in range(count)]
-    w = xs[0] - xs[1]
+    w = _alternating_difference(xs, n, m)
     inv_m = Fraction(1, m)
-    for i in range(1, n + 1):
-        w = w - (xs[2 * i] - xs[2 * i + 1]).scale(inv_m)
 
     report = ExperimentReport(meta={
         "eps": format_rational(eps), "n": n, "m": m,
@@ -480,16 +501,7 @@ def run_K_experiment(scheme: Scheme, family: NormingFamily,
     if family.space_kind != K_KIND:
         raise WrongSpaceKindError("experiment needs the scaled-cut variant")
     K = family.parameter
-    n, L, kprime = config.n, Fraction(config.L), Fraction(config.kprime)
-    if n < 1:
-        raise ConfigInvalidError("n must be a positive integer")
-    if not (1 <= kprime < L < K):
-        raise ConfigInvalidError(
-            f"need 1 <= K' < L < K, got K'={kprime}, L={L}, K={format_rational(K)}")
-    if Fraction(1) / K + Fraction(1, n) >= Fraction(1) / L:
-        raise ConfigInvalidError(
-            f"need 1/K + 1/n < 1/L: {format_rational(Fraction(1)/K)} + 1/{n} "
-            f">= {format_rational(Fraction(1)/L)}")
+    n, L, kprime = config.validated(K)
     count = 2 * n
     site = _pick_site(scheme, count, config.site)
     children = scheme.decomposition[site]
@@ -497,12 +509,7 @@ def run_K_experiment(scheme: Scheme, family: NormingFamily,
 
     make_captured_family(scheme, site, z.support, count)
     xs = [position_map(children[0], children[i]).transport(z) for i in range(count)]
-    v = SparseVector()
-    for x in xs[:n]:
-        v = v + x
-    w = v
-    for x in xs[n:]:
-        w = w - x
+    v, w = _block_sums(xs, n)
 
     first_family = family.functionals_for(children[0])
     witness_h = max(first_family, key=lambda f: (abs(pair(f.vector, z)), f.label()))
@@ -613,16 +620,12 @@ def _verify_eps_separation(family, ys, ystars, config, indices):
                 f"dual norm of y*_{i} is {format_rational(value)} > N = "
                 f"{format_rational(bound)}", witness=(i, i))
     n, m = config.n, config.m
-    if indices is None:
-        indices = list(range(2 * n + 2))
-    indices = list(indices)
+    indices = list(range(2 * n + 2) if indices is None else indices)
     if len(indices) != 2 * n + 2:
         raise ConfigInvalidError(f"need 2n+2 = {2 * n + 2} indices, got {len(indices)}")
     if any(i < 0 or i >= len(ys) for i in indices):
         raise ConfigInvalidError("separation indices outside the candidate list")
-    combo = ys[indices[0]] - ys[indices[1]]
-    for i in range(1, n + 1):
-        combo = combo - (ys[indices[2 * i]] - ys[indices[2 * i + 1]]).scale(Fraction(1, m))
+    combo = _alternating_difference([ys[i] for i in indices], n, m)
     lhs = norm(combo, family)
     delta = config.delta()
     report = ExperimentReport(meta={
@@ -648,12 +651,7 @@ def _verify_k_separation(family, ys, config):
             raise NotBiorthogonalError(
                 f"|y_{i}| = {format_rational(value)} != 1 (not normalized)",
                 witness=(i, i))
-    v = SparseVector()
-    for y in ys[:n]:
-        v = v + y
-    w = v
-    for y in ys[n:]:
-        w = w - y
+    v, w = _block_sums(ys, n)
     v_norm = norm(v, family)
     w_norm = norm(w, family)
     report = ExperimentReport(meta={

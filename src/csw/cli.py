@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import tempfile
-from fractions import Fraction
 
 from . import analysis, norming, schemes
 from .errors import ConfigError, CswError
@@ -41,9 +40,12 @@ def _write_atomic(path, text):
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".csw-")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -76,14 +78,21 @@ def _parse_int_list(text):
     return [int(v) for v in text.split(",")]
 
 
+def _parse_file(path, parse):
+    """parse(JSON content of path); a structural error names the file."""
+    with open(path, encoding="utf-8") as handle:
+        obj = json.load(handle)
+    try:
+        return parse(obj)
+    except (KeyError, IndexError, TypeError, AttributeError) as err:
+        raise ConfigError(f"malformed {path}: {type(err).__name__}: {err}") from None
+
+
 def _load_type(args) -> schemes.TypeSpec:
     spec = args.type
     if os.path.exists(spec) or spec.endswith(".json"):
-        with open(spec, encoding="utf-8") as handle:
-            obj = json.load(handle)
-        if "type" in obj:
-            obj = obj["type"]
-        return schemes.validate_type(obj["m"], obj["n"], obj["r"])
+        return _parse_file(
+            spec, lambda obj: schemes.TypeSpec.from_json(obj.get("type", obj)))
     parts = spec.split(";")
     if len(parts) == 1:
         parts += ["", ""]
@@ -93,13 +102,11 @@ def _load_type(args) -> schemes.TypeSpec:
 
 
 def _load_scheme(path) -> schemes.Scheme:
-    with open(path, encoding="utf-8") as handle:
-        return schemes.scheme_from_json(json.load(handle))
+    return _parse_file(path, schemes.scheme_from_json)
 
 
 def _load_family(path) -> norming.NormingFamily:
-    with open(path, encoding="utf-8") as handle:
-        return norming.family_from_json(json.load(handle))
+    return _parse_file(path, norming.family_from_json)
 
 
 # ---------------------------------------------------------------------------
@@ -120,14 +127,9 @@ def cmd_type_validate(args):
 
 
 def cmd_scheme_build(args):
-    ts = _load_type(args)
-    scheme = schemes.build_scheme(ts)
+    scheme = schemes.build_scheme(_load_type(args))
     report = schemes.check_axioms(scheme)
-    text = schemes.scheme_dumps(scheme) + "\n"
-    if args.out:
-        _write_atomic(args.out, text)
-    else:
-        print(text, end="")
+    _emit(args, schemes.scheme_dumps(scheme) + "\n")
     return EXIT_PASS if report.passed else EXIT_CLAIM_FAILURE
 
 
@@ -148,11 +150,7 @@ def cmd_norming_build(args):
     else:
         family = norming.build_K_family(scheme, parse_rational(args.param),
                                         scale_cap=args.scale_cap)
-    text = norming.family_dumps(family) + "\n"
-    if args.out:
-        _write_atomic(args.out, text)
-    else:
-        print(text, end="")
+    _emit(args, norming.family_dumps(family) + "\n")
     return EXIT_PASS
 
 
@@ -184,23 +182,12 @@ def cmd_analyze(args):
     return EXIT_PASS if report.passed else EXIT_CLAIM_FAILURE
 
 
-def _experiment_family(args):
-    ts = _load_type(args)
-    scheme = schemes.build_scheme(ts)
-    return scheme
-
-
 def cmd_experiment_eps(args):
     eps = parse_rational(args.eps)
-    if not (0 < eps < 1):
-        raise ConfigError(f"eps must lie in (0, 1), got {format_rational(eps)}")
-    m = Fraction(args.m) if args.m is not None else 2 * args.n * eps
-    if m != int(m) or m < 1:
-        raise ConfigError(f"m = 2 n eps = {format_rational(m)} is not a positive integer")
-    if Fraction(int(m), 2 * args.n) != eps:
-        raise ConfigError(f"m/(2n) = {format_rational(Fraction(int(m), 2 * args.n))} "
-                          f"does not equal eps = {format_rational(eps)}")
-    scheme = _experiment_family(args)
+    m = args.m if args.m is not None else 2 * args.n * eps
+    if m != int(m):
+        raise ConfigError(f"m = 2 n eps = {format_rational(m)} is not an integer")
+    scheme = schemes.build_scheme(_load_type(args))
     family = norming.build_eps_family(scheme, eps)
     config = analysis.EpsExperimentConfig(
         n=args.n, m=int(m),
@@ -212,22 +199,12 @@ def cmd_experiment_eps(args):
 
 def cmd_experiment_kbasis(args):
     K = parse_rational(args.k)
-    L = parse_rational(args.L)
-    kprime = parse_rational(args.kprime)
-    if K <= 1:
-        raise ConfigError(f"K must exceed 1, got {format_rational(K)}")
-    if not (1 <= kprime < L < K):
-        raise ConfigError(f"need 1 <= K' < L < K, got K'={format_rational(kprime)}, "
-                          f"L={format_rational(L)}, K={format_rational(K)}")
-    if Fraction(1) / K + Fraction(1, args.n) >= Fraction(1) / L:
-        raise ConfigError(
-            f"need 1/K + 1/n < 1/L: {format_rational(Fraction(1) / K)} + "
-            f"1/{args.n} >= {format_rational(Fraction(1) / L)}")
-    scheme = _experiment_family(args)
-    family = norming.build_K_family(scheme, K, scale_cap=args.scale_cap)
     config = analysis.KExperimentConfig(
-        n=args.n, L=L, kprime=kprime,
+        n=args.n, L=parse_rational(args.L), kprime=parse_rational(args.kprime),
         pattern=parse_vector(args.pattern) if args.pattern else None)
+    config.validated(K)  # before the family build, which dominates on deep types
+    scheme = schemes.build_scheme(_load_type(args))
+    family = norming.build_K_family(scheme, K, scale_cap=args.scale_cap)
     report = analysis.run_K_experiment(scheme, family, config)
     _emit(args, _json_text(report.to_json()))
     return EXIT_PASS if report.passed else EXIT_CLAIM_FAILURE
@@ -324,17 +301,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
     except (OSError, json.JSONDecodeError) as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO
+    except (ConfigError, ValueError) as err:
+        print(f"configuration error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     except CswError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as err:
-        print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
 

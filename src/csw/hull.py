@@ -31,7 +31,7 @@ def _positions(vectors):
     return sorted(positions)
 
 
-def dual_norm(g: SparseVector, H, with_certificate=True):
+def dual_norm(g: SparseVector, H):
     """Minimal total coefficient mass expressing g over H.
 
     Returns (value, coefficients) where coefficients maps the index of each
@@ -66,11 +66,10 @@ def dual_norm(g: SparseVector, H, with_certificate=True):
                              certificate=witness)
     assert sol.status == "optimal"
     coeffs = {}
-    if with_certificate:
-        for i in range(len(H)):
-            c = sol.primal[2 * i] - sol.primal[2 * i + 1]
-            if c != 0:
-                coeffs[i] = c
+    for i in range(len(H)):
+        c = sol.primal[2 * i] - sol.primal[2 * i + 1]
+        if c != 0:
+            coeffs[i] = c
     return sol.objective, coeffs
 
 
@@ -113,7 +112,9 @@ def in_symmetric_hull(f: SparseVector, H, try_direct=True) -> HullCertificate:
 
 
 def verify_decomposition(f: SparseVector, H, coefficients) -> bool:
-    """Exact check that sum c_i H[i] == f and sum |c_i| <= 1."""
+    """Exact check that sum c_i H[i] == f and sum |c_i| <= 1; False if None."""
+    if coefficients is None:
+        return False
     total = SparseVector()
     mass = Fraction(0)
     for i, c in coefficients.items():

@@ -51,8 +51,9 @@ from .errors import (
     ParameterOutOfRangeError,
     WrongSpaceKindError,
 )
+from .hull import norming_max
 from .schemes import Scheme, SchemeSet, position_map, scheme_from_json, scheme_to_json
-from .vectors import SparseVector, format_rational, pair, parse_rational
+from .vectors import SparseVector, format_rational, parse_rational
 
 EPS_KIND = "eps"
 K_KIND = "k"
@@ -147,12 +148,6 @@ class NormingFamily:
                 yield from self.families.get(s, ())
 
 
-@dataclass(frozen=True)
-class GlobalDual:
-    alpha: int
-    vector: SparseVector
-
-
 def spread(scheme: Scheme, f: Functional, F: SchemeSet) -> Functional:
     """Extend a first-piece functional to all pieces of F via the increasing
     bijections; well-defined because each bijection fixes the root."""
@@ -206,23 +201,19 @@ def build_eps_family(scheme: Scheme, eps) -> NormingFamily:
                     base = lookup[a].vector
                     vec = _spread_vector(base, children)
                     origin = Origin(RULE_ROOT_SPREAD, k, alpha=a)
-                elif a in first:
-                    base = lookup[a].vector
-                    vec = base
+                elif a in first or a in children[1]:
+                    second = a not in first
+                    if second:
+                        base = lookup[maps[1].inverse().apply(a)].vector
+                        vec = maps[1].transport(base)
+                    else:
+                        base = lookup[a].vector
+                        vec = base
                     for i in range(2, len(children)):
-                        sign = Fraction(1) if i % 2 == 0 else Fraction(-1)
+                        sign = Fraction(1) if (i + second) % 2 == 0 else Fraction(-1)
                         part = maps[i].transport(base).restrict_to(off_first[i])
                         vec = vec + part.scale(sign * eps)
-                    origin = Origin(RULE_FIRST_ALT, k, alpha=a)
-                elif a in children[1]:
-                    source = maps[1].inverse().apply(a)
-                    base = lookup[source].vector
-                    vec = maps[1].transport(base)
-                    for i in range(2, len(children)):
-                        sign = Fraction(-1) if i % 2 == 0 else Fraction(1)
-                        part = maps[i].transport(base).restrict_to(off_first[i])
-                        vec = vec + part.scale(sign * eps)
-                    origin = Origin(RULE_SECOND_ALT, k, alpha=a)
+                    origin = Origin(RULE_SECOND_ALT if second else RULE_FIRST_ALT, k, alpha=a)
                 else:
                     home_child = next(c for c in children[2:] if a in c)
                     vec = by_alpha[home_child][a].vector
@@ -311,10 +302,10 @@ def norm(x: SparseVector, family: NormingFamily, mode="local") -> Fraction:
         functionals = family.functionals_for(site)
     if not functionals:
         raise EmptyFamilyError("no functionals available to evaluate the norm")
-    return max(abs(pair(f.vector, x)) for f in functionals)
+    return norming_max(x, (f.vector for f in functionals))
 
 
-def global_dual(family: NormingFamily, alpha: int) -> GlobalDual:
+def global_dual(family: NormingFamily, alpha: int) -> SparseVector:
     """The top set's functional at `alpha`: the maximal coherent extension."""
     if family.space_kind != EPS_KIND:
         raise WrongSpaceKindError("global duals exist only for the alternating variant")
@@ -323,7 +314,7 @@ def global_dual(family: NormingFamily, alpha: int) -> GlobalDual:
         raise NotInSchemeError(f"{alpha} is outside the universe")
     for f in family.functionals_for(top):
         if f.origin.alpha == alpha:
-            return GlobalDual(alpha=alpha, vector=f.vector)
+            return f.vector
     raise EmptyFamilyError(f"no functional indexed by {alpha} at the top set")
 
 

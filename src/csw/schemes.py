@@ -153,13 +153,7 @@ class Scheme:
             yield from level
 
     def has_set(self, s: SchemeSet) -> bool:
-        return 0 <= s.rank < len(self.levels) and s in self._index(s.rank)
-
-    def _index(self, rank):
-        return {t: i for i, t in enumerate(self.levels[rank])}
-
-    def set_id(self, s: SchemeSet) -> str:
-        return f"{s.rank}:{self._index(s.rank)[s]}"
+        return 0 <= s.rank < len(self.levels) and s in self.levels[s.rank]
 
     def set_by_id(self, key: str) -> SchemeSet:
         rank, idx = key.split(":")
@@ -170,16 +164,17 @@ class Scheme:
         needed = set(positions)
         if not needed <= set(range(self.universe_size)):
             raise NotInSchemeError(f"positions {sorted(needed)} exceed the universe")
-        for level in self.levels:
-            for s in level:
-                if needed <= set(s.elements):
-                    return s
+        for s in self._covering(needed):
+            return s
         raise NotInSchemeError("no scheme set covers the given positions")
 
     def containing_sets(self, positions):
+        return list(self._covering(positions))
+
+    def _covering(self, positions):
+        """Every set covering `positions`, by rank then lexicographically."""
         needed = set(positions)
-        return [s for level in self.levels for s in level
-                if needed <= set(s.elements)]
+        return (s for s in self.sets() if needed <= set(s.elements))
 
 
 def build_scheme(type_spec: TypeSpec) -> Scheme:

@@ -44,10 +44,6 @@ class LpSolution:
     primal: list | None = None
     certificate: dict = field(default_factory=dict)
 
-    @property
-    def is_optimal(self):
-        return self.status == "optimal"
-
 
 class _Tableau:
     """Dense simplex tableau with an explicit artificial identity block."""

@@ -53,10 +53,6 @@ class SparseVector:
     def unit(cls, pos) -> "SparseVector":
         return cls({pos: Fraction(1)})
 
-    @classmethod
-    def zero(cls) -> "SparseVector":
-        return cls()
-
     def items(self):
         return sorted(self._entries.items())
 

@@ -180,7 +180,7 @@ def _unit_system(universe):
 
 def test_separation_vacuous_at_tau_equal_eps(eps_half_depth1):
     ys = _unit_system(6)
-    ystars = [global_dual(eps_half_depth1, i).vector for i in range(6)]
+    ystars = [global_dual(eps_half_depth1, i) for i in range(6)]
     config = SeparationConfig(tau=HALF, dual_bound=Fraction(1), n=2, m=2)
     report = verify_separation_bound(eps_half_depth1, ys, config, ystars=ystars)
     assert report.meta["vacuous"] is True

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -158,17 +159,46 @@ def test_experiment_kbasis_cli(tmp_path, capsys):
     assert report["norms"]["ratio"] == "2"
 
 
-def test_experiment_rejects_bad_slack(capsys):
-    code, _, err = run(capsys, "experiment", "kbasis", "--k", "2", "--n", "4",
-                       "--L", "3/2", "--type", "1,8;8;0")
+@pytest.mark.parametrize("n, L, message", [
+    ("4", "3/2", "1/K + 1/n"),
+    ("0", "5/4", "n must be a positive integer"),
+], ids=["slack", "n0"])
+def test_experiment_rejects_bad_slack(capsys, n, L, message):
+    code, _, err = run(capsys, "experiment", "kbasis", "--k", "2", "--n", n,
+                       "--L", L, "--type", "1,8;8;0")
     assert code == 2
-    assert "1/K + 1/n" in err
+    assert message in err
 
 
-def test_experiment_rejects_non_integer_m(capsys):
-    code, _, err = run(capsys, "experiment", "eps", "--eps", "1/3", "--n", "2",
-                       "--type", "1,6;6;0")
+@pytest.mark.parametrize("argv", [
+    ["--eps", "1/3", "--n", "2"],
+    ["--eps", "1/2", "--n", "0", "--m", "1"],
+], ids=["non_integer_m", "n0"])
+def test_experiment_rejects_non_integer_m(capsys, argv):
+    code, _, _ = run(capsys, "experiment", "eps", *argv, "--type", "1,6;6;0")
     assert code == 2
+
+
+def test_family_without_scheme_is_config_error(k_family_file, capsys):
+    payload = json.loads(k_family_file.read_text())
+    del payload["scheme"]
+    k_family_file.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "norm", "eval", "--family", str(k_family_file),
+                       "--vec", "0:1")
+    assert code == 2
+    assert str(k_family_file) in err
+
+
+def test_scheme_with_bad_decomposition_key_is_config_error(tmp_path, capsys):
+    scheme_file = tmp_path / "s.json"
+    run(capsys, "scheme", "build", "--type", "1,2,4;2,3;0,1",
+        "--out", str(scheme_file))
+    payload = json.loads(scheme_file.read_text())
+    payload["decomposition"]["1:5"] = payload["decomposition"].pop("1:0")
+    scheme_file.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "scheme", "check", str(scheme_file))
+    assert code == 2
+    assert str(scheme_file) in err
 
 
 def test_reports_are_byte_identical(tmp_path, capsys):
@@ -187,3 +217,15 @@ def test_out_dir_env(tmp_path, capsys, monkeypatch):
                      "--out", "nested/s.json")
     assert code == 0
     assert (tmp_path / "nested" / "s.json").exists()
+
+
+def test_out_file_honours_umask(tmp_path, capsys):
+    out_file = tmp_path / "s.json"
+    previous = os.umask(0o022)
+    try:
+        code, _, _ = run(capsys, "scheme", "build", "--type", "1,2;2;0",
+                         "--out", str(out_file))
+    finally:
+        os.umask(previous)
+    assert code == 0
+    assert out_file.stat().st_mode & 0o777 == 0o644
