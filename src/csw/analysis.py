@@ -299,13 +299,13 @@ def _unique_label(used, label):
 # ---------------------------------------------------------------------------
 # Norm well-definedness sweep
 
-def random_rational_vector(rng, universe, max_support=6, max_num=9, max_den=9):
-    size = rng.randint(1, min(max_support, universe))
+def random_rational_vector(rng, universe):
+    size = rng.randint(1, min(6, universe))
     positions = rng.sample(range(universe), size)
     entries = []
     for p in positions:
-        num = rng.randint(-max_num, max_num)
-        den = rng.randint(1, max_den)
+        num = rng.randint(-9, 9)
+        den = rng.randint(1, 9)
         if num != 0:
             entries.append((p, Fraction(num, den)))
     return SparseVector(entries)
@@ -345,7 +345,6 @@ class EpsExperimentConfig:
     n: int
     m: int
     pattern: SparseVector | None = None
-    site: SchemeSet | None = None
 
 
 @dataclass
@@ -354,7 +353,6 @@ class KExperimentConfig:
     L: Fraction
     kprime: Fraction = Fraction(1)
     pattern: SparseVector | None = None
-    site: SchemeSet | None = None
 
     def validated(self, K):
         """(n, L, K') once n >= 1, 1 <= K' < L < K and 1/K + 1/n < 1/L hold."""
@@ -371,15 +369,7 @@ class KExperimentConfig:
         return n, L, kprime
 
 
-def _pick_site(scheme: Scheme, pieces_needed: int, site=None) -> SchemeSet:
-    if site is not None:
-        if not scheme.has_set(site) or site.rank == 0:
-            raise CaptureUnavailableError(f"unusable capture site {site}")
-        if len(scheme.decomposition[site]) < pieces_needed:
-            raise CaptureUnavailableError(
-                f"{site} has {len(scheme.decomposition[site])} pieces, "
-                f"need {pieces_needed}")
-        return site
+def _pick_site(scheme: Scheme, pieces_needed: int) -> SchemeSet:
     for k in range(1, scheme.depth + 1):
         for F in scheme.levels[k]:
             if len(scheme.decomposition[F]) >= pieces_needed:
@@ -440,7 +430,7 @@ def run_eps_experiment(scheme: Scheme, family: NormingFamily,
         raise ConfigInvalidError(
             f"m/(2n) must equal eps = {format_rational(eps)}, got {m}/{2 * n}")
     count = 2 * n + 2
-    site = _pick_site(scheme, count, config.site)
+    site = _pick_site(scheme, count)
     children = scheme.decomposition[site]
     z = _prepare_pattern(family, children[0], site, config.pattern)
 
@@ -503,7 +493,7 @@ def run_K_experiment(scheme: Scheme, family: NormingFamily,
     K = family.parameter
     n, L, kprime = config.validated(K)
     count = 2 * n
-    site = _pick_site(scheme, count, config.site)
+    site = _pick_site(scheme, count)
     children = scheme.decomposition[site]
     z = _prepare_pattern(family, children[0], site, config.pattern)
 

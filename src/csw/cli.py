@@ -79,12 +79,12 @@ def _parse_int_list(text):
 
 
 def _parse_file(path, parse):
-    """parse(JSON content of path); a structural error names the file."""
+    """parse(JSON content of path); a structural or validation error names the file."""
     with open(path, encoding="utf-8") as handle:
         obj = json.load(handle)
     try:
         return parse(obj)
-    except (KeyError, IndexError, TypeError, AttributeError) as err:
+    except (KeyError, IndexError, TypeError, AttributeError, ConfigError) as err:
         raise ConfigError(f"malformed {path}: {type(err).__name__}: {err}") from None
 
 

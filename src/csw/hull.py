@@ -81,9 +81,6 @@ class HullCertificate:
     outside_witness: SparseVector | None = None
     method: str = "lp"
 
-    def __bool__(self):
-        return self.member
-
 
 def in_symmetric_hull(f: SparseVector, H, try_direct=True) -> HullCertificate:
     """Is f in conv(+-H)?  Always returns a checkable certificate.
@@ -123,16 +120,14 @@ def verify_decomposition(f: SparseVector, H, coefficients) -> bool:
     return total == f and mass <= 1
 
 
-def polar_support(g: SparseVector, H, positions=None):
+def polar_support(g: SparseVector, H):
     """max <y, g> over the polar body {y : |<y,h>| <= 1 for all h in H}.
 
-    Returns (value, y) with y a SparseVector on `positions` (defaults to the
-    union of supports).  Requires g in span(H) so the program is bounded.
+    Returns (value, y) with y a SparseVector on the union of supports.
+    Requires g in span(H) so the program is bounded.
     """
     H = list(H)
-    if positions is None:
-        positions = _positions(H + [g])
-    positions = list(positions)
+    positions = _positions(H + [g])
     index = {p: j for j, p in enumerate(positions)}
     n = len(positions)
     objective = [g[p] for p in positions]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .errors import (
     ArityMismatchError,
@@ -156,8 +157,8 @@ class Scheme:
         return 0 <= s.rank < len(self.levels) and s in self.levels[s.rank]
 
     def set_by_id(self, key: str) -> SchemeSet:
-        rank, idx = key.split(":")
-        return self.levels[int(rank)][int(idx)]
+        rank, idx = (int(v) for v in key.split(":"))
+        return _at(_at(self.levels, rank, "rank"), idx, f"rank-{rank} set")
 
     def minimal_containing(self, positions) -> SchemeSet:
         """Lexicographically first scheme set of minimal rank covering `positions`."""
@@ -246,134 +247,109 @@ def _is_initial_segment(prefix, whole):
     return tuple(whole[: len(prefix)]) == tuple(prefix)
 
 
+# Each axiom is a generator of its counterexamples in scan order; the report
+# keeps the first one.
+
+def _well_formed(scheme):
+    for k, level in enumerate(scheme.levels):
+        for s in level:
+            if list(s.elements) != sorted(set(s.elements)) or (s.elements and s.elements[0] < 0):
+                yield f"{s} is not a strictly increasing nonnegative sequence"
+            if s.rank != k:
+                yield f"{s} stored at level {k}"
+
+
+def _set_sizes(scheme):
+    ts = scheme.type_spec
+    for k, level in enumerate(scheme.levels):
+        if k > ts.depth:
+            yield f"level {k} beyond type depth"
+        for s in level:
+            if len(s.elements) != ts.m_of(k):
+                yield f"{s} has size {len(s.elements)}, type demands m_{k} = {ts.m_of(k)}"
+
+
+def _root_sizes(scheme):
+    for k, level in enumerate(scheme.levels):
+        want = scheme.type_spec.r_of(k)
+        for s in level:
+            if s.root_size != want or len(s.root) != min(want, len(s.elements)):
+                yield f"{s} has root size {s.root_size}, type demands r_{k} = {want}"
+
+
+def _same_rank_initial_segments(scheme):
+    for level in scheme.levels:
+        for e, f in combinations(level, 2):
+            common = sorted(set(e.elements) & set(f.elements))
+            if not (_is_initial_segment(common, e.elements)
+                    and _is_initial_segment(common, f.elements)):
+                yield f"{e} and {f} intersect in {common}, not an initial segment of both"
+
+
+def _decomposition_delta_system(scheme):
+    ts = scheme.type_spec
+    for k in range(1, len(scheme.levels)):
+        level_below = set(scheme.levels[k - 1])
+        for parent in scheme.levels[k]:
+            children = scheme.decomposition.get(parent)
+            if children is None:
+                yield f"{parent} has no decomposition"
+                continue
+            if len(children) != ts.n_of(k):
+                yield f"{parent} decomposes into {len(children)} pieces, type demands n_{k} = {ts.n_of(k)}"
+            if any(c not in level_below for c in children):
+                yield f"{parent} has a child missing from level {k - 1}"
+            if set().union(*(c.elements for c in children)) != set(parent.elements):
+                yield f"children of {parent} do not union to it"
+            root = parent.root
+            for (a, ca), (b, cb) in combinations(enumerate(children), 2):
+                inter = tuple(sorted(set(ca.elements) & set(cb.elements)))
+                if inter != root:
+                    yield f"children {a},{b} of {parent} intersect in {inter}, root is {root}"
+            prev_max = max(root) if root else -1
+            for idx, c in enumerate(children):
+                tail = [x for x in c.elements if x not in root]
+                if not _is_initial_segment(root, c.elements):
+                    yield f"root {root} is not an initial segment of child {idx} of {parent}"
+                if tail and tail[0] <= prev_max:
+                    yield f"child {idx} of {parent} does not lie above the previous piece"
+                if tail:
+                    prev_max = tail[-1]
+
+
+def _rank0_singletons(scheme):
+    universe = {(x,) for x in range(scheme.universe_size)}
+    if not scheme.levels or {s.elements for s in scheme.levels[0]} != universe:
+        yield "rank 0 is not exactly the singletons of the universe"
+
+
+def _top_covers_all(scheme):
+    tops = scheme.levels[-1] if scheme.levels else []
+    if len(tops) != 1 or set(tops[0].elements) != set(range(scheme.universe_size)):
+        yield "top level is not the single full-universe set"
+
+
+AXIOMS = (
+    ("well-formed", _well_formed),
+    ("set-sizes", _set_sizes),
+    ("root-sizes", _root_sizes),
+    ("same-rank-initial-segments", _same_rank_initial_segments),
+    ("decomposition-delta-system", _decomposition_delta_system),
+    ("rank0-singletons", _rank0_singletons),
+    ("top-covers-all", _top_covers_all),
+)
+
+
 def check_axioms(scheme: Scheme) -> AxiomReport:
     """Exhaustively verify every defining property; never aborts early.
 
     Each axiom records its first counterexample and the remaining axioms are
     still checked, so a corrupted scheme yields a full diagnosis.
     """
-    ts = scheme.type_spec
     checks = []
-
-    def add(name, counterexample):
-        checks.append(AxiomCheck(name, counterexample is None, counterexample))
-
-    bad = None
-    for k, level in enumerate(scheme.levels):
-        for s in level:
-            if list(s.elements) != sorted(set(s.elements)) or (s.elements and s.elements[0] < 0):
-                bad = f"{s} is not a strictly increasing nonnegative sequence"
-                break
-            if s.rank != k:
-                bad = f"{s} stored at level {k}"
-                break
-        if bad:
-            break
-    add("well-formed", bad)
-
-    bad = None
-    for k, level in enumerate(scheme.levels):
-        if k > len(ts.m) - 1:
-            bad = f"level {k} beyond type depth"
-            break
-        for s in level:
-            if len(s.elements) != ts.m_of(k):
-                bad = f"{s} has size {len(s.elements)}, type demands m_{k} = {ts.m_of(k)}"
-                break
-        if bad:
-            break
-    add("set-sizes", bad)
-
-    bad = None
-    for k, level in enumerate(scheme.levels):
-        want = ts.r_of(k)
-        for s in level:
-            if s.root_size != want or len(s.root) != min(want, len(s.elements)):
-                bad = f"{s} has root size {s.root_size}, type demands r_{k} = {want}"
-                break
-        if bad:
-            break
-    add("root-sizes", bad)
-
-    bad = None
-    for level in scheme.levels:
-        for i in range(len(level)):
-            for j in range(i + 1, len(level)):
-                e, f = level[i], level[j]
-                common = sorted(set(e.elements) & set(f.elements))
-                if not (_is_initial_segment(common, e.elements)
-                        and _is_initial_segment(common, f.elements)):
-                    bad = f"{e} and {f} intersect in {common}, not an initial segment of both"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    add("same-rank-initial-segments", bad)
-
-    bad = None
-    for k in range(1, len(scheme.levels)):
-        for parent in scheme.levels[k]:
-            children = scheme.decomposition.get(parent)
-            if children is None:
-                bad = f"{parent} has no decomposition"
-                break
-            if len(children) != ts.n_of(k):
-                bad = f"{parent} decomposes into {len(children)} pieces, type demands n_{k} = {ts.n_of(k)}"
-                break
-            level_below = set(scheme.levels[k - 1])
-            if any(c not in level_below for c in children):
-                bad = f"{parent} has a child missing from level {k - 1}"
-                break
-            union = set()
-            for c in children:
-                union.update(c.elements)
-            if union != set(parent.elements):
-                bad = f"children of {parent} do not union to it"
-                break
-            root = parent.root
-            ok = True
-            for a in range(len(children)):
-                for b in range(a + 1, len(children)):
-                    inter = tuple(sorted(set(children[a].elements) & set(children[b].elements)))
-                    if inter != root:
-                        bad = (f"children {a},{b} of {parent} intersect in {inter}, "
-                               f"root is {root}")
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-            prev_max = max(root) if root else -1
-            for idx, c in enumerate(children):
-                tail = [x for x in c.elements if x not in root]
-                if not _is_initial_segment(root, c.elements):
-                    bad = f"root {root} is not an initial segment of child {idx} of {parent}"
-                    break
-                if tail and tail[0] <= prev_max:
-                    bad = f"child {idx} of {parent} does not lie above the previous piece"
-                    break
-                if tail:
-                    prev_max = tail[-1]
-            if bad:
-                break
-        if bad:
-            break
-    add("decomposition-delta-system", bad)
-
-    bad = None
-    universe = set(range(scheme.universe_size))
-    if not scheme.levels or {s.elements for s in scheme.levels[0]} != {(x,) for x in universe}:
-        bad = "rank 0 is not exactly the singletons of the universe"
-    add("rank0-singletons", bad)
-
-    bad = None
-    tops = scheme.levels[-1] if scheme.levels else []
-    if len(tops) != 1 or set(tops[0].elements) != universe:
-        bad = "top level is not the single full-universe set"
-    add("top-covers-all", bad)
-
+    for name, counterexamples in AXIOMS:
+        first = next(counterexamples(scheme), None)
+        checks.append(AxiomCheck(name, first is None, first))
     return AxiomReport(checks)
 
 
@@ -430,9 +406,6 @@ class DeltaSystem:
     members: tuple  # tuple of strictly increasing position tuples
     root: tuple
 
-    def __len__(self):
-        return len(self.members)
-
 
 def is_delta_system(members) -> DeltaSystem:
     """Validate an increasing delta-system; returns it with its root.
@@ -482,8 +455,6 @@ def find_capture(scheme: Scheme, system, t: int):
     deterministic.  Absence of a capture is a legitimate outcome at finite
     depth.
     """
-    from itertools import combinations
-
     if not isinstance(system, DeltaSystem):
         system = is_delta_system(system)
     members = system.members
@@ -557,24 +528,31 @@ def scheme_to_json(scheme: Scheme) -> dict:
     }
 
 
+def _at(items, i, what):
+    """items[i] for 0 <= i < len(items): no index counts from the end."""
+    if not 0 <= i < len(items):
+        raise IndexError(f"{what} {i} out of range 0..{len(items) - 1}")
+    return items[i]
+
+
 def scheme_from_json(obj) -> Scheme:
     """Rebuild a scheme from JSON without validating the axioms.
 
-    Structural integrity only; run check_axioms to trust the result.
+    Checks the type and every index; run check_axioms to trust the result.
     """
-    ts_obj = obj["type"]
-    ts = TypeSpec(tuple(ts_obj["m"]), tuple(ts_obj["n"]), tuple(ts_obj["r"]))
-    levels = []
-    for k, level in enumerate(obj["levels"]):
-        root = ts.r_of(k) if k <= ts.depth else 0
-        levels.append([SchemeSet(rank=k, elements=tuple(elems), root_size=root)
-                       for elems in level])
-    decomposition = {}
+    ts = TypeSpec.from_json(obj["type"])
+    if len(obj["levels"]) > ts.depth + 1:
+        raise ConfigInvalidError(
+            f"{len(obj['levels'])} levels exceed depth {ts.depth} + 1")
+    scheme = Scheme(ts, [[SchemeSet(rank=k, elements=tuple(elems), root_size=ts.r_of(k))
+                          for elems in level]
+                         for k, level in enumerate(obj["levels"])])
     for key, child_indices in obj.get("decomposition", {}).items():
-        rank, idx = (int(v) for v in key.split(":"))
-        parent = levels[rank][idx]
-        decomposition[parent] = tuple(levels[rank - 1][j] for j in child_indices)
-    return Scheme(type_spec=ts, levels=levels, decomposition=decomposition)
+        parent = scheme.set_by_id(key)
+        below = _at(scheme.levels, parent.rank - 1, "rank")
+        scheme.decomposition[parent] = tuple(
+            _at(below, j, f"rank-{parent.rank - 1} set") for j in child_indices)
+    return scheme
 
 
 def scheme_dumps(scheme: Scheme) -> str:

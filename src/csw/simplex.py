@@ -189,19 +189,6 @@ def simplex_solve(objective, constraints, sense="max", free=()) -> LpSolution:
     if sense == "max":
         minimize = [-c for c in minimize]
 
-    if not rows:
-        # no constraints: optimum at the origin unless some column improves forever
-        for j in range(n):
-            plus, minus = col_of[j]
-            down = minimize[j] < 0 or (minus is not None and minimize[j] > 0)
-            if down and minimize[j] != 0:
-                ray = [Fraction(0)] * n
-                ray[j] = Fraction(1) if minimize[j] < 0 else Fraction(-1)
-                return LpSolution(status="unbounded", certificate={"ray": ray})
-        zeros = [Fraction(0)] * n
-        return LpSolution(status="optimal", objective=Fraction(0), primal=zeros,
-                          certificate={"primal": zeros})
-
     tab = _Tableau(rows, rhs, width)
     cost = [Fraction(0)] * tab.total
     for j in range(n):
@@ -253,7 +240,7 @@ def simplex_solve(objective, constraints, sense="max", free=()) -> LpSolution:
 
     col_values = [tab.value_of(j) for j in range(tab.total)]
     primal = _merge_columns(col_values, col_of, n)
-    value = sum(c * v for c, v in zip(objective, primal))
+    value = sum((c * v for c, v in zip(objective, primal)), Fraction(0))
     return LpSolution(
         status="optimal",
         objective=value,

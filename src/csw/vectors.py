@@ -63,9 +63,6 @@ class SparseVector:
     def __getitem__(self, pos) -> Fraction:
         return self._entries.get(pos, Fraction(0))
 
-    def __contains__(self, pos):
-        return pos in self._entries
-
     def __len__(self):
         return len(self._entries)
 
@@ -110,11 +107,6 @@ class SparseVector:
         out = SparseVector()
         out._entries = {p: scalar * v for p, v in self._entries.items()}
         return out
-
-    def __mul__(self, scalar):
-        return self.scale(scalar)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, scalar):
         return self.scale(Fraction(1) / Fraction(scalar))

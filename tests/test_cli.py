@@ -189,16 +189,48 @@ def test_family_without_scheme_is_config_error(k_family_file, capsys):
     assert str(k_family_file) in err
 
 
-def test_scheme_with_bad_decomposition_key_is_config_error(tmp_path, capsys):
+def _rename(mapping, old, new):
+    mapping[new] = mapping.pop(old)
+
+
+# edits of a built 1,2,4;2,3;0,1 scheme file that loading must refuse: a set
+# index out of range, negative or below rank 0, an invalid type, an extra level
+@pytest.mark.parametrize("edit", [
+    lambda p: _rename(p["decomposition"], "1:0", "1:5"),
+    lambda p: _rename(p["decomposition"], "2:0", "2:-1"),
+    lambda p: p["decomposition"]["2:0"].__setitem__(0, -1),
+    lambda p: p["decomposition"].update({"0:0": [0]}),
+    lambda p: p["type"].update(n=[2]),
+    lambda p: p["levels"].append([[0, 1, 2, 3]]),
+    lambda p: p["type"].update(m=[1, 2, 5]),
+], ids=["key_out_of_range", "negative_key", "negative_child", "rank0_parent",
+        "short_n", "extra_level", "bad_m"])
+def test_scheme_with_bad_decomposition_key_is_config_error(tmp_path, capsys, edit):
     scheme_file = tmp_path / "s.json"
     run(capsys, "scheme", "build", "--type", "1,2,4;2,3;0,1",
         "--out", str(scheme_file))
     payload = json.loads(scheme_file.read_text())
-    payload["decomposition"]["1:5"] = payload["decomposition"].pop("1:0")
+    edit(payload)
     scheme_file.write_text(json.dumps(payload))
     code, _, err = run(capsys, "scheme", "check", str(scheme_file))
     assert code == 2
     assert str(scheme_file) in err
+
+
+def test_family_with_negative_set_key_is_config_error(tmp_path, capsys):
+    scheme_file = tmp_path / "s.json"
+    family_file = tmp_path / "H.json"
+    run(capsys, "scheme", "build", "--type", "1,2,4;2,3;0,1",
+        "--out", str(scheme_file))
+    run(capsys, "norming", "build", "--scheme", str(scheme_file),
+        "--space", "eps", "--param", "1/2", "--out", str(family_file))
+    payload = json.loads(family_file.read_text())
+    _rename(payload["families"], "2:0", "2:-1")
+    family_file.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "norm", "eval", "--family", str(family_file),
+                       "--vec", "0:1")
+    assert code == 2
+    assert str(family_file) in err
 
 
 def test_reports_are_byte_identical(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from csw.errors import (
 )
 from csw.schemes import (
     SchemeSet,
+    TypeSpec,
     build_scheme,
     canonical_decomposition,
     check_axioms,
@@ -131,6 +134,80 @@ def test_injected_overlap_fails_initial_segment_axiom(scheme_depth2):
     report = check_axioms(scheme)
     names = {c.name for c in report.failures()}
     assert "same-rank-initial-segments" in names
+
+
+def _replace(scheme, k, i, **changes):
+    old = scheme.levels[k][i]
+    _swap_set(scheme, old, dataclasses.replace(old, **changes))
+
+
+def _top_children(scheme, *elements):
+    below = {s.elements: s for s in scheme.levels[1]}
+    scheme.decomposition[scheme.top] = tuple(
+        below.get(e, SchemeSet(rank=1, elements=e, root_size=0)) for e in elements)
+
+
+_TOP = "rank2{0,1,2,3}"
+_NOT_UNIVERSE = ("rank0-singletons", "rank 0 is not exactly the singletons of the universe")
+
+# one corruption of the 1,2,4;2,3;0,1 scheme per counterexample message, with
+# every failing (axiom, counterexample) pair the report must carry
+AXIOM_CASES = {
+    "unsorted": (lambda s: _replace(s, 1, 0, elements=(1, 0)), [
+        ("well-formed", "rank1{1,0} is not a strictly increasing nonnegative sequence"),
+        ("same-rank-initial-segments",
+         "rank1{1,0} and rank1{0,2} intersect in [0], not an initial segment of both"),
+        ("decomposition-delta-system",
+         f"root (0,) is not an initial segment of child 0 of {_TOP}")]),
+    "negative": (lambda s: _replace(s, 0, 0, elements=(-1,)), [
+        ("well-formed", "rank0{-1} is not a strictly increasing nonnegative sequence"),
+        ("decomposition-delta-system", "children of rank1{0,1} do not union to it"),
+        _NOT_UNIVERSE]),
+    "wrong-level": (lambda s: _replace(s, 1, 0, rank=0), [
+        ("well-formed", "rank0{0,1} stored at level 1")]),
+    "beyond-depth": (lambda s: setattr(s, "type_spec", TypeSpec((1, 2), (2, 3), (0, 1))), [
+        ("set-sizes", "level 2 beyond type depth"),
+        _NOT_UNIVERSE,
+        ("top-covers-all", "top level is not the single full-universe set")]),
+    "set-size": (lambda s: _replace(s, 1, 0, elements=(0,)), [
+        ("set-sizes", "rank1{0} has size 1, type demands m_1 = 2"),
+        ("decomposition-delta-system", "children of rank1{0} do not union to it")]),
+    "root-size": (lambda s: _replace(s, 2, 0, root_size=0), [
+        ("root-sizes", f"{_TOP} has root size 0, type demands r_2 = 1"),
+        ("decomposition-delta-system",
+         f"children 0,1 of {_TOP} intersect in (0,), root is ()")]),
+    "same-rank": (lambda s: s.levels[1].append(SchemeSet(rank=1, elements=(1, 2),
+                                                         root_size=0)), [
+        ("same-rank-initial-segments",
+         "rank1{0,1} and rank1{1,2} intersect in [1], not an initial segment of both"),
+        ("decomposition-delta-system", "rank1{1,2} has no decomposition")]),
+    "no-decomposition": (lambda s: s.decomposition.pop(s.top), [
+        ("decomposition-delta-system", f"{_TOP} has no decomposition")]),
+    "piece-count": (lambda s: _top_children(s, (0, 1), (0, 2)), [
+        ("decomposition-delta-system",
+         f"{_TOP} decomposes into 2 pieces, type demands n_2 = 3")]),
+    "missing-child": (lambda s: _top_children(s, (0, 1), (0, 2), (0, 4)), [
+        ("decomposition-delta-system", f"{_TOP} has a child missing from level 1")]),
+    "union": (lambda s: _top_children(s, (0, 1), (0, 2), (0, 2)), [
+        ("decomposition-delta-system", f"children of {_TOP} do not union to it")]),
+    "order": (lambda s: _top_children(s, (0, 2), (0, 1), (0, 3)), [
+        ("decomposition-delta-system",
+         f"child 1 of {_TOP} does not lie above the previous piece")]),
+    "rank0": (lambda s: s.levels[0].pop(0), [
+        ("decomposition-delta-system", "rank1{0,1} has a child missing from level 0"),
+        _NOT_UNIVERSE]),
+    "two-tops": (lambda s: s.levels[2].append(s.top), [
+        ("top-covers-all", "top level is not the single full-universe set")]),
+}
+
+
+@pytest.mark.parametrize("mutate, failures", AXIOM_CASES.values(), ids=AXIOM_CASES)
+def test_axiom_counterexamples_are_pinned(scheme_depth2, mutate, failures):
+    scheme = scheme_loads(scheme_dumps(scheme_depth2))
+    mutate(scheme)
+    report = check_axioms(scheme)
+    assert [(c.name, c.counterexample) for c in report.failures()] == failures
+    assert all(c.counterexample is None for c in report.checks if c.passed)
 
 
 # ---------------------------------------------------------------------------

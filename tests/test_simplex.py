@@ -36,6 +36,22 @@ def test_unbounded_with_ray():
     assert ray == [Fraction(1)]
 
 
+@pytest.mark.parametrize("objective, sense, free, status, value, point", [
+    ([1], "max", (), "unbounded", None, [1]),
+    ([0, -1], "max", (1,), "unbounded", None, [0, -1]),
+    ([2, 0], "min", (), "optimal", 0, [0, 0]),
+    ([], "max", (), "optimal", 0, []),
+], ids=["max_unbounded", "free_unbounded", "min_at_origin", "no_variables"])
+def test_constraint_free_lps(objective, sense, free, status, value, point):
+    sol = simplex_solve(objective, [], sense=sense, free=free)
+    assert sol.status == status
+    if status == "unbounded":
+        assert sol.certificate["ray"] == point
+    else:
+        assert type(sol.objective) is Fraction and sol.objective == value
+        assert sol.primal == point and sol.certificate["primal"] == point
+
+
 def test_minimization_and_equalities():
     cons = [constraint([1, 1], "==", 4), constraint([1, -1], "==", 2)]
     sol = simplex_solve([1, 3], cons, sense="min")
