@@ -84,7 +84,7 @@ def _parse_file(path, parse):
         obj = json.load(handle)
     try:
         return parse(obj)
-    except (KeyError, IndexError, TypeError, AttributeError, ConfigError) as err:
+    except (KeyError, IndexError, TypeError, AttributeError, ValueError, ConfigError) as err:
         raise ConfigError(f"malformed {path}: {type(err).__name__}: {err}") from None
 
 

@@ -31,6 +31,16 @@ def _positions(vectors):
     return sorted(positions)
 
 
+def _split(values):
+    """Write each signed value as a (plus, minus) pair of nonnegative columns."""
+    return [w for v in values for w in (v, -v)]
+
+
+def _merge(columns):
+    """Read signed values back from (plus, minus) column pairs."""
+    return [plus - minus for plus, minus in zip(columns[::2], columns[1::2])]
+
+
 def dual_norm(g: SparseVector, H):
     """Minimal total coefficient mass expressing g over H.
 
@@ -46,30 +56,18 @@ def dual_norm(g: SparseVector, H):
         raise NotInSpanError("empty norming set cannot express a nonzero vector",
                              certificate=g)
     positions = _positions(H + [g])
-    nvars = 2 * len(H)
-    objective = [Fraction(1)] * nvars
-    constraints = []
-    for p in positions:
-        row = []
-        for h in H:
-            val = h[p]
-            row.append(val)
-            row.append(-val)
-        constraints.append(LinearConstraint(tuple(row), EQ, g[p]))
+    objective = [Fraction(1)] * (2 * len(H))
+    constraints = [LinearConstraint(tuple(_split(h[p] for h in H)), EQ, g[p])
+                   for p in positions]
     sol = simplex_solve(objective, constraints, sense="min")
-    if sol.status == "infeasible":
-        farkas = sol.certificate["farkas"]
+    if sol.status != "optimal":
+        farkas = sol.certificate.get("farkas", ())
         witness = SparseVector(
             (p, y) for p, y in zip(positions, farkas) if y != 0
         )
         raise NotInSpanError("vector lies outside the span of the norming set",
                              certificate=witness)
-    assert sol.status == "optimal"
-    coeffs = {}
-    for i in range(len(H)):
-        c = sol.primal[2 * i] - sol.primal[2 * i + 1]
-        if c != 0:
-            coeffs[i] = c
+    coeffs = {i: c for i, c in enumerate(_merge(sol.primal)) if c != 0}
     return sol.objective, coeffs
 
 
@@ -128,22 +126,17 @@ def polar_support(g: SparseVector, H):
     """
     H = list(H)
     positions = _positions(H + [g])
-    index = {p: j for j, p in enumerate(positions)}
-    n = len(positions)
-    objective = [g[p] for p in positions]
+    objective = _split(g[p] for p in positions)
     constraints = []
     for h in H:
-        row = [Fraction(0)] * n
-        for p, v in h.items():
-            row[index[p]] = v
-        constraints.append(LinearConstraint(tuple(row), LE, Fraction(1)))
-        constraints.append(LinearConstraint(tuple(row), GE, Fraction(-1)))
-    sol = simplex_solve(objective, constraints, sense="max", free=range(n))
-    if sol.status == "unbounded":
+        row = tuple(_split(h[p] for p in positions))
+        constraints.append(LinearConstraint(row, LE, Fraction(1)))
+        constraints.append(LinearConstraint(row, GE, Fraction(-1)))
+    sol = simplex_solve(objective, constraints, sense="max")
+    if sol.status != "optimal":
         raise NotInSpanError("polar program unbounded: vector outside span",
-                             certificate=sol.certificate.get("ray"))
-    assert sol.status == "optimal"
-    y = SparseVector((p, v) for p, v in zip(positions, sol.primal) if v != 0)
+                             certificate=_merge(sol.certificate.get("ray", ())))
+    y = SparseVector((p, v) for p, v in zip(positions, _merge(sol.primal)) if v != 0)
     return sol.objective, y
 
 

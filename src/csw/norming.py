@@ -45,6 +45,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import (
+    ConfigInvalidError,
     EmptyFamilyError,
     HomeMismatchError,
     NotInSchemeError,
@@ -346,6 +347,9 @@ def family_to_json(family: NormingFamily) -> dict:
 
 
 def family_from_json(obj) -> NormingFamily:
+    if obj["space"] not in (EPS_KIND, K_KIND):
+        raise ConfigInvalidError(
+            f"space must be {EPS_KIND!r} or {K_KIND!r}, got {obj['space']!r}")
     scheme = scheme_from_json(obj["scheme"])
     families = {}
     for key, entries in obj["families"].items():

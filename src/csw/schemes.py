@@ -535,6 +535,14 @@ def _at(items, i, what):
     return items[i]
 
 
+def _int_elements(elems):
+    """The elements of a set as a tuple; each must be a JSON integer."""
+    elems = tuple(elems)
+    if not all(type(e) is int for e in elems):
+        raise ConfigInvalidError(f"set elements must be integers, got {list(elems)!r}")
+    return elems
+
+
 def scheme_from_json(obj) -> Scheme:
     """Rebuild a scheme from JSON without validating the axioms.
 
@@ -544,7 +552,8 @@ def scheme_from_json(obj) -> Scheme:
     if len(obj["levels"]) > ts.depth + 1:
         raise ConfigInvalidError(
             f"{len(obj['levels'])} levels exceed depth {ts.depth} + 1")
-    scheme = Scheme(ts, [[SchemeSet(rank=k, elements=tuple(elems), root_size=ts.r_of(k))
+    scheme = Scheme(ts, [[SchemeSet(rank=k, elements=_int_elements(elems),
+                                    root_size=ts.r_of(k))
                           for elems in level]
                          for k, level in enumerate(obj["levels"])])
     for key, child_indices in obj.get("decomposition", {}).items():

@@ -1,8 +1,9 @@
 """Exact rational simplex with Bland's anti-cycling rule.
 
 Solves  max/min c.x  subject to rows  a.x (<=|>=|==) b,  with every variable
-nonnegative unless listed in `free` (free variables are split internally).
-All arithmetic is over `fractions.Fraction`; there are no tolerances.
+nonnegative; a caller with signed variables splits each into a (plus, minus)
+pair of columns itself (see `csw.hull`).  All arithmetic is over
+`fractions.Fraction`; there are no tolerances.
 
 Certificates:
   optimal    -> the primal point itself (exact feasibility is checkable)
@@ -121,8 +122,8 @@ class _Tableau:
         return Fraction(0)
 
 
-def simplex_solve(objective, constraints, sense="max", free=()) -> LpSolution:
-    """Exact two-phase simplex.
+def simplex_solve(objective, constraints, sense="max") -> LpSolution:
+    """Exact two-phase simplex over nonnegative variables.
 
     `objective` is a coefficient sequence (its length fixes the variable
     count); `constraints` are LinearConstraint rows of the same length.
@@ -131,45 +132,18 @@ def simplex_solve(objective, constraints, sense="max", free=()) -> LpSolution:
         raise ValueError("sense must be 'max' or 'min'")
     n = len(objective)
     objective = [Fraction(c) for c in objective]
-    free = set(free)
     for con in constraints:
         if len(con.coeffs) != n:
             raise DimensionMismatchError(
                 f"constraint has {len(con.coeffs)} coefficients, expected {n}"
             )
 
-    # column layout: one column per nonneg var, two (plus, minus) per free var
-    col_of = {}
-    ncols = 0
-    for j in range(n):
-        if j in free:
-            col_of[j] = (ncols, ncols + 1)
-            ncols += 2
-        else:
-            col_of[j] = (ncols, None)
-            ncols += 1
-
-    def expand(coeffs):
-        row = [Fraction(0)] * ncols
-        for j, c in enumerate(coeffs):
-            c = Fraction(c)
-            if c == 0:
-                continue
-            plus, minus = col_of[j]
-            row[plus] = c
-            if minus is not None:
-                row[minus] = -c
-        return row
-
     # standardize: slack per inequality, rhs made nonnegative
     rows, rhs, row_sign = [], [], []
-    body = [expand(con.coeffs) for con in constraints]
     nslack = sum(1 for con in constraints if con.relation != EQ)
-    slack_at = ncols
-    width = ncols + nslack
     k = 0
-    for i, con in enumerate(constraints):
-        row = body[i] + [Fraction(0)] * nslack
+    for con in constraints:
+        row = [Fraction(c) for c in con.coeffs] + [Fraction(0)] * nslack
         b = Fraction(con.rhs)
         sign = 1
         if b < 0:
@@ -179,25 +153,19 @@ def simplex_solve(objective, constraints, sense="max", free=()) -> LpSolution:
         rel = con.relation
         if rel != EQ:
             direction = Fraction(1) if rel == LE else Fraction(-1)
-            row[slack_at + k] = direction * sign
+            row[n + k] = direction * sign
             k += 1
         rows.append(row)
         rhs.append(b)
         row_sign.append(sign)
 
-    minimize = [Fraction(c) for c in objective]
-    if sense == "max":
-        minimize = [-c for c in minimize]
+    tab = _Tableau(rows, rhs, n + nslack)
+    cost = objective if sense == "min" else [-c for c in objective]
+    cost = cost + [Fraction(0)] * (tab.total - n)
 
-    tab = _Tableau(rows, rhs, width)
-    cost = [Fraction(0)] * tab.total
-    for j in range(n):
-        plus, minus = col_of[j]
-        cost[plus] = minimize[j]
-        if minus is not None:
-            cost[minus] = -minimize[j]
-
-    # phase 1: drive artificials to zero
+    # phase 1: drive artificials to zero.  Its objective is a sum of
+    # nonnegative artificials, so it is bounded below by 0 and Bland's rule
+    # always ends optimal: the status needs no check.
     phase1 = [Fraction(0)] * tab.total
     for a in tab.art:
         phase1[a] = Fraction(1)
@@ -205,8 +173,7 @@ def simplex_solve(objective, constraints, sense="max", free=()) -> LpSolution:
     for a in tab.art:
         enterable[a] = False
     obj = tab.objective_row(phase1)
-    status, _ = tab.run_bland(obj, enterable)
-    assert status == "optimal"
+    tab.run_bland(obj, enterable)
     infeas = -obj[tab.total]
     if infeas > 0:
         # Farkas: y_i = 1 - reduced cost of artificial i, mapped through row signs
@@ -231,15 +198,13 @@ def simplex_solve(objective, constraints, sense="max", free=()) -> LpSolution:
     obj = tab.objective_row(cost)
     status, entering = tab.run_bland(obj, enterable)
     if status == "unbounded":
-        ray_cols = [Fraction(0)] * tab.total
-        ray_cols[entering] = Fraction(1)
+        ray = [Fraction(0)] * tab.total
+        ray[entering] = Fraction(1)
         for r in range(tab.m):
-            ray_cols[tab.basis[r]] = -tab.rows[r][entering]
-        ray = _merge_columns(ray_cols, col_of, n)
-        return LpSolution(status="unbounded", certificate={"ray": ray})
+            ray[tab.basis[r]] = -tab.rows[r][entering]
+        return LpSolution(status="unbounded", certificate={"ray": ray[:n]})
 
-    col_values = [tab.value_of(j) for j in range(tab.total)]
-    primal = _merge_columns(col_values, col_of, n)
+    primal = [tab.value_of(j) for j in range(n)]
     value = sum((c * v for c, v in zip(objective, primal)), Fraction(0))
     return LpSolution(
         status="optimal",
@@ -247,14 +212,3 @@ def simplex_solve(objective, constraints, sense="max", free=()) -> LpSolution:
         primal=primal,
         certificate={"primal": list(primal)},
     )
-
-
-def _merge_columns(col_values, col_of, n):
-    out = []
-    for j in range(n):
-        plus, minus = col_of[j]
-        v = col_values[plus]
-        if minus is not None:
-            v = v - col_values[minus]
-        out.append(v)
-    return out

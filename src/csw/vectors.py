@@ -20,7 +20,10 @@ def parse_rational(text) -> Fraction:
         return Fraction(text)
     if isinstance(text, float):
         raise ValueError(f"refusing float input {text!r}; pass an exact 'p/q' string")
-    return Fraction(str(text).strip())
+    try:
+        return Fraction(str(text).strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(value) -> str:

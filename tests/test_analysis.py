@@ -23,7 +23,7 @@ from csw.errors import (
     NotBiorthogonalError,
     WrongSpaceKindError,
 )
-from csw.hull import dual_norm
+from csw.hull import dual_norm, polar_support
 from csw.norming import Functional, NormingFamily, Origin, build_eps_family, global_dual, norm
 from csw.schemes import build_scheme, validate_type
 from csw.vectors import SparseVector, pair, parse_vector
@@ -78,6 +78,23 @@ def test_width8_constant_is_exactly_two(k2_wide8):
 
 def test_tiny_k_constant_is_one(k2_tiny):
     assert basis_constant(k2_tiny).value == 1
+
+
+@pytest.mark.parametrize("fixture, value, cut, attaining", [
+    ("k2_wide8", 2, 2, "0:1,1:1,5:-1,6:-1,7:-1"),
+    ("eps_half_depth3", 3, 2, "0:-1,1:3,2:-3/2,3:-1,4:-3/2,5:-1,6:-3/2,7:-1,8:-3/2,9:-1"),
+])
+def test_basis_constant_witness_is_pinned(request, fixture, value, cut, attaining):
+    # the exact vectors the polar LP returned when recorded; any change in
+    # pivot order or column layout of the exact simplex shows up here
+    result = basis_constant(request.getfixturevalue(fixture))
+    assert (result.value, result.cut) == (value, cut)
+    assert result.attaining == parse_vector(attaining)
+
+
+def test_polar_support_witness_is_pinned():
+    e0, e1 = SparseVector.unit(0), SparseVector.unit(1)
+    assert polar_support(e1, [e0 + e1, e0]) == (2, parse_vector("0:-1,1:2"))
 
 
 def test_prefix_inequality_holds_on_random_vectors(k2_wide8):

@@ -194,7 +194,8 @@ def _rename(mapping, old, new):
 
 
 # edits of a built 1,2,4;2,3;0,1 scheme file that loading must refuse: a set
-# index out of range, negative or below rank 0, an invalid type, an extra level
+# index out of range, negative or below rank 0, an invalid type, an extra level,
+# a key that is not "rank:index", a set with non-integer elements
 @pytest.mark.parametrize("edit", [
     lambda p: _rename(p["decomposition"], "1:0", "1:5"),
     lambda p: _rename(p["decomposition"], "2:0", "2:-1"),
@@ -203,8 +204,10 @@ def _rename(mapping, old, new):
     lambda p: p["type"].update(n=[2]),
     lambda p: p["levels"].append([[0, 1, 2, 3]]),
     lambda p: p["type"].update(m=[1, 2, 5]),
+    lambda p: _rename(p["decomposition"], "1:0", "1:0:0"),
+    lambda p: p["levels"][1].__setitem__(0, ["a", "b"]),
 ], ids=["key_out_of_range", "negative_key", "negative_child", "rank0_parent",
-        "short_n", "extra_level", "bad_m"])
+        "short_n", "extra_level", "bad_m", "three_part_key", "non_integer_elements"])
 def test_scheme_with_bad_decomposition_key_is_config_error(tmp_path, capsys, edit):
     scheme_file = tmp_path / "s.json"
     run(capsys, "scheme", "build", "--type", "1,2,4;2,3;0,1",
@@ -217,7 +220,16 @@ def test_scheme_with_bad_decomposition_key_is_config_error(tmp_path, capsys, edi
     assert str(scheme_file) in err
 
 
-def test_family_with_negative_set_key_is_config_error(tmp_path, capsys):
+# edits of a built eps family file that loading must refuse: a negative set
+# key, a parameter that is not a rational or has a zero denominator, an
+# unknown space
+@pytest.mark.parametrize("edit", [
+    lambda p: _rename(p["families"], "2:0", "2:-1"),
+    lambda p: p.update(param="x"),
+    lambda p: p.update(param="1/0"),
+    lambda p: p.update(space="zzz"),
+], ids=["negative_key", "bad_param", "zero_denominator_param", "bad_space"])
+def test_family_with_negative_set_key_is_config_error(tmp_path, capsys, edit):
     scheme_file = tmp_path / "s.json"
     family_file = tmp_path / "H.json"
     run(capsys, "scheme", "build", "--type", "1,2,4;2,3;0,1",
@@ -225,12 +237,19 @@ def test_family_with_negative_set_key_is_config_error(tmp_path, capsys):
     run(capsys, "norming", "build", "--scheme", str(scheme_file),
         "--space", "eps", "--param", "1/2", "--out", str(family_file))
     payload = json.loads(family_file.read_text())
-    _rename(payload["families"], "2:0", "2:-1")
+    edit(payload)
     family_file.write_text(json.dumps(payload))
     code, _, err = run(capsys, "norm", "eval", "--family", str(family_file),
                        "--vec", "0:1")
     assert code == 2
     assert str(family_file) in err
+
+
+def test_zero_denominator_vector_is_config_error(k_family_file, capsys):
+    code, _, err = run(capsys, "norm", "eval", "--family", str(k_family_file),
+                       "--vec", "0:1/0")
+    assert code == 2
+    assert "zero denominator" in err
 
 
 def test_reports_are_byte_identical(tmp_path, capsys):

@@ -36,14 +36,14 @@ def test_unbounded_with_ray():
     assert ray == [Fraction(1)]
 
 
-@pytest.mark.parametrize("objective, sense, free, status, value, point", [
-    ([1], "max", (), "unbounded", None, [1]),
-    ([0, -1], "max", (1,), "unbounded", None, [0, -1]),
-    ([2, 0], "min", (), "optimal", 0, [0, 0]),
-    ([], "max", (), "optimal", 0, []),
+@pytest.mark.parametrize("objective, sense, status, value, point", [
+    ([1], "max", "unbounded", None, [1]),
+    ([0, -1, 1], "max", "unbounded", None, [0, 0, 1]),
+    ([2, 0], "min", "optimal", 0, [0, 0]),
+    ([], "max", "optimal", 0, []),
 ], ids=["max_unbounded", "free_unbounded", "min_at_origin", "no_variables"])
-def test_constraint_free_lps(objective, sense, free, status, value, point):
-    sol = simplex_solve(objective, [], sense=sense, free=free)
+def test_constraint_free_lps(objective, sense, status, value, point):
+    sol = simplex_solve(objective, [], sense=sense)
     assert sol.status == status
     if status == "unbounded":
         assert sol.certificate["ray"] == point
@@ -61,9 +61,11 @@ def test_minimization_and_equalities():
 
 
 def test_free_variables():
-    sol = simplex_solve([1], [constraint([1], "<=", -2)], sense="max", free=[0])
+    # a free x is the split x+ - x-: max x+ - x- subject to x+ - x- <= -2
+    sol = simplex_solve([1, -1], [constraint([1, -1], "<=", -2)], sense="max")
     assert sol.status == "optimal"
     assert sol.objective == -2
+    assert sol.primal == [Fraction(0), Fraction(2)]
 
 
 def test_dimension_mismatch():
