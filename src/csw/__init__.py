@@ -40,7 +40,6 @@ from .schemes import (
     AxiomReport,
     Capture,
     DeltaSystem,
-    PositionMap,
     Scheme,
     SchemeSet,
     TypeSpec,

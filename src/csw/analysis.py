@@ -236,6 +236,8 @@ def coherence_report(family: NormingFamily, lp_every=0) -> ExperimentReport:
     by reconstruction.  `lp_every` > 0 additionally forces every n-th
     instance through the raw LP path as a cross-check.
     """
+    if lp_every < 0:
+        raise ConfigInvalidError(f"lp_every must be >= 0, got {lp_every}")
     scheme = family.scheme
     report = ExperimentReport(meta={"kind": family.space_kind})
     restriction_bad = None
@@ -314,6 +316,8 @@ def random_rational_vector(rng, universe):
 def well_definedness_report(family: NormingFamily, samples=200, seed=0) -> ExperimentReport:
     """For seeded random vectors, the max over every covering set's family is
     the same exact value."""
+    if samples < 1:
+        raise ConfigInvalidError(f"samples must be >= 1, got {samples}")
     rng = random.Random(seed)
     scheme = family.scheme
     bad = None
@@ -436,7 +440,7 @@ def run_eps_experiment(scheme: Scheme, family: NormingFamily,
 
     members = make_captured_family(scheme, site, z.support, count)
     capture = find_capture(scheme, members, count)
-    xs = [position_map(children[0], children[i]).transport(z) for i in range(count)]
+    xs = [z.map_positions(position_map(children[0], children[i])) for i in range(count)]
     w = _alternating_difference(xs, n, m)
     inv_m = Fraction(1, m)
 
@@ -498,7 +502,7 @@ def run_K_experiment(scheme: Scheme, family: NormingFamily,
     z = _prepare_pattern(family, children[0], site, config.pattern)
 
     make_captured_family(scheme, site, z.support, count)
-    xs = [position_map(children[0], children[i]).transport(z) for i in range(count)]
+    xs = [z.map_positions(position_map(children[0], children[i])) for i in range(count)]
     v, w = _block_sums(xs, n)
 
     first_family = family.functionals_for(children[0])

@@ -146,10 +146,9 @@ def cmd_norming_build(args):
     if not report.passed:
         raise ConfigError("scheme fails its axioms; refusing to build a family")
     if args.space == "eps":
-        family = norming.build_eps_family(scheme, parse_rational(args.param))
+        family = norming.build_eps_family(scheme, args.param)
     else:
-        family = norming.build_K_family(scheme, parse_rational(args.param),
-                                        scale_cap=args.scale_cap)
+        family = norming.build_K_family(scheme, args.param, scale_cap=args.scale_cap)
     _emit(args, norming.family_dumps(family) + "\n")
     return EXIT_PASS
 

@@ -33,9 +33,12 @@ set containing supp(x) ("local" mode; coherence makes the choice of F
 irrelevant).  "all" mode maxes over every functional of every set instead;
 the two genuinely differ and both are exposed.
 
-Construction is single-threaded bottom-up (ranks depend on the rank below);
-families are immutable afterwards and norm evaluation is pure, so built
-values are safe to share across threads.
+Construction runs bottom-up with one amalgamation per rank, at the first
+rank-k set; every other rank-k set gets that family's transport through the
+increasing bijection.  The transport is exact because the bijection carries
+the first set's decomposition onto the set's own; the builder refuses a
+scheme where it does not.  Families are immutable afterwards and norm
+evaluation is pure, so built values are safe to share.
 """
 
 from __future__ import annotations
@@ -168,7 +171,7 @@ def _spread_vector(vec: SparseVector, children) -> SparseVector:
     first = set(children[0].elements)
     total = dict(vec.items())
     for child in children[1:]:
-        fwd = position_map(children[0], child).forward
+        fwd = position_map(children[0], child)
         for p, v in vec.items():
             q = fwd[p]
             if q not in first:
@@ -176,115 +179,133 @@ def _spread_vector(vec: SparseVector, children) -> SparseVector:
     return SparseVector(total.items())
 
 
+def _parameter(space_kind, param, scale_cap) -> Fraction:
+    """`param` as a Fraction once it and `scale_cap` are valid for the space."""
+    param = parse_rational(param)
+    if type(scale_cap) is not int:
+        raise ParameterOutOfRangeError(f"scale_cap must be an integer, got {scale_cap!r}")
+    if space_kind == EPS_KIND and not 0 < param < 1:
+        raise ParameterOutOfRangeError(f"eps must lie in (0, 1), got {param}")
+    if space_kind == K_KIND and param <= 1:
+        raise ParameterOutOfRangeError(f"K must exceed 1, got {param}")
+    if space_kind == K_KIND and scale_cap < 1:
+        raise ParameterOutOfRangeError(f"scale_cap must be >= 1, got {scale_cap}")
+    return param
+
+
+def _units(s, inv, scale_cap):
+    """The family of the singleton s = {a}: inv^j e_a for j <= scale_cap."""
+    a = s.elements[0]
+    return [Functional(SparseVector.unit(a).scale(inv ** j), s,
+                       (Origin(RULE_UNIT, 0, alpha=a, exponent=j),))
+            for j in range(scale_cap + 1)]
+
+
+def _transported(fam, pm, target):
+    """A family carried through the increasing bijection `pm` onto `target`."""
+    at = {None: None, **pm}  # origins store None for "no index" and "no cut"
+    return [Functional(f.vector.map_positions(pm), target,
+                       tuple(Origin(o.rule, o.rank, at[o.alpha], at[o.cut], o.exponent)
+                             for o in f.origins))
+            for f in fam]
+
+
+def _build(scheme, rank0, amalgamate) -> dict:
+    """Families of every scheme set: `rank0(set)` or `amalgamate(F, children,
+    first child's family)` builds the first set of each rank, and every other
+    set of that rank gets the transport of its family."""
+    families = {}
+    for k, level in enumerate(scheme.levels):
+        first = level[0]
+        children = scheme.decomposition.get(first, ())
+        fam = amalgamate(first, children, families[children[0]]) if k else rank0(first)
+        families[first] = fam
+        for F in level[1:]:
+            pm = position_map(first, F)
+            if ([tuple(pm[p] for p in c.elements) for c in children]
+                    != [c.elements for c in scheme.decomposition.get(F, ())]):
+                raise ConfigInvalidError(
+                    f"the decomposition of {F} is not the transport of {first}'s")
+            families[F] = _transported(fam, pm, F)
+    return families
+
+
 def build_eps_family(scheme: Scheme, eps) -> NormingFamily:
     """Bottom-up construction of the alternating families for every scheme set."""
-    eps = parse_rational(eps)
-    if not (0 < eps < 1):
-        raise ParameterOutOfRangeError(f"eps must lie in (0, 1), got {eps}")
-    families = {}
-    by_alpha = {}
-    for s in scheme.levels[0]:
-        a = s.elements[0]
-        f = Functional(SparseVector.unit(a), s, (Origin(RULE_UNIT, 0, alpha=a),))
-        families[s] = [f]
-        by_alpha[s] = {a: f}
-    for k in range(1, scheme.depth + 1):
-        for F in scheme.levels[k]:
-            children = scheme.decomposition[F]
-            first = children[0]
-            lookup = by_alpha[first]
-            root = set(F.root)
-            maps = [position_map(first, c) for c in children]
-            off_first = [set(c.elements) - set(first.elements) for c in children]
-            fam, amap = [], {}
-            for a in F.elements:
-                if a in root:
-                    base = lookup[a].vector
-                    vec = _spread_vector(base, children)
-                    origin = Origin(RULE_ROOT_SPREAD, k, alpha=a)
-                elif a in first or a in children[1]:
-                    second = a not in first
-                    if second:
-                        base = lookup[maps[1].inverse().apply(a)].vector
-                        vec = maps[1].transport(base)
-                    else:
-                        base = lookup[a].vector
-                        vec = base
-                    for i in range(2, len(children)):
-                        sign = Fraction(1) if (i + second) % 2 == 0 else Fraction(-1)
-                        part = maps[i].transport(base).restrict_to(off_first[i])
-                        vec = vec + part.scale(sign * eps)
-                    origin = Origin(RULE_SECOND_ALT if second else RULE_FIRST_ALT, k, alpha=a)
-                else:
-                    home_child = next(c for c in children[2:] if a in c)
-                    vec = by_alpha[home_child][a].vector
-                    origin = Origin(RULE_COPY, k, alpha=a)
-                f = Functional(vec, F, (origin,))
-                fam.append(f)
-                amap[a] = f
-            families[F] = fam
-            by_alpha[F] = amap
+    eps = _parameter(EPS_KIND, eps, 0)
+
+    def amalgamate(F, children, first_family):
+        maps = [position_map(children[0], c) for c in children]
+        off_first = [set(c.elements) - set(children[0].elements) for c in children]
+        fam = []
+        for f in first_family:  # h_b is spread on the root, else moved to every piece
+            b = f.origin.alpha
+            if b in F.root:
+                fam.append(Functional(_spread_vector(f.vector, children), F,
+                                      (Origin(RULE_ROOT_SPREAD, F.rank, alpha=b),)))
+                continue
+            tail = SparseVector()
+            for i in range(2, len(children)):
+                part = f.vector.map_positions(maps[i]).restrict_to(off_first[i])
+                tail = tail + part.scale(eps if i % 2 == 0 else -eps)
+            for j, pm in enumerate(maps):
+                vec = f.vector.map_positions(pm)
+                if j < 2:
+                    vec = vec + (tail if j == 0 else -tail)
+                rule = (RULE_FIRST_ALT, RULE_SECOND_ALT, RULE_COPY)[min(j, 2)]
+                fam.append(Functional(vec, F, (Origin(rule, F.rank, alpha=pm[b]),)))
+        return sorted(fam, key=lambda g: g.origin.alpha)
+
+    families = _build(scheme, lambda s: _units(s, 1, 0), amalgamate)
     return NormingFamily(scheme=scheme, space_kind=EPS_KIND, parameter=eps,
                          families=families, scale_cap=0)
 
 
 def build_K_family(scheme: Scheme, K, scale_cap=1) -> NormingFamily:
     """Bottom-up construction of the scaled-cut families for every scheme set."""
-    K = parse_rational(K)
-    if K <= 1:
-        raise ParameterOutOfRangeError(f"K must exceed 1, got {K}")
-    if scale_cap < 1:
-        raise ParameterOutOfRangeError(f"scale_cap must be >= 1, got {scale_cap}")
+    K = _parameter(K_KIND, K, scale_cap)
     inv = Fraction(1) / K
-    families = {}
-    for s in scheme.levels[0]:
-        a = s.elements[0]
-        fam = []
-        for j in range(scale_cap + 1):
-            vec = SparseVector.unit(a).scale(inv ** j)
-            fam.append(Functional(vec, s, (Origin(RULE_UNIT, 0, alpha=a, exponent=j),)))
-        families[s] = fam
-    for k in range(1, scheme.depth + 1):
-        for F in scheme.levels[k]:
-            children = scheme.decomposition[F]
-            first = children[0]
-            pool = {}
 
-            def register(vec, origin):
-                """Track the functional; True when new or its exponent dropped."""
-                known = pool.get(vec)
-                if known is None:
-                    pool[vec] = Functional(vec, F, (origin,))
-                    return True
-                if origin in known.origins:
-                    return False
-                improved = origin.exponent < known.exponent
-                pool[vec] = replace(known, origins=known.origins + (origin,))
-                return improved
+    def amalgamate(F, children, first_family):
+        k = F.rank
+        pool = {}
 
-            for a in F.elements:
-                register(SparseVector.unit(a), Origin(RULE_UNIT, k, alpha=a))
-            for f in families[first]:
-                vec = _spread_vector(f.vector, children)
-                register(vec, Origin(RULE_SPREAD, k, alpha=f.origin.alpha,
-                                     exponent=f.exponent))
-            cuts = list(F.elements) + [None]
-            queue = [f.vector for f in pool.values()]
-            while queue:
-                source = pool[queue.pop()]
-                e = source.exponent
-                if e >= scale_cap:
+        def register(vec, origin):
+            """Track the functional; True when new or its exponent dropped."""
+            known = pool.get(vec)
+            if known is None:
+                pool[vec] = Functional(vec, F, (origin,))
+                return True
+            if origin in known.origins:
+                return False
+            improved = origin.exponent < known.exponent
+            pool[vec] = replace(known, origins=known.origins + (origin,))
+            return improved
+
+        for a in F.elements:
+            register(SparseVector.unit(a), Origin(RULE_UNIT, k, alpha=a))
+        for f in first_family:
+            vec = _spread_vector(f.vector, children)
+            register(vec, Origin(RULE_SPREAD, k, alpha=f.origin.alpha,
+                                 exponent=f.exponent))
+        cuts = list(F.elements) + [None]
+        queue = [f.vector for f in pool.values()]
+        while queue:
+            source = pool[queue.pop()]
+            e = source.exponent
+            if e >= scale_cap:
+                continue
+            for cut in cuts:
+                vec = source.vector if cut is None else source.vector.restrict_below(cut)
+                if vec.is_zero():
                     continue
-                for cut in cuts:
-                    vec = source.vector if cut is None else source.vector.restrict_below(cut)
-                    if vec.is_zero():
-                        continue
-                    vec = vec.scale(inv)
-                    if register(vec, Origin(RULE_SCALED_CUT, k, cut=cut, exponent=e + 1)):
-                        queue.append(vec)
-            fam = sorted(pool.values(),
-                         key=lambda f: (f.exponent, f.vector.support, tuple(f.vector.items())))
-            families[F] = fam
+                vec = vec.scale(inv)
+                if register(vec, Origin(RULE_SCALED_CUT, k, cut=cut, exponent=e + 1)):
+                    queue.append(vec)
+        return sorted(pool.values(),
+                      key=lambda f: (f.exponent, f.vector.support, tuple(f.vector.items())))
+
+    families = _build(scheme, lambda s: _units(s, inv, scale_cap), amalgamate)
     return NormingFamily(scheme=scheme, space_kind=K_KIND, parameter=K,
                          families=families, scale_cap=scale_cap)
 
@@ -350,6 +371,8 @@ def family_from_json(obj) -> NormingFamily:
     if obj["space"] not in (EPS_KIND, K_KIND):
         raise ConfigInvalidError(
             f"space must be {EPS_KIND!r} or {K_KIND!r}, got {obj['space']!r}")
+    scale_cap = obj.get("scale_cap", 0)
+    param = _parameter(obj["space"], obj["param"], scale_cap)
     scheme = scheme_from_json(obj["scheme"])
     families = {}
     for key, entries in obj["families"].items():
@@ -364,9 +387,9 @@ def family_from_json(obj) -> NormingFamily:
     return NormingFamily(
         scheme=scheme,
         space_kind=obj["space"],
-        parameter=parse_rational(obj["param"]),
+        parameter=param,
         families=families,
-        scale_cap=int(obj.get("scale_cap", 0)),
+        scale_cap=scale_cap,
     )
 
 

@@ -78,7 +78,7 @@ def type_violations(m, n, r):
                            f"with depth {depth} expected {depth} entries in n and r, "
                            f"got {len(n)} and {len(r)}"))
         return violations
-    if any(not isinstance(v, int) for v in m + n + r):
+    if any(type(v) is not int for v in m + n + r):
         violations.append((0, "integrality", "all entries must be integers"))
         return violations
     if m[0] != 1:
@@ -362,43 +362,13 @@ def canonical_decomposition(scheme: Scheme, F: SchemeSet):
     return F.root, scheme.decomposition[F]
 
 
-@dataclass(frozen=True)
-class PositionMap:
-    source: tuple
-    target: tuple
-
-    def __post_init__(self):
-        if len(self.source) != len(self.target):
-            raise LengthMismatchError(
-                f"cannot map {len(self.source)} positions onto {len(self.target)}")
-
-    @property
-    def forward(self) -> dict:
-        return dict(zip(self.source, self.target))
-
-    def apply(self, pos):
-        try:
-            return self.forward[pos]
-        except KeyError:
-            raise LengthMismatchError(f"{pos} not in map domain") from None
-
-    def apply_set(self, positions) -> tuple:
-        fwd = self.forward
-        return tuple(sorted(fwd[p] for p in positions))
-
-    def transport(self, vec):
-        """Push a vector supported in the domain onto the codomain."""
-        return vec.map_positions(self.forward)
-
-    def inverse(self) -> "PositionMap":
-        return PositionMap(self.target, self.source)
-
-
-def position_map(source, target) -> PositionMap:
+def position_map(source, target) -> dict:
     """The unique increasing bijection between two equal-sized position sets."""
     src = tuple(source.elements) if isinstance(source, SchemeSet) else tuple(sorted(source))
     tgt = tuple(target.elements) if isinstance(target, SchemeSet) else tuple(sorted(target))
-    return PositionMap(src, tgt)
+    if len(src) != len(tgt):
+        raise LengthMismatchError(f"cannot map {len(src)} positions onto {len(tgt)}")
+    return dict(zip(src, tgt))
 
 
 @dataclass(frozen=True)
@@ -479,7 +449,7 @@ def find_capture(scheme: Scheme, system, t: int):
                 base = members[combo[0]]
                 ok = True
                 for i in range(1, t):
-                    if maps[i].apply_set(base) != members[combo[i]]:
+                    if tuple(maps[i][p] for p in base) != members[combo[i]]:
                         ok = False
                         break
                 if ok:
@@ -503,8 +473,8 @@ def make_captured_family(scheme: Scheme, F: SchemeSet, pattern_positions, t: int
     if not set(base) <= set(children[0].elements):
         raise PatternOutOfRangeError(
             f"pattern {list(base)} is not inside the first piece {children[0]}")
-    members = [position_map(children[0], children[i]).apply_set(base)
-               for i in range(t)]
+    maps = [position_map(children[0], children[i]) for i in range(t)]
+    members = [tuple(pm[p] for p in base) for pm in maps]
     return is_delta_system(members)
 
 
@@ -529,8 +499,8 @@ def scheme_to_json(scheme: Scheme) -> dict:
 
 
 def _at(items, i, what):
-    """items[i] for 0 <= i < len(items): no index counts from the end."""
-    if not 0 <= i < len(items):
+    """items[i] for an int 0 <= i < len(items): no index counts from the end."""
+    if type(i) is not int or not 0 <= i < len(items):
         raise IndexError(f"{what} {i} out of range 0..{len(items) - 1}")
     return items[i]
 

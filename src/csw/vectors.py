@@ -16,10 +16,11 @@ def parse_rational(text) -> Fraction:
     """Parse "p/q" or "p" into a Fraction."""
     if isinstance(text, Fraction):
         return text
+    if isinstance(text, (bool, float)):
+        raise ValueError(f"refusing {type(text).__name__} input {text!r}; "
+                         "pass an exact 'p/q' string")
     if isinstance(text, int):
         return Fraction(text)
-    if isinstance(text, float):
-        raise ValueError(f"refusing float input {text!r}; pass an exact 'p/q' string")
     try:
         return Fraction(str(text).strip())
     except ZeroDivisionError:

@@ -176,7 +176,7 @@ def test_criterion_9_transport_and_scale_cap(scheme_depth3, eps_half_depth3,
                 base = {f.vector for f in family.functionals_for(children[0])}
                 for sibling in children[1:]:
                     pm = position_map(children[0], sibling)
-                    transported = {pm.transport(v) for v in base}
+                    transported = {v.map_positions(pm) for v in base}
                     actual = {f.vector for f in family.functionals_for(sibling)}
                     assert transported == actual, (parent, sibling)
     deeper = build_K_family(scheme_depth3, 2, scale_cap=3)

@@ -195,7 +195,8 @@ def _rename(mapping, old, new):
 
 # edits of a built 1,2,4;2,3;0,1 scheme file that loading must refuse: a set
 # index out of range, negative or below rank 0, an invalid type, an extra level,
-# a key that is not "rank:index", a set with non-integer elements
+# a key that is not "rank:index", a set with non-integer elements, a boolean
+# where the type or a child list needs an integer
 @pytest.mark.parametrize("edit", [
     lambda p: _rename(p["decomposition"], "1:0", "1:5"),
     lambda p: _rename(p["decomposition"], "2:0", "2:-1"),
@@ -206,8 +207,11 @@ def _rename(mapping, old, new):
     lambda p: p["type"].update(m=[1, 2, 5]),
     lambda p: _rename(p["decomposition"], "1:0", "1:0:0"),
     lambda p: p["levels"][1].__setitem__(0, ["a", "b"]),
+    lambda p: p["type"].update(m=[True, 2, 4]),
+    lambda p: p["decomposition"]["2:0"].__setitem__(1, True),
 ], ids=["key_out_of_range", "negative_key", "negative_child", "rank0_parent",
-        "short_n", "extra_level", "bad_m", "three_part_key", "non_integer_elements"])
+        "short_n", "extra_level", "bad_m", "three_part_key", "non_integer_elements",
+        "boolean_type_entry", "boolean_child"])
 def test_scheme_with_bad_decomposition_key_is_config_error(tmp_path, capsys, edit):
     scheme_file = tmp_path / "s.json"
     run(capsys, "scheme", "build", "--type", "1,2,4;2,3;0,1",
@@ -221,14 +225,21 @@ def test_scheme_with_bad_decomposition_key_is_config_error(tmp_path, capsys, edi
 
 
 # edits of a built eps family file that loading must refuse: a negative set
-# key, a parameter that is not a rational or has a zero denominator, an
-# unknown space
+# key, a parameter that is not a rational, has a zero denominator, lies
+# outside (0, 1) or is a boolean, an unknown space, a scale_cap that is not an
+# integer, a boolean vector entry
 @pytest.mark.parametrize("edit", [
     lambda p: _rename(p["families"], "2:0", "2:-1"),
     lambda p: p.update(param="x"),
     lambda p: p.update(param="1/0"),
     lambda p: p.update(space="zzz"),
-], ids=["negative_key", "bad_param", "zero_denominator_param", "bad_space"])
+    lambda p: p.update(param="3/2"),
+    lambda p: p.update(param=True),
+    lambda p: p.update(scale_cap=1.7),
+    lambda p: p["families"]["0:0"][0]["vec"].update({"0": True}),
+], ids=["negative_key", "bad_param", "zero_denominator_param", "bad_space",
+        "eps_out_of_range", "boolean_param", "fractional_scale_cap",
+        "boolean_vec_entry"])
 def test_family_with_negative_set_key_is_config_error(tmp_path, capsys, edit):
     scheme_file = tmp_path / "s.json"
     family_file = tmp_path / "H.json"
@@ -243,6 +254,44 @@ def test_family_with_negative_set_key_is_config_error(tmp_path, capsys, edit):
                        "--vec", "0:1")
     assert code == 2
     assert str(family_file) in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda p: p.update(param="1"),
+    lambda p: p.update(scale_cap=0),
+    lambda p: p.update(scale_cap=True),
+], ids=["K_not_above_1", "scale_cap_0", "boolean_scale_cap"])
+def test_k_family_parameters_are_checked_at_load(k_family_file, capsys, edit):
+    payload = json.loads(k_family_file.read_text())
+    edit(payload)
+    k_family_file.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "analyze", "biorth", "--family", str(k_family_file))
+    assert code == 2
+    assert str(k_family_file) in err
+
+
+@pytest.mark.parametrize("type_obj", [
+    {"m": [True, 2, 4], "n": [2, 3], "r": [0, 1]},
+    {"m": [1, 2, 4], "n": [2, 3], "r": [False, 1]},
+], ids=["boolean_m", "boolean_r"])
+def test_type_file_with_booleans_is_config_error(tmp_path, capsys, type_obj):
+    type_file = tmp_path / "t.json"
+    type_file.write_text(json.dumps(type_obj))
+    code, out, err = run(capsys, "scheme", "build", "--type", str(type_file))
+    assert code == 2
+    assert str(type_file) in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["welldef", "--samples", "-3"],
+    ["welldef", "--samples", "0"],
+    ["coherence", "--lp-every", "-1"],
+], ids=["negative_samples", "zero_samples", "negative_lp_every"])
+def test_sweep_arguments_are_checked(k_family_file, capsys, argv):
+    code, out, err = run(capsys, "analyze", argv[0], "--family", str(k_family_file),
+                         *argv[1:])
+    assert code == 2
+    assert out == "" and argv[1][2:].replace("-", "_") in err
 
 
 def test_zero_denominator_vector_is_config_error(k_family_file, capsys):

@@ -1,9 +1,11 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from csw.errors import (
+    ConfigInvalidError,
     HomeMismatchError,
     ParameterOutOfRangeError,
     WrongSpaceKindError,
@@ -19,8 +21,16 @@ from csw.norming import (
     spread,
 )
 from csw.analysis import random_rational_vector
-from csw.schemes import build_scheme, position_map, validate_type
+from csw.schemes import (
+    build_scheme,
+    position_map,
+    scheme_from_json,
+    scheme_to_json,
+    validate_type,
+)
 from csw.vectors import SparseVector, pair, parse_vector
+
+from conftest import TYPE_DEPTH2, TYPE_DEPTH3, TYPE_DEPTH4
 
 HALF = Fraction(1, 2)
 
@@ -206,7 +216,7 @@ def test_transport_invariance_both_kinds(scheme_depth3, eps_half_depth3, k2_dept
                 base = vectors_of(family, children[0])
                 for sibling in children[1:]:
                     pm = position_map(children[0], sibling)
-                    assert {pm.transport(b) for b in base} == vectors_of(family, sibling)
+                    assert {b.map_positions(pm) for b in base} == vectors_of(family, sibling)
 
 
 # ---------------------------------------------------------------------------
@@ -311,3 +321,44 @@ def test_family_round_trip(eps_half_depth2, k2_depth2):
             assert [f.origin for f in clone.functionals_for(s)] == \
                 [f.origin for f in fam.functionals_for(s)]
         assert family_dumps(clone) == family_dumps(fam)
+
+
+# sha256 of family_dumps for (type, space, parameter, scale_cap), recorded
+# when every set's family was still built separately
+FAMILY_DIGESTS = [
+    (TYPE_DEPTH2, "k", "5/2", 2,
+     "6b8811d606d8e5627da6034af45893cb1f4876b230b58a2d44ad9d88630c1e98"),
+    (TYPE_DEPTH3, "eps", "1/3", 0,
+     "8f7f8c28fd4336547cf0d35a79f9c295b6e5fb58b2e4358d4a2a2bc0aec88323"),
+    (TYPE_DEPTH3, "k", "2", 2,
+     "f395f19980c364e7817fe564c8b5492a29c70ffd7a941176a2cd4f6829d47195"),
+    (TYPE_DEPTH4, "eps", "1/2", 0,
+     "6d53754e7ec13d454c6b519e128675009157b5310a8599a6c76e102b554050ac"),
+    (TYPE_DEPTH4, "k", "2", 1,
+     "3ef7b44ba240c9835f675385a555238f2186430b1391d38e67b699f904deb951"),
+    (([1, 16], [16], [0]), "k", "3/2", 1,
+     "4909ac8c56937bad47e2a7569f432dc03b6e9655c0de33d61453506541073a2c"),
+]
+
+
+@pytest.mark.parametrize("type_triple, space, param, cap, digest", FAMILY_DIGESTS,
+                         ids=["d2-k-5/2-cap2", "d3-eps-1/3", "d3-k-2-cap2",
+                              "d4-eps-1/2", "d4-k-2-cap1", "w16-k-3/2-cap1"])
+def test_family_bytes_are_pinned(type_triple, space, param, cap, digest):
+    scheme = build_scheme(validate_type(*type_triple))
+    if space == "eps":
+        family = build_eps_family(scheme, Fraction(param))
+    else:
+        family = build_K_family(scheme, Fraction(param), scale_cap=cap)
+    assert hashlib.sha256(family_dumps(family).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("build", [
+    lambda scheme: build_eps_family(scheme, HALF),
+    lambda scheme: build_K_family(scheme, 2),
+], ids=["eps", "k"])
+def test_builders_refuse_a_decomposition_that_is_not_a_transport(build):
+    payload = scheme_to_json(build_scheme(validate_type(*TYPE_DEPTH2)))
+    payload["decomposition"]["1:1"].reverse()
+    with pytest.raises(ConfigInvalidError):
+        build(scheme_from_json(payload))

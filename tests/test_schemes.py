@@ -230,9 +230,9 @@ def test_canonical_decomposition_examples(scheme_depth2):
 
 def test_position_map_examples():
     pm = position_map((0, 1), (0, 2))
-    assert pm.apply(0) == 0 and pm.apply(1) == 2
+    assert pm[0] == 0 and pm[1] == 2
     identity = position_map((0, 1), (0, 1))
-    assert identity.forward == {0: 0, 1: 1}
+    assert identity == {0: 0, 1: 1}
     with pytest.raises(LengthMismatchError):
         position_map((0, 1), (0,))
 
@@ -244,7 +244,7 @@ def test_sibling_maps_fix_the_root(scheme_depth3):
             for sibling in children[1:]:
                 pm = position_map(children[0], sibling)
                 for p in parent.root:
-                    assert pm.apply(p) == p
+                    assert pm[p] == p
 
 
 # ---------------------------------------------------------------------------
