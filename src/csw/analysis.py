@@ -20,7 +20,14 @@ from .errors import (
     PatternOutOfRangeError,
     WrongSpaceKindError,
 )
-from .hull import dual_norm, in_symmetric_hull, norming_max, polar_support, verify_decomposition
+from .hull import (
+    dual_norm,
+    in_symmetric_hull,
+    norming_max,
+    polar_support,
+    proportional_member,
+    verify_decomposition,
+)
 from .norming import (
     EPS_FORM_OF_RULE,
     EPS_KIND,
@@ -186,6 +193,9 @@ def basis_constant(family: NormingFamily) -> BasisConstantResult:
             if cut_vec in seen:
                 continue
             seen.add(cut_vec)
+            # a gauge at most `best` cannot pass the strict test below
+            if cut_vec.is_zero() or proportional_member(cut_vec, H, best) is not None:
+                continue
             try:
                 value, coeffs = dual_norm(cut_vec, H)
             except NotInSpanError as err:  # report the skip, do not abort

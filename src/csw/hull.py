@@ -71,6 +71,23 @@ def dual_norm(g: SparseVector, H):
     return sol.objective, coeffs
 
 
+def proportional_member(f: SparseVector, H, bound):
+    """The first (i, c) with f == c * H[i] and |c| <= bound, else None.
+
+    f must be nonzero.  A hit writes f with mass |c|, so it bounds
+    dual_norm(f, H) by |c| without an LP.
+    """
+    support = f.support
+    lead = support[0]
+    for i, h in enumerate(H):
+        if h.support != support:
+            continue
+        ratio = f[lead] / h[lead]
+        if abs(ratio) <= bound and f == h.scale(ratio):
+            return i, ratio
+    return None
+
+
 @dataclass
 class HullCertificate:
     member: bool
@@ -90,14 +107,10 @@ def in_symmetric_hull(f: SparseVector, H, try_direct=True) -> HullCertificate:
     if f.is_zero():
         return HullCertificate(True, Fraction(0), {}, method="direct")
     if try_direct:
-        support = f.support
-        for i, h in enumerate(H):
-            if h.support != support:
-                continue
-            lead = support[0]
-            ratio = f[lead] / h[lead]
-            if abs(ratio) <= 1 and f == h.scale(ratio):
-                return HullCertificate(True, abs(ratio), {i: ratio}, method="direct")
+        found = proportional_member(f, H, 1)
+        if found is not None:
+            i, ratio = found
+            return HullCertificate(True, abs(ratio), {i: ratio}, method="direct")
     try:
         value, coeffs = dual_norm(f, H)
     except NotInSpanError as err:

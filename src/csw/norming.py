@@ -97,9 +97,23 @@ class Origin:
         return out
 
     @classmethod
-    def from_json(cls, obj):
-        return cls(rule=obj["rule"], rank=obj["rank"], alpha=obj.get("alpha"),
-                   cut=obj.get("cut"), exponent=obj.get("exponent", 0))
+    def from_json(cls, obj, universe_size):
+        """An origin read from a family file; `alpha` and `cut` are positions."""
+        rule, rank = obj["rule"], obj["rank"]
+        alpha, cut = obj.get("alpha"), obj.get("cut")
+        exponent = obj.get("exponent", 0)
+        if type(rule) is not str:
+            raise ConfigInvalidError(f"origin rule must be a string, got {rule!r}")
+        if type(rank) is not int or type(exponent) is not int:
+            raise ConfigInvalidError("origin rank and exponent must be integers, "
+                                     f"got {rank!r} and {exponent!r}")
+        for name, value in (("alpha", alpha), ("cut", cut)):
+            if value is not None and (type(value) is not int
+                                      or not 0 <= value < universe_size):
+                raise ConfigInvalidError(
+                    f"origin {name} must be a position 0..{universe_size - 1}, "
+                    f"got {value!r}")
+        return cls(rule, rank, alpha, cut, exponent)
 
 
 @dataclass(frozen=True)
@@ -374,13 +388,14 @@ def family_from_json(obj) -> NormingFamily:
     scale_cap = obj.get("scale_cap", 0)
     param = _parameter(obj["space"], obj["param"], scale_cap)
     scheme = scheme_from_json(obj["scheme"])
+    universe_size = scheme.universe_size
     families = {}
     for key, entries in obj["families"].items():
         s = scheme.set_by_id(key)
         fam = []
         for entry in entries:
-            origins = [Origin.from_json(entry["origin"])]
-            origins += [Origin.from_json(o) for o in entry.get("merged", ())]
+            origins = [Origin.from_json(o, universe_size)
+                       for o in (entry["origin"], *entry.get("merged", ()))]
             fam.append(Functional(SparseVector.from_json(entry["vec"]), s,
                                   tuple(origins)))
         families[s] = fam

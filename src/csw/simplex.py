@@ -2,8 +2,13 @@
 
 Solves  max/min c.x  subject to rows  a.x (<=|>=|==) b,  with every variable
 nonnegative; a caller with signed variables splits each into a (plus, minus)
-pair of columns itself (see `csw.hull`).  All arithmetic is over
-`fractions.Fraction`; there are no tolerances.
+pair of columns itself (see `csw.hull`).  The arithmetic is exact; there are
+no tolerances.  The tableau is fraction-free: each row is stored sparsely as
+coprime Python ints, a positive multiple of the rational row, and pivots
+eliminate with integer combinations (Edmonds/Bareiss).  Entering columns are
+chosen by sign and leaving rows by cross-multiplied ratios, so the pivots
+follow Bland's rule exactly as a `Fraction` tableau would, and rationals
+appear only where a value is read out.
 
 Certificates:
   optimal    -> the primal point itself (exact feasibility is checkable)
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DimensionMismatchError
 
@@ -38,88 +44,181 @@ def constraint(coeffs, relation, rhs) -> LinearConstraint:
     return LinearConstraint(tuple(Fraction(c) for c in coeffs), relation, Fraction(rhs))
 
 
+@dataclass(frozen=True)
+class LpStats:
+    """Work done by one `simplex_solve` call; every count is deterministic."""
+
+    rows: int               # constraints as posed
+    columns: int            # variables as posed
+    phase1_pivots: int      # includes pivots that drive zero artificials out
+    phase2_pivots: int
+    degenerate_pivots: int  # pivots on a row whose right-hand side is zero
+    max_bits: int           # largest integer bit length held in the tableau
+
+
 @dataclass
 class LpSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
     objective: Fraction | None = None
     primal: list | None = None
     certificate: dict = field(default_factory=dict)
+    stats: LpStats | None = None
+
+
+_DEN = -1  # key of the objective row's positive denominator
+
+
+def _bits(row):
+    return max(max(row.values()).bit_length(), min(row.values()).bit_length())
+
+
+# _reduced and _integer_row fold gcd and lcm in a loop: gcd(*values) builds a
+# tuple per row, and those tuples piled up in the interpreter's tuple free
+# lists, so a process's peak memory kept growing with the LPs it solved.
+
+def _reduced(row):
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+        if g == 1:
+            return row
+    return row if g == 0 else {k: v // g for k, v in row.items()}
+
+
+def _integer_row(entries):
+    """A positive multiple of a sparse rational row, as coprime ints."""
+    scale = 1
+    for v in entries.values():
+        scale = lcm(scale, v.denominator)
+    return _reduced({k: v.numerator * (scale // v.denominator)
+                     for k, v in entries.items()})
+
+
+def _eliminate(piv, target, factor, row):
+    """piv * target - factor * row with its gcd divided out.
+
+    With piv > 0 this is a positive multiple of the rational
+    target - (factor / piv) * row, so signs, ratios and zeros are kept.
+    """
+    out = {k: piv * v for k, v in target.items()} if piv != 1 else dict(target)
+    for k, v in row.items():
+        w = out.get(k, 0) - factor * v
+        if w:
+            out[k] = w
+        else:
+            del out[k]
+    return _reduced(out)
 
 
 class _Tableau:
-    """Dense simplex tableau with an explicit artificial identity block."""
+    """Sparse integer simplex tableau with an explicit artificial identity block.
+
+    Row r maps columns to the nonzero entries of the rational row times a
+    positive factor, as coprime ints, so its basic entry rows[r][basis[r]]
+    is that factor and the rational entry in column j is
+    rows[r][j] / rows[r][basis[r]]; the right-hand side sits in column
+    `total`.  The objective row keeps its positive denominator under the key
+    `_DEN`.  A pivot replaces every other row by a positive integer
+    combination of itself and the pivot row (Edmonds/Bareiss
+    integer-preserving elimination), so no `Fraction` is built until a
+    value is read out.  Only structural columns (j < ncols) may enter.
+    """
 
     def __init__(self, rows, rhs, ncols):
         self.m = len(rows)
         self.ncols = ncols
+        self.total = ncols + self.m
         # one artificial per row keeps B^-1 readable and phase 1 uniform
-        self.art = list(range(self.ncols, self.ncols + self.m))
+        self.art = range(ncols, self.total)
+        # a row whose rhs is negative is negated, all but its artificial
+        self.signs = [-1 if b < 0 else 1 for b in rhs]
         self.rows = []
-        for i, row in enumerate(rows):
-            extended = list(row) + [Fraction(0)] * self.m + [rhs[i]]
-            extended[self.ncols + i] = Fraction(1)
-            self.rows.append(extended)
-        self.total = self.ncols + self.m
+        for i, (row, b, sign) in enumerate(zip(rows, rhs, self.signs)):
+            row = {**row, ncols + i: sign}
+            if b:
+                row[self.total] = b
+            row = _integer_row(row)
+            self.rows.append(row if sign > 0 else {k: -v for k, v in row.items()})
         self.basis = list(self.art)
+        self.obj = {}
+        self.pivots = self.degenerate = 0
+        self.bits = max((_bits(row) for row in self.rows), default=0)
 
-    def objective_row(self, costs):
-        obj = list(costs) + [Fraction(0)]
-        for r in range(self.m):
-            c = costs[self.basis[r]]
-            if c != 0:
+    def set_objective(self, costs):
+        """Reduced costs, in this basis, of the nonzero `costs` {column: value}."""
+        obj = _integer_row({**costs, _DEN: 1})
+        for r, b in enumerate(self.basis):
+            factor = obj.get(b)
+            if factor:
                 row = self.rows[r]
-                for j in range(self.total + 1):
-                    obj[j] -= c * row[j]
-        return obj
+                obj = _eliminate(row[b], obj, factor, row)
+        self.obj = obj
+        self.bits = max(self.bits, _bits(obj))
 
-    def pivot(self, obj, r, j):
+    def pivot(self, r, j):
         row = self.rows[r]
         piv = row[j]
-        if piv != 1:
-            inv = Fraction(1) / piv
-            self.rows[r] = row = [v * inv for v in row]
-        for other in range(self.m):
-            if other == r:
-                continue
-            factor = self.rows[other][j]
-            if factor != 0:
-                target = self.rows[other]
-                self.rows[other] = [t - factor * v for t, v in zip(target, row)]
-        factor = obj[j]
-        if factor != 0:
-            for k in range(self.total + 1):
-                obj[k] -= factor * row[k]
+        if piv < 0:
+            self.rows[r] = row = {k: -v for k, v in row.items()}
+            piv = -piv
+        for other, target in enumerate(self.rows):
+            factor = target.get(j)
+            if factor and other != r:
+                self.rows[other] = target = _eliminate(piv, target, factor, row)
+                self.bits = max(self.bits, _bits(target))
+        factor = self.obj.get(j)
+        if factor:
+            self.obj = _eliminate(piv, self.obj, factor, row)
+            self.bits = max(self.bits, _bits(self.obj))
         self.basis[r] = j
+        self.pivots += 1
+        if self.total not in row:
+            self.degenerate += 1
 
-    def run_bland(self, obj, enterable):
+    def run_bland(self):
         """Minimize; returns "optimal" or ("unbounded", entering_col)."""
+        total = self.total
         while True:
-            entering = -1
-            for j in range(self.total):
-                if enterable[j] and obj[j] < 0:
-                    entering = j
-                    break
+            entering = min((j for j, v in self.obj.items() if v < 0 and j < self.ncols),
+                           default=-1)
             if entering < 0:
                 return "optimal", -1
+            # least ratio rhs/a over a > 0, ties to the smaller basic index;
+            # the row factors cancel, and a > 0 lets ratios cross-multiply
             leaving = -1
-            best = None
-            for r in range(self.m):
-                a = self.rows[r][entering]
+            for r, row in enumerate(self.rows):
+                a = row.get(entering, 0)
                 if a > 0:
-                    ratio = self.rows[r][self.total] / a
-                    key = (ratio, self.basis[r])
-                    if best is None or key < best:
-                        best = key
-                        leaving = r
+                    b = row.get(total, 0)
+                    if leaving < 0:
+                        better = True
+                    else:
+                        lhs, rhs = b * best_a, best_b * a
+                        better = lhs < rhs or (lhs == rhs
+                                               and self.basis[r] < self.basis[leaving])
+                    if better:
+                        leaving, best_a, best_b = r, a, b
             if leaving < 0:
                 return "unbounded", entering
-            self.pivot(obj, leaving, entering)
+            self.pivot(leaving, entering)
+
+    def reduced_cost(self, col):
+        return Fraction(self.obj.get(col, 0), self.obj[_DEN])
+
+    def entry(self, r, col):
+        row = self.rows[r]
+        return Fraction(row.get(col, 0), row[self.basis[r]])
 
     def value_of(self, col):
         for r in range(self.m):
             if self.basis[r] == col:
-                return self.rows[r][self.total]
+                return self.entry(r, self.total)
         return Fraction(0)
+
+    def stats(self, columns, phase1_pivots):
+        return LpStats(rows=self.m, columns=columns, phase1_pivots=phase1_pivots,
+                       phase2_pivots=self.pivots - phase1_pivots,
+                       degenerate_pivots=self.degenerate, max_bits=self.bits)
 
 
 def simplex_solve(objective, constraints, sense="max") -> LpSolution:
@@ -127,6 +226,7 @@ def simplex_solve(objective, constraints, sense="max") -> LpSolution:
 
     `objective` is a coefficient sequence (its length fixes the variable
     count); `constraints` are LinearConstraint rows of the same length.
+    The returned `stats` describe the work done and appear in no report.
     """
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
@@ -138,71 +238,52 @@ def simplex_solve(objective, constraints, sense="max") -> LpSolution:
                 f"constraint has {len(con.coeffs)} coefficients, expected {n}"
             )
 
-    # standardize: slack per inequality, rhs made nonnegative
-    rows, rhs, row_sign = [], [], []
-    nslack = sum(1 for con in constraints if con.relation != EQ)
-    k = 0
+    # standardize: one slack column per inequality; the tableau makes every
+    # rhs nonnegative
+    rows, rhs = [], []
+    ncols = n
     for con in constraints:
-        row = [Fraction(c) for c in con.coeffs] + [Fraction(0)] * nslack
-        b = Fraction(con.rhs)
-        sign = 1
-        if b < 0:
-            row = [-v for v in row]
-            b = -b
-            sign = -1
-        rel = con.relation
-        if rel != EQ:
-            direction = Fraction(1) if rel == LE else Fraction(-1)
-            row[n + k] = direction * sign
-            k += 1
+        row = {j: c if isinstance(c, (int, Fraction)) else Fraction(c)
+               for j, c in enumerate(con.coeffs) if c}
+        if con.relation != EQ:
+            row[ncols] = 1 if con.relation == LE else -1
+            ncols += 1
         rows.append(row)
-        rhs.append(b)
-        row_sign.append(sign)
+        rhs.append(Fraction(con.rhs))
 
-    tab = _Tableau(rows, rhs, n + nslack)
-    cost = objective if sense == "min" else [-c for c in objective]
-    cost = cost + [Fraction(0)] * (tab.total - n)
+    tab = _Tableau(rows, rhs, ncols)
+    sign = 1 if sense == "min" else -1
+    cost = {j: sign * c for j, c in enumerate(objective) if c}
 
     # phase 1: drive artificials to zero.  Its objective is a sum of
     # nonnegative artificials, so it is bounded below by 0 and Bland's rule
     # always ends optimal: the status needs no check.
-    phase1 = [Fraction(0)] * tab.total
-    for a in tab.art:
-        phase1[a] = Fraction(1)
-    enterable = [True] * tab.total
-    for a in tab.art:
-        enterable[a] = False
-    obj = tab.objective_row(phase1)
-    tab.run_bland(obj, enterable)
-    infeas = -obj[tab.total]
-    if infeas > 0:
+    tab.set_objective(dict.fromkeys(tab.art, 1))
+    tab.run_bland()
+    if tab.reduced_cost(tab.total) < 0:  # the rhs entry is minus the phase-1 value
         # Farkas: y_i = 1 - reduced cost of artificial i, mapped through row signs
-        farkas = []
-        for i, a in enumerate(tab.art):
-            y = Fraction(1) - obj[a]
-            farkas.append(row_sign[i] * y)
-        return LpSolution(status="infeasible", certificate={"farkas": farkas})
+        farkas = [sign * (1 - tab.reduced_cost(a)) for sign, a in zip(tab.signs, tab.art)]
+        return LpSolution(status="infeasible", certificate={"farkas": farkas},
+                          stats=tab.stats(n, tab.pivots))
 
     # drive surviving artificials out of the basis
     for r in range(tab.m):
         if tab.basis[r] in tab.art:
-            pivot_col = -1
-            for j in range(tab.ncols):
-                if tab.rows[r][j] != 0:
-                    pivot_col = j
-                    break
+            pivot_col = min((j for j in tab.rows[r] if j < tab.ncols), default=-1)
             if pivot_col >= 0:
-                tab.pivot(obj, r, pivot_col)
+                tab.pivot(r, pivot_col)
             # else: redundant row; harmless to keep, artificial stays at zero
+    phase1_pivots = tab.pivots
 
-    obj = tab.objective_row(cost)
-    status, entering = tab.run_bland(obj, enterable)
+    tab.set_objective(cost)
+    status, entering = tab.run_bland()
+    stats = tab.stats(n, phase1_pivots)
     if status == "unbounded":
         ray = [Fraction(0)] * tab.total
         ray[entering] = Fraction(1)
         for r in range(tab.m):
-            ray[tab.basis[r]] = -tab.rows[r][entering]
-        return LpSolution(status="unbounded", certificate={"ray": ray[:n]})
+            ray[tab.basis[r]] = -tab.entry(r, entering)
+        return LpSolution(status="unbounded", certificate={"ray": ray[:n]}, stats=stats)
 
     primal = [tab.value_of(j) for j in range(n)]
     value = sum((c * v for c, v in zip(objective, primal)), Fraction(0))
@@ -211,4 +292,5 @@ def simplex_solve(objective, constraints, sense="max") -> LpSolution:
         objective=value,
         primal=primal,
         certificate={"primal": list(primal)},
+        stats=stats,
     )

@@ -80,16 +80,27 @@ def test_tiny_k_constant_is_one(k2_tiny):
     assert basis_constant(k2_tiny).value == 1
 
 
+# the winning gauge LP's coefficients, recorded with the witnesses below
+WITNESS_COEFFICIENTS = {
+    "k2_wide8": {0: 1, 2: 1},
+    "eps_half_depth3": {1: 1, 3: -HALF, 5: -HALF, 7: -HALF, 9: -HALF},
+    "k2_depth3": {0: 1, 2: 1},
+}
+
+
 @pytest.mark.parametrize("fixture, value, cut, attaining", [
     ("k2_wide8", 2, 2, "0:1,1:1,5:-1,6:-1,7:-1"),
     ("eps_half_depth3", 3, 2, "0:-1,1:3,2:-3/2,3:-1,4:-3/2,5:-1,6:-3/2,7:-1,8:-3/2,9:-1"),
+    ("k2_depth3", 2, 2, "0:1,1:1,8:-1,9:-1"),
 ])
 def test_basis_constant_witness_is_pinned(request, fixture, value, cut, attaining):
-    # the exact vectors the polar LP returned when recorded; any change in
-    # pivot order or column layout of the exact simplex shows up here
+    # the exact vectors the gauge and polar LPs returned when recorded; any
+    # change in pivot order or column layout of the exact simplex shows up here
     result = basis_constant(request.getfixturevalue(fixture))
     assert (result.value, result.cut) == (value, cut)
     assert result.attaining == parse_vector(attaining)
+    assert result.coefficients == WITNESS_COEFFICIENTS[fixture]
+    assert result.report.meta["skipped"] == []
 
 
 def test_polar_support_witness_is_pinned():

@@ -256,6 +256,36 @@ def test_family_with_negative_set_key_is_config_error(tmp_path, capsys, edit):
     assert str(family_file) in err
 
 
+# edits of the top set's first origin in a built eps family file that loading
+# must refuse: a position that is not an integer or lies outside the universe,
+# a rule that is not a string, a rank or exponent that is not an integer
+@pytest.mark.parametrize("command", ["coherence", "biorth"])
+@pytest.mark.parametrize("edit", [
+    lambda o: o.update(alpha="x"),
+    lambda o: o.update(alpha=10),
+    lambda o: o.update(alpha=-1),
+    lambda o: o.update(alpha=True),
+    lambda o: o.update(cut=1.5),
+    lambda o: o.update(rule=3),
+    lambda o: o.update(rank=True),
+    lambda o: o.update(exponent="1"),
+], ids=["string_alpha", "alpha_past_universe", "negative_alpha", "boolean_alpha",
+        "fractional_cut", "integer_rule", "boolean_rank", "string_exponent"])
+def test_family_with_bad_origin_is_config_error(tmp_path, capsys, edit, command):
+    scheme_file = tmp_path / "s.json"
+    family_file = tmp_path / "H.json"
+    run(capsys, "scheme", "build", "--type", "1,2,4;2,3;0,1",
+        "--out", str(scheme_file))
+    run(capsys, "norming", "build", "--scheme", str(scheme_file),
+        "--space", "eps", "--param", "1/2", "--out", str(family_file))
+    payload = json.loads(family_file.read_text())
+    edit(payload["families"]["2:0"][0]["origin"])
+    family_file.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "analyze", command, "--family", str(family_file))
+    assert code == 2
+    assert out == "" and str(family_file) in err
+
+
 @pytest.mark.parametrize("edit", [
     lambda p: p.update(param="1"),
     lambda p: p.update(scale_cap=0),

@@ -3,9 +3,11 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csw.errors import DimensionMismatchError
-from csw.simplex import constraint, simplex_solve
+from csw.simplex import LpStats, constraint, simplex_solve
 
 from oracles import polytope_vertices, random_fraction
 
@@ -85,6 +87,26 @@ def test_degenerate_cycling_guard():
     assert sol.objective == Fraction(5, 4)
 
 
+@pytest.mark.parametrize("objective, cons, sense, stats", [
+    # the LP of test_degenerate_cycling_guard
+    ([Fraction(3, 4), -20, Fraction(1, 2), -6],
+     [constraint([Fraction(1, 4), -8, -1, 9], "<=", 0),
+      constraint([Fraction(1, 2), -12, Fraction(-1, 2), 3], "<=", 0),
+      constraint([0, 0, 1, 0], "<=", 1)], "max",
+     LpStats(rows=3, columns=4, phase1_pivots=5, phase2_pivots=1,
+             degenerate_pivots=4, max_bits=7)),
+    # the gauge LP of e1 over {e0 + e1, e0}, coefficients split into +/- pairs
+    ([1, 1, 1, 1],
+     [constraint([1, -1, 1, -1], "==", 0), constraint([1, -1, 0, 0], "==", 1)], "min",
+     LpStats(rows=2, columns=4, phase1_pivots=2, phase2_pivots=0,
+             degenerate_pivots=1, max_bits=2)),
+], ids=["degenerate_cycling", "small_gauge"])
+def test_stats_are_exact(objective, cons, sense, stats):
+    # pivot counts are those of the rational tableau, which pivots in the
+    # same Bland order; max_bits is the integer tableau's own
+    assert simplex_solve(objective, cons, sense=sense).stats == stats
+
+
 def _oracle_max(objective, rows, rhs, dim):
     best = None
     for vertex in polytope_vertices(rows, rhs, dim):
@@ -159,3 +181,45 @@ def test_random_infeasible_certificates():
             lhs_total += yi * con.rhs
         assert lhs_total > 0
     assert found >= 10
+
+
+# large coprime numerators and denominators make every row need its own scale
+_BIG = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_agrees_with_vertex_enumeration_on_large_denominators(data):
+    dim = data.draw(st.integers(1, 3))
+    box = data.draw(st.fractions(min_value=1, max_value=10**3, max_denominator=10**6))
+    cons, rows, rhs = [], [], []
+    for _ in range(data.draw(st.integers(1, 4))):
+        coeffs = data.draw(st.lists(_BIG, min_size=dim, max_size=dim))
+        rel = data.draw(st.sampled_from(["<=", ">=", "=="]))
+        bound = data.draw(_BIG)
+        cons.append(constraint(coeffs, rel, bound))
+        if rel != ">=":
+            rows.append(list(coeffs))
+            rhs.append(bound)
+        if rel != "<=":
+            rows.append([-v for v in coeffs])
+            rhs.append(-bound)
+    for j in range(dim):  # box plus nonnegativity keeps the region bounded
+        row = [Fraction(0)] * dim
+        row[j] = Fraction(1)
+        cons.append(constraint(row, "<=", box))
+        rows.extend([row, [-v for v in row]])
+        rhs.extend([box, Fraction(0)])
+    objective = data.draw(st.lists(_BIG, min_size=dim, max_size=dim))
+    sol = simplex_solve(objective, cons, sense="max")
+    expected = _oracle_max(objective, rows, rhs, dim)
+    if expected is None:
+        assert sol.status == "infeasible"
+        return
+    assert sol.status == "optimal"
+    assert sol.objective == expected
+    assert all(v >= 0 for v in sol.primal)
+    for con in cons:
+        value = sum(c * v for c, v in zip(con.coeffs, sol.primal))
+        assert {"<=": value <= con.rhs, ">=": value >= con.rhs,
+                "==": value == con.rhs}[con.relation]
