@@ -40,7 +40,7 @@ def show(title, report):
 
 scheme6 = build_scheme(validate_type([1, 6], [6], [0]))
 eps_family = build_eps_family(scheme6, Fraction(1, 2))
-report = run_eps_experiment(scheme6, eps_family, EpsExperimentConfig(n=2, m=2))
+report = run_eps_experiment(eps_family, EpsExperimentConfig(n=2))  # m = 2 n eps = 2
 show("alternating capture, eps=1/2, n=2, m=2", report)
 print("pairing table:")
 for label, value in sorted(report.pairings.items()):
@@ -49,5 +49,5 @@ print()
 
 scheme8 = build_scheme(validate_type([1, 8], [8], [0]))
 k_family = build_K_family(scheme8, 2, scale_cap=1)
-report = run_K_experiment(scheme8, k_family, KExperimentConfig(n=4, L=Fraction(5, 4)))
+report = run_K_experiment(k_family, KExperimentConfig(n=4, L=Fraction(5, 4)))
 show("scaled-cut capture, K=2, n=4, L=5/4", report)

@@ -18,7 +18,8 @@ from .analysis import (
     coherence_report,
     run_K_experiment,
     run_eps_experiment,
-    verify_separation_bound,
+    verify_K_separation,
+    verify_eps_separation,
     well_definedness_report,
 )
 from .hull import HullCertificate, dual_norm, in_symmetric_hull, polar_support

@@ -33,11 +33,11 @@ from .norming import (
     EPS_KIND,
     K_KIND,
     NormingFamily,
-    _spread_vector,
     global_dual,
     norm,
+    spread,
 )
-from .schemes import Scheme, SchemeSet, find_capture, make_captured_family, position_map
+from .schemes import Scheme, find_capture, make_captured_family, position_map
 from .vectors import SparseVector, format_rational, pair
 
 _REL_CHECK = {
@@ -240,7 +240,8 @@ def coherence_report(family: NormingFamily, lp_every=0) -> ExperimentReport:
     """Exact restriction coherence and hull-membership coherence.
 
     Restriction coherence (alternating variant only): for E inside F and a
-    in E, the F-functional at a restricted to E equals the E-functional at a.
+    in E, the F-functional at a restricted to E equals the E-functional at a;
+    an E without a functional at a fails it.
     Hull coherence (both variants): every F-functional restricted to E lies
     in conv(+-H_E), certified by explicit coefficients that are re-verified
     by reconstruction.  `lp_every` > 0 additionally forces every n-th
@@ -255,29 +256,24 @@ def coherence_report(family: NormingFamily, lp_every=0) -> ExperimentReport:
     hull_bad = None
     hull_count = 0
     lp_checked = 0
-    instance = 0
     for E, F in nested_pairs(scheme):
         elems = set(E.elements)
         fam_E = family.functionals_for(E)
-        fam_F = family.functionals_for(F)
-        if family.space_kind == EPS_KIND:
-            by_alpha = {f.origin.alpha: f.vector for f in fam_E}
-            for f in fam_F:
-                a = f.origin.alpha
-                if a in elems:
-                    restriction_count += 1
-                    if f.vector.restrict_to(elems) != by_alpha[a]:
-                        restriction_bad = restriction_bad or {
-                            "E": str(E), "F": str(F), "alpha": a}
         vectors_E = [g.vector for g in fam_E]
-        for f in fam_F:
+        by_alpha = ({g.origin.alpha: g.vector for g in fam_E}
+                    if family.space_kind == EPS_KIND else None)
+        for f in family.functionals_for(F):
             restricted = f.vector.restrict_to(elems)
+            a = f.origin.alpha
+            if by_alpha is not None and a in elems:
+                restriction_count += 1
+                if restricted != by_alpha.get(a) and restriction_bad is None:
+                    restriction_bad = {"E": str(E), "F": str(F), "alpha": a}
             cert = in_symmetric_hull(restricted, vectors_E)
             hull_count += 1
-            instance += 1
             ok = cert.member and verify_decomposition(restricted, vectors_E,
                                                       cert.coefficients)
-            if ok and lp_every and instance % lp_every == 0 and cert.method == "direct":
+            if ok and lp_every and hull_count % lp_every == 0 and cert.method == "direct":
                 lp_cert = in_symmetric_hull(restricted, vectors_E, try_direct=False)
                 lp_checked += 1
                 ok = lp_cert.member and verify_decomposition(restricted, vectors_E,
@@ -357,8 +353,17 @@ def well_definedness_report(family: NormingFamily, samples=200, seed=0) -> Exper
 @dataclass
 class EpsExperimentConfig:
     n: int
-    m: int
     pattern: SparseVector | None = None
+
+    def validated(self, eps):
+        """(n, m) once n >= 1 and m = 2 n eps is an integer."""
+        n = self.n
+        if n < 1:
+            raise ConfigInvalidError("n must be a positive integer")
+        m = 2 * n * Fraction(eps)
+        if m.denominator != 1:
+            raise ConfigInvalidError(f"m = 2 n eps = {format_rational(m)} is not an integer")
+        return n, int(m)
 
 
 @dataclass
@@ -383,27 +388,30 @@ class KExperimentConfig:
         return n, L, kprime
 
 
-def _pick_site(scheme: Scheme, pieces_needed: int) -> SchemeSet:
-    for k in range(1, scheme.depth + 1):
-        for F in scheme.levels[k]:
-            if len(scheme.decomposition[F]) >= pieces_needed:
-                return F
-    raise CaptureUnavailableError(
-        f"no scheme set has {pieces_needed} pieces; use a wider type")
-
-
-def _prepare_pattern(family, first_child, site, pattern):
+def _captured_copies(family: NormingFamily, count, pattern):
+    """(site, pieces, z, members, xs): the first scheme set with `count`
+    pieces, its pieces, the pattern (default: the first piece's first
+    non-root unit vector) normalised to z, the captured delta-system of
+    z's support, and z moved onto each of the first `count` pieces."""
+    scheme = family.scheme
+    site = next((F for level in scheme.levels[1:] for F in level
+                 if len(scheme.decomposition[F]) >= count), None)
+    if site is None:
+        raise CaptureUnavailableError(
+            f"no scheme set has {count} pieces; use a wider type")
+    children = scheme.decomposition[site]
+    first = children[0]
     if pattern is None:
-        non_root = [p for p in first_child.elements if p not in site.root]
-        pattern = SparseVector.unit(non_root[0])
-    if not set(pattern.support) <= set(first_child.elements):
+        pattern = SparseVector.unit(next(p for p in first.elements if p not in site.root))
+    if not set(pattern.support) <= set(first.elements):
         raise PatternOutOfRangeError(
-            f"pattern support {list(pattern.support)} not inside first piece "
-            f"{first_child}")
+            f"pattern support {list(pattern.support)} not inside first piece {first}")
     if pattern.is_zero():
         raise ConfigInvalidError("pattern must be nonzero")
-    scale = norm(pattern, family)
-    return pattern / scale
+    z = pattern / norm(pattern, family)
+    members = make_captured_family(scheme, site, z.support, count)
+    xs = [z.map_positions(position_map(first, children[i])) for i in range(count)]
+    return site, children, z, members, xs
 
 
 def _alternating_difference(xs, n, m):
@@ -425,32 +433,22 @@ def _block_sums(xs, n):
     return v, w
 
 
-def run_eps_experiment(scheme: Scheme, family: NormingFamily,
+def run_eps_experiment(family: NormingFamily,
                        config: EpsExperimentConfig) -> ExperimentReport:
     """Capture 2n+2 aligned copies of a pattern and verify the exact
     cancellations of the alternating difference vector.
 
-    With m/(2n) = eps, w = (x_0 - x_1) - (1/m) sum_{i=1..n} (x_{2i} - x_{2i+1})
+    With m = 2n eps, w = (x_0 - x_1) - (1/m) sum_{i=1..n} (x_{2i} - x_{2i+1})
     pairs to exactly zero against every functional of the first three
     amalgamation forms, and to at most 1/m against the copy form.
     """
     if family.space_kind != EPS_KIND:
         raise WrongSpaceKindError("experiment needs the alternating variant")
     eps = family.parameter
-    n, m = config.n, config.m
-    if n < 1 or m < 1:
-        raise ConfigInvalidError("n and m must be positive integers")
-    if Fraction(m, 2 * n) != eps:
-        raise ConfigInvalidError(
-            f"m/(2n) must equal eps = {format_rational(eps)}, got {m}/{2 * n}")
+    n, m = config.validated(eps)
     count = 2 * n + 2
-    site = _pick_site(scheme, count)
-    children = scheme.decomposition[site]
-    z = _prepare_pattern(family, children[0], site, config.pattern)
-
-    members = make_captured_family(scheme, site, z.support, count)
-    capture = find_capture(scheme, members, count)
-    xs = [z.map_positions(position_map(children[0], children[i])) for i in range(count)]
+    site, _, z, members, xs = _captured_copies(family, count, config.pattern)
+    capture = find_capture(family.scheme, members, count)
     w = _alternating_difference(xs, n, m)
     inv_m = Fraction(1, m)
 
@@ -493,7 +491,7 @@ def run_eps_experiment(scheme: Scheme, family: NormingFamily,
     return report
 
 
-def run_K_experiment(scheme: Scheme, family: NormingFamily,
+def run_K_experiment(family: NormingFamily,
                      config: KExperimentConfig) -> ExperimentReport:
     """Capture 2n aligned copies; the block sum v beats L times the
     alternating block difference w, refuting prefix constants below K.
@@ -506,24 +504,14 @@ def run_K_experiment(scheme: Scheme, family: NormingFamily,
         raise WrongSpaceKindError("experiment needs the scaled-cut variant")
     K = family.parameter
     n, L, kprime = config.validated(K)
-    count = 2 * n
-    site = _pick_site(scheme, count)
-    children = scheme.decomposition[site]
-    z = _prepare_pattern(family, children[0], site, config.pattern)
-
-    make_captured_family(scheme, site, z.support, count)
-    xs = [z.map_positions(position_map(children[0], children[i])) for i in range(count)]
+    site, children, z, _, xs = _captured_copies(family, 2 * n, config.pattern)
     v, w = _block_sums(xs, n)
 
     first_family = family.functionals_for(children[0])
     witness_h = max(first_family, key=lambda f: (abs(pair(f.vector, z)), f.label()))
-    expected = _spread_vector(witness_h.vector, children)
-    spread_vec = None
-    spread_label = None
-    for f in family.functionals_for(site):
-        if f.vector == expected:
-            spread_vec, spread_label = f.vector, f.label()
-            break
+    spread_vec = spread(family.scheme, witness_h, site).vector
+    spread_label = next((f.label() for f in family.functionals_for(site)
+                         if f.vector == spread_vec), None)
 
     report = ExperimentReport(meta={
         "K": format_rational(K), "Kprime": format_rational(kprime),
@@ -542,7 +530,7 @@ def run_K_experiment(scheme: Scheme, family: NormingFamily,
     report.norms["v"] = v_norm
     report.norms["w"] = w_norm
     report.claims.append(Claim.compare("v_norm_at_least_n", v_norm, ">=", Fraction(n)))
-    if spread_vec is not None:
+    if spread_label is not None:
         report.claims.append(Claim.compare(
             "spread_witness_attains_n", abs(pair(spread_vec, v)), "==", Fraction(n),
             witness={"functional": spread_label}))
@@ -579,30 +567,18 @@ class KSeparationConfig:
     n: int
 
 
-def verify_separation_bound(family: NormingFamily, ys, config,
-                            ystars=None, indices=None) -> ExperimentReport:
-    """Evaluate the separation inequality on explicit candidate data.
+def verify_eps_separation(family: NormingFamily, ys, ystars, config: SeparationConfig,
+                          indices=None) -> ExperimentReport:
+    """Evaluate the alternating separation inequality on explicit data.
 
-    Alternating variant: `ys`/`ystars` form a tau-biorthogonal system
-    (validated exactly, including dual-norm bounds via LP); the alternating
-    combination of the indexed ys must have norm >= delta.  A nonpositive
-    delta is reported as vacuous.
-
-    Scaled-cut variant: `ys` are normalized; checks
-    |sum_{i<n} y_i| <= L |sum_{i<n} y_i - sum_{n<=i<2n} y_i| and the lower
-    bound |w| >= 1/(2K').
+    `ys`/`ystars` form a tau-biorthogonal system (validated exactly,
+    including dual-norm bounds via LP); the alternating combination of the
+    indexed ys must have norm >= delta.  A nonpositive delta is reported as
+    vacuous.
     """
-    if family.space_kind == EPS_KIND:
-        if not isinstance(config, SeparationConfig):
-            raise ConfigInvalidError("alternating variant needs a SeparationConfig")
-        return _verify_eps_separation(family, ys, ystars, config, indices)
-    if not isinstance(config, KSeparationConfig):
-        raise ConfigInvalidError("scaled-cut variant needs a KSeparationConfig")
-    return _verify_k_separation(family, ys, config)
-
-
-def _verify_eps_separation(family, ys, ystars, config, indices):
-    if ystars is None or len(ystars) != len(ys):
+    if family.space_kind != EPS_KIND:
+        raise WrongSpaceKindError("separation bound needs the alternating variant")
+    if len(ystars) != len(ys):
         raise ConfigInvalidError("need one dual per vector")
     tau = Fraction(config.tau)
     bound = Fraction(config.dual_bound)
@@ -643,7 +619,15 @@ def _verify_eps_separation(family, ys, ystars, config, indices):
     return report
 
 
-def _verify_k_separation(family, ys, config):
+def verify_K_separation(family: NormingFamily, ys,
+                        config: KSeparationConfig) -> ExperimentReport:
+    """Evaluate the scaled-cut separation inequality on explicit data.
+
+    `ys` are normalized; checks |sum_{i<n} y_i| <= L |sum_{i<n} y_i -
+    sum_{n<=i<2n} y_i| and the lower bound |w| >= 1/(2K').
+    """
+    if family.space_kind != K_KIND:
+        raise WrongSpaceKindError("separation bound needs the scaled-cut variant")
     n = config.n
     L = Fraction(config.L)
     kprime = Fraction(config.kprime)

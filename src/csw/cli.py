@@ -79,9 +79,14 @@ def _parse_int_list(text):
 
 
 def _parse_file(path, parse):
-    """parse(JSON content of path); a structural or validation error names the file."""
+    """parse(JSON content of path); undecodable JSON is an I/O error and a
+    structural or validation error a configuration error, each naming the file."""
     with open(path, encoding="utf-8") as handle:
-        obj = json.load(handle)
+        try:
+            obj = json.load(handle)
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
+            raise OSError(f"{path} is not readable JSON: "
+                          f"{type(err).__name__}: {err}") from None
     try:
         return parse(obj)
     except (KeyError, IndexError, TypeError, AttributeError, ValueError, ConfigError) as err:
@@ -183,15 +188,12 @@ def cmd_analyze(args):
 
 def cmd_experiment_eps(args):
     eps = parse_rational(args.eps)
-    m = args.m if args.m is not None else 2 * args.n * eps
-    if m != int(m):
-        raise ConfigError(f"m = 2 n eps = {format_rational(m)} is not an integer")
+    config = analysis.EpsExperimentConfig(
+        n=args.n, pattern=parse_vector(args.pattern) if args.pattern else None)
+    config.validated(eps)  # before the family build, which dominates on deep types
     scheme = schemes.build_scheme(_load_type(args))
     family = norming.build_eps_family(scheme, eps)
-    config = analysis.EpsExperimentConfig(
-        n=args.n, m=int(m),
-        pattern=parse_vector(args.pattern) if args.pattern else None)
-    report = analysis.run_eps_experiment(scheme, family, config)
+    report = analysis.run_eps_experiment(family, config)
     _emit(args, _json_text(report.to_json()))
     return EXIT_PASS if report.passed else EXIT_CLAIM_FAILURE
 
@@ -204,7 +206,7 @@ def cmd_experiment_kbasis(args):
     config.validated(K)  # before the family build, which dominates on deep types
     scheme = schemes.build_scheme(_load_type(args))
     family = norming.build_K_family(scheme, K, scale_cap=args.scale_cap)
-    report = analysis.run_K_experiment(scheme, family, config)
+    report = analysis.run_K_experiment(family, config)
     _emit(args, _json_text(report.to_json()))
     return EXIT_PASS if report.passed else EXIT_CLAIM_FAILURE
 
@@ -275,9 +277,8 @@ def build_parser():
     p_ee = exp_sub.add_parser("eps")
     p_ee.add_argument("--type", required=True)
     p_ee.add_argument("--eps", required=True)
-    p_ee.add_argument("--n", type=int, required=True)
-    p_ee.add_argument("--m", type=int, default=None,
-                      help="defaults to 2 n eps, which must be an integer")
+    p_ee.add_argument("--n", type=int, required=True,
+                      help="m = 2 n eps must be an integer")
     p_ee.add_argument("--pattern", default=None)
     p_ee.add_argument("--out")
     p_ee.set_defaults(func=cmd_experiment_eps)
@@ -300,7 +301,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError) as err:
+    except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO
     except (ConfigError, ValueError) as err:

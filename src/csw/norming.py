@@ -392,12 +392,16 @@ def family_from_json(obj) -> NormingFamily:
     families = {}
     for key, entries in obj["families"].items():
         s = scheme.set_by_id(key)
+        elements = set(s.elements)
         fam = []
         for entry in entries:
             origins = [Origin.from_json(o, universe_size)
                        for o in (entry["origin"], *entry.get("merged", ()))]
-            fam.append(Functional(SparseVector.from_json(entry["vec"]), s,
-                                  tuple(origins)))
+            vec = SparseVector.from_json(entry["vec"])
+            if not elements.issuperset(vec.support):
+                raise ConfigInvalidError(f"a functional of {key} has position "
+                                         f"{min(set(vec.support) - elements)} outside {s}")
+            fam.append(Functional(vec, s, tuple(origins)))
         families[s] = fam
     return NormingFamily(
         scheme=scheme,

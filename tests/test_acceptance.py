@@ -91,10 +91,9 @@ def test_criterion_4_norm_well_definedness(eps_half_depth3, k2_depth3):
           "set, both family kinds")
 
 
-def test_criterion_5_eps_capture_experiment(scheme_depth1, eps_half_depth1):
+def test_criterion_5_eps_capture_experiment(eps_half_depth1):
     started = time.monotonic()
-    report = run_eps_experiment(scheme_depth1, eps_half_depth1,
-                                EpsExperimentConfig(n=2, m=2))
+    report = run_eps_experiment(eps_half_depth1, EpsExperimentConfig(n=2))
     elapsed = time.monotonic() - started
     assert report.claim("form2_pairs_to_zero").lhs == 0
     assert report.claim("form2_pairs_to_zero").passed
@@ -109,10 +108,9 @@ def test_criterion_5_eps_capture_experiment(scheme_depth1, eps_half_depth1):
           f"|w| = 1/2, in {elapsed:.2f}s")
 
 
-def test_criterion_6_k_capture_experiment(scheme_wide8, k2_wide8):
+def test_criterion_6_k_capture_experiment(k2_wide8):
     started = time.monotonic()
-    report = run_K_experiment(scheme_wide8, k2_wide8,
-                              KExperimentConfig(n=4, L=Fraction(5, 4)))
+    report = run_K_experiment(k2_wide8, KExperimentConfig(n=4, L=Fraction(5, 4)))
     elapsed = time.monotonic() - started
     assert report.norms["v"] == 4
     assert report.norms["w"] == 2

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,8 @@ from csw.analysis import (
     random_rational_vector,
     run_K_experiment,
     run_eps_experiment,
-    verify_separation_bound,
+    verify_K_separation,
+    verify_eps_separation,
     well_definedness_report,
 )
 from csw.errors import (
@@ -122,9 +124,8 @@ def test_prefix_inequality_holds_on_random_vectors(k2_wide8):
 # ---------------------------------------------------------------------------
 # capture experiments
 
-def test_eps_experiment_width6_frozen_table(scheme_depth1, eps_half_depth1):
-    report = run_eps_experiment(scheme_depth1, eps_half_depth1,
-                                EpsExperimentConfig(n=2, m=2))
+def test_eps_experiment_width6_frozen_table(eps_half_depth1):
+    report = run_eps_experiment(eps_half_depth1, EpsExperimentConfig(n=2))
     assert report.passed
     assert report.norms["w_local"] == HALF
     assert report.norms["w_all_functionals"] == 1
@@ -136,43 +137,38 @@ def test_eps_experiment_width6_frozen_table(scheme_depth1, eps_half_depth1):
     assert report.claim("form4_bounded_by_1_over_m").lhs == HALF
 
 
-def test_eps_experiment_n1(scheme_depth1, eps_half_depth1):
-    report = run_eps_experiment(scheme_depth1, eps_half_depth1,
-                                EpsExperimentConfig(n=1, m=1))
+def test_eps_experiment_n1(eps_half_depth1):
+    report = run_eps_experiment(eps_half_depth1, EpsExperimentConfig(n=1))
     assert report.passed
     assert report.claim("form2_pairs_to_zero").lhs == 0
 
 
-def test_eps_experiment_nontrivial_pattern(scheme_depth3, eps_half_depth3):
+def test_eps_experiment_nontrivial_pattern(eps_half_depth3):
     report = run_eps_experiment(
-        scheme_depth3, eps_half_depth3,
-        EpsExperimentConfig(n=1, m=1, pattern=parse_vector("2:1,3:1/3")))
+        eps_half_depth3, EpsExperimentConfig(n=1, pattern=parse_vector("2:1,3:1/3")))
     assert report.passed
 
 
-def test_eps_experiment_root_only_pattern(scheme_depth3, eps_half_depth3):
+def test_eps_experiment_root_only_pattern(eps_half_depth3):
     report = run_eps_experiment(
-        scheme_depth3, eps_half_depth3,
-        EpsExperimentConfig(n=1, m=1, pattern=SparseVector.unit(0)))
+        eps_half_depth3, EpsExperimentConfig(n=1, pattern=SparseVector.unit(0)))
     assert report.passed
     assert report.norms["w_local"] == 0
     assert all(v == 0 for v in report.pairings.values())
 
 
 def test_eps_experiment_config_validation(scheme_depth1, eps_half_depth1, k2_wide8):
-    with pytest.raises(ConfigInvalidError):
-        run_eps_experiment(scheme_depth1, eps_half_depth1,
-                           EpsExperimentConfig(n=2, m=3))
+    with pytest.raises(ConfigInvalidError, match="m = 2 n eps = 2/3 is not an integer"):
+        run_eps_experiment(build_eps_family(scheme_depth1, Fraction(1, 3)),
+                           EpsExperimentConfig(n=1))
     with pytest.raises(CaptureUnavailableError):
-        run_eps_experiment(scheme_depth1, eps_half_depth1,
-                           EpsExperimentConfig(n=3, m=3))
+        run_eps_experiment(eps_half_depth1, EpsExperimentConfig(n=3))
     with pytest.raises(WrongSpaceKindError):
-        run_eps_experiment(k2_wide8.scheme, k2_wide8, EpsExperimentConfig(n=2, m=2))
+        run_eps_experiment(k2_wide8, EpsExperimentConfig(n=2))
 
 
-def test_k_experiment_width8_frozen_values(scheme_wide8, k2_wide8):
-    report = run_K_experiment(scheme_wide8, k2_wide8,
-                              KExperimentConfig(n=4, L=Fraction(5, 4)))
+def test_k_experiment_width8_frozen_values(k2_wide8):
+    report = run_K_experiment(k2_wide8, KExperimentConfig(n=4, L=Fraction(5, 4)))
     assert report.passed
     assert report.norms["v"] == 4
     assert report.norms["w"] == 2
@@ -181,22 +177,19 @@ def test_k_experiment_width8_frozen_values(scheme_wide8, k2_wide8):
     assert report.meta["spread_witness"] is not None
 
 
-def test_k_experiment_degenerate_n1_fails_config(scheme_wide8, k2_wide8):
+def test_k_experiment_degenerate_n1_fails_config(k2_wide8):
     with pytest.raises(ConfigInvalidError):
-        run_K_experiment(scheme_wide8, k2_wide8,
-                         KExperimentConfig(n=1, L=Fraction(5, 4)))
+        run_K_experiment(k2_wide8, KExperimentConfig(n=1, L=Fraction(5, 4)))
 
 
-def test_k_experiment_slack_condition_enforced(scheme_wide8, k2_wide8):
+def test_k_experiment_slack_condition_enforced(k2_wide8):
     with pytest.raises(ConfigInvalidError):
-        run_K_experiment(scheme_wide8, k2_wide8,
-                         KExperimentConfig(n=4, L=Fraction(3, 2)))
+        run_K_experiment(k2_wide8, KExperimentConfig(n=4, L=Fraction(3, 2)))
 
 
-def test_k_experiment_kind_check(scheme_depth1, eps_half_depth1):
+def test_k_experiment_kind_check(eps_half_depth1):
     with pytest.raises(WrongSpaceKindError):
-        run_K_experiment(scheme_depth1, eps_half_depth1,
-                         KExperimentConfig(n=4, L=Fraction(5, 4)))
+        run_K_experiment(eps_half_depth1, KExperimentConfig(n=4, L=Fraction(5, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +203,7 @@ def test_separation_vacuous_at_tau_equal_eps(eps_half_depth1):
     ys = _unit_system(6)
     ystars = [global_dual(eps_half_depth1, i) for i in range(6)]
     config = SeparationConfig(tau=HALF, dual_bound=Fraction(1), n=2, m=2)
-    report = verify_separation_bound(eps_half_depth1, ys, config, ystars=ystars)
+    report = verify_eps_separation(eps_half_depth1, ys, ystars, config)
     assert report.meta["vacuous"] is True
     assert report.claim("separation_lower_bound").passed
 
@@ -221,7 +214,7 @@ def test_separation_tau_zero_exact(eps_half_depth1):
     H = [f.vector for f in eps_half_depth1.top_functionals]
     bound = max(dual_norm(y, H)[0] for y in ystars)
     config = SeparationConfig(tau=Fraction(0), dual_bound=bound, n=2, m=2)
-    report = verify_separation_bound(eps_half_depth1, ys, config, ystars=ystars)
+    report = verify_eps_separation(eps_half_depth1, ys, ystars, config)
     assert config.delta() == Fraction(1) / bound
     assert report.norms["combination"] == HALF
     assert report.claim("separation_lower_bound").passed
@@ -234,8 +227,7 @@ def test_separation_two_term_degenerate(eps_half_depth1):
     H = [f.vector for f in eps_half_depth1.top_functionals]
     bound = max(dual_norm(y, H)[0] for y in ystars)
     config = SeparationConfig(tau=Fraction(0), dual_bound=bound, n=0, m=1)
-    report = verify_separation_bound(eps_half_depth1, ys, config, ystars=ystars,
-                                     indices=(0, 1))
+    report = verify_eps_separation(eps_half_depth1, ys, ystars, config, indices=(0, 1))
     assert report.norms["combination"] == 1
     assert report.claim("separation_lower_bound").passed
 
@@ -245,14 +237,14 @@ def test_separation_rejects_non_biorthogonal(eps_half_depth1):
     ystars = [SparseVector.unit(0), SparseVector.unit(0)]
     config = SeparationConfig(tau=Fraction(0), dual_bound=Fraction(3), n=0, m=1)
     with pytest.raises(NotBiorthogonalError) as err:
-        verify_separation_bound(eps_half_depth1, ys, config, ystars=ystars)
+        verify_eps_separation(eps_half_depth1, ys, ystars, config)
     assert err.value.witness == (0, 1)
 
 
 def test_k_separation_engineered_refutation(k2_wide8):
     ys = _unit_system(8)
     config = KSeparationConfig(kprime=Fraction(1), L=Fraction(5, 4), n=4)
-    report = verify_separation_bound(k2_wide8, ys, config)
+    report = verify_K_separation(k2_wide8, ys, config)
     assert not report.claim("prefix_bounded_by_L_times_difference").passed
     assert report.claim("difference_at_least_half_inverse_kprime").passed
     assert report.norms["v"] == 4 and report.norms["w"] == 2
@@ -261,7 +253,7 @@ def test_k_separation_engineered_refutation(k2_wide8):
 def test_k_separation_consistent_case(k2_wide8):
     ys = [SparseVector.unit(0), SparseVector.unit(1)]
     config = KSeparationConfig(kprime=Fraction(1), L=Fraction(5, 4), n=1)
-    report = verify_separation_bound(k2_wide8, ys, config)
+    report = verify_K_separation(k2_wide8, ys, config)
     assert report.passed
 
 
@@ -269,7 +261,17 @@ def test_k_separation_requires_normalized(k2_wide8):
     ys = [SparseVector.unit(0).scale(2), SparseVector.unit(1)]
     config = KSeparationConfig(kprime=Fraction(1), L=Fraction(5, 4), n=1)
     with pytest.raises(NotBiorthogonalError):
-        verify_separation_bound(k2_wide8, ys, config)
+        verify_K_separation(k2_wide8, ys, config)
+
+
+def test_separation_checks_refuse_the_other_kind(eps_half_depth1, k2_wide8):
+    ys = [SparseVector.unit(0), SparseVector.unit(1)]
+    with pytest.raises(WrongSpaceKindError):
+        verify_eps_separation(k2_wide8, ys, ys, SeparationConfig(
+            tau=Fraction(0), dual_bound=Fraction(1), n=0, m=1))
+    with pytest.raises(WrongSpaceKindError):
+        verify_K_separation(eps_half_depth1, ys, KSeparationConfig(
+            kprime=Fraction(1), L=Fraction(5, 4), n=1))
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +291,89 @@ def test_well_definedness_sweep(eps_half_depth2, k2_depth2):
         assert report.meta["samples"] > 0
 
 
-def test_report_rendering(scheme_depth1, eps_half_depth1):
-    report = run_eps_experiment(scheme_depth1, eps_half_depth1,
-                                EpsExperimentConfig(n=2, m=2))
+def test_report_rendering(eps_half_depth1):
+    report = run_eps_experiment(eps_half_depth1, EpsExperimentConfig(n=2))
     payload = report.to_json()
     assert payload["pass"] is True
     assert payload["norms"]["w_local"] == "1/2"
     rows = report.to_csv_rows()
     assert rows[0][0] == "claim"
     assert len(rows) == len(report.claims) + 1
+
+
+# ---------------------------------------------------------------------------
+# sweep failures on tampered copies; every witness was recorded before the
+# coherence sweep became one pass per (E, F)
+
+def _tampered(family, s, index, vector):
+    """A copy of `family` whose index-th functional on `s` carries `vector`;
+    the session fixture itself is left alone."""
+    fam = list(family.families[s])
+    fam[index] = replace(fam[index], vector=vector)
+    return replace(family, families={**family.families, s: fam})
+
+
+def _witnesses(report):
+    return {c.name: (c.passed, c.witness) for c in report.claims}
+
+
+def test_biorthogonality_reports_first_bad_diagonal(eps_half_depth2):
+    top = eps_half_depth2.scheme.top
+    family = _tampered(eps_half_depth2, top, 2, parse_vector("2:2,3:-1"))
+    found = _witnesses(check_biorthogonality(family))
+    assert found["diagonal_is_one"] == (False, {"alpha": 2, "value": "2"})
+    assert found["vanishes_below_index"] == (True, None)
+    assert found["offdiagonal_bounded"] == (
+        False, {"alpha": 2, "beta": 3, "value": "-1"})
+
+
+def test_biorthogonality_reports_first_nonvanishing_entry(eps_half_depth2):
+    top = eps_half_depth2.scheme.top
+    family = _tampered(eps_half_depth2, top, 3, parse_vector("1:1/4,3:1"))
+    found = _witnesses(check_biorthogonality(family))
+    assert found["diagonal_is_one"] == (True, None)
+    assert found["vanishes_below_index"] == (
+        False, {"alpha": 3, "beta": 1, "value": "1/4"})
+    assert found["offdiagonal_bounded"][0]
+
+
+def test_coherence_reports_first_restriction_failure(eps_half_depth2):
+    top = eps_half_depth2.scheme.top
+    family = _tampered(eps_half_depth2, top, 1, parse_vector("1:1/2,3:1/2"))
+    report = coherence_report(family)
+    assert _witnesses(report) == {
+        "restriction_coherence": (
+            False, {"E": "rank0{1}", "F": "rank2{0,1,2,3}", "alpha": 1}),
+        "hull_coherence": (True, None),
+    }
+    assert (report.meta["restriction_instances"], report.meta["hull_instances"]) == (16, 40)
+
+
+def test_coherence_reports_missing_restriction_as_failure(eps_half_depth2):
+    first = eps_half_depth2.scheme.levels[1][0]
+    fam = eps_half_depth2.families[first][:1]  # drops the functional at 1
+    family = replace(eps_half_depth2, families={**eps_half_depth2.families, first: fam})
+    report = coherence_report(family)
+    found = _witnesses(report)
+    assert found["restriction_coherence"] == (
+        False, {"E": "rank1{0,1}", "F": "rank2{0,1,2,3}", "alpha": 1})
+    assert not found["hull_coherence"][0]
+
+
+@pytest.mark.parametrize("lp_every, lp_checked", [(0, 0), (1, 139), (3, 47)])
+def test_coherence_reports_first_hull_failure(k2_depth2, lp_every, lp_checked):
+    top = k2_depth2.scheme.top
+    family = _tampered(k2_depth2, top, 4, parse_vector("2:3"))
+    report = coherence_report(family, lp_every=lp_every)
+    assert _witnesses(report) == {"hull_coherence": (
+        False, {"E": "rank0{2}", "F": "rank2{0,1,2,3}", "functional": "unit/a2"})}
+    assert report.meta == {"kind": "k", "restriction_instances": 0,
+                           "hull_instances": 141, "lp_cross_checked": lp_checked}
+
+
+def test_well_definedness_reports_first_disagreement(k2_depth2):
+    top = k2_depth2.scheme.top
+    family = _tampered(k2_depth2, top, 0, parse_vector("0:3"))
+    report = well_definedness_report(family, samples=20, seed=0)
+    assert _witnesses(report) == {"norm_independent_of_covering_set": (
+        False, {"vector": {"0": "3"}, "values": ["3", "9"]})}

@@ -172,7 +172,7 @@ def test_experiment_rejects_bad_slack(capsys, n, L, message):
 
 @pytest.mark.parametrize("argv", [
     ["--eps", "1/3", "--n", "2"],
-    ["--eps", "1/2", "--n", "0", "--m", "1"],
+    ["--eps", "1/2", "--n", "0"],
 ], ids=["non_integer_m", "n0"])
 def test_experiment_rejects_non_integer_m(capsys, argv):
     code, _, _ = run(capsys, "experiment", "eps", *argv, "--type", "1,6;6;0")
@@ -227,7 +227,8 @@ def test_scheme_with_bad_decomposition_key_is_config_error(tmp_path, capsys, edi
 # edits of a built eps family file that loading must refuse: a negative set
 # key, a parameter that is not a rational, has a zero denominator, lies
 # outside (0, 1) or is a boolean, an unknown space, a scale_cap that is not an
-# integer, a boolean vector entry
+# integer, a boolean vector entry, a vector position outside the universe or
+# outside the functional's set
 @pytest.mark.parametrize("edit", [
     lambda p: _rename(p["families"], "2:0", "2:-1"),
     lambda p: p.update(param="x"),
@@ -237,9 +238,11 @@ def test_scheme_with_bad_decomposition_key_is_config_error(tmp_path, capsys, edi
     lambda p: p.update(param=True),
     lambda p: p.update(scale_cap=1.7),
     lambda p: p["families"]["0:0"][0]["vec"].update({"0": True}),
+    lambda p: p["families"]["1:0"][0]["vec"].update({"999": "1"}),
+    lambda p: p["families"]["1:0"][0]["vec"].update({"3": "1"}),
 ], ids=["negative_key", "bad_param", "zero_denominator_param", "bad_space",
         "eps_out_of_range", "boolean_param", "fractional_scale_cap",
-        "boolean_vec_entry"])
+        "boolean_vec_entry", "vec_outside_universe", "vec_outside_set"])
 def test_family_with_negative_set_key_is_config_error(tmp_path, capsys, edit):
     scheme_file = tmp_path / "s.json"
     family_file = tmp_path / "H.json"
@@ -329,6 +332,38 @@ def test_zero_denominator_vector_is_config_error(k_family_file, capsys):
                        "--vec", "0:1/0")
     assert code == 2
     assert "zero denominator" in err
+
+
+def test_coherence_reports_a_missing_functional_as_failure(tmp_path, capsys):
+    scheme_file = tmp_path / "s.json"
+    family_file = tmp_path / "H.json"
+    run(capsys, "scheme", "build", "--type", "1,2,4;2,3;0,1",
+        "--out", str(scheme_file))
+    run(capsys, "norming", "build", "--scheme", str(scheme_file),
+        "--space", "eps", "--param", "1/2", "--out", str(family_file))
+    payload = json.loads(family_file.read_text())
+    payload["families"]["1:0"].pop()  # the functional at 1 of {0, 1}
+    family_file.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "analyze", "coherence", "--family", str(family_file))
+    assert (code, err) == (1, "")
+    claims = {c["name"]: c for c in json.loads(out)["claims"]}
+    assert claims["restriction_coherence"]["witness"] == {
+        "E": "rank1{0,1}", "F": "rank2{0,1,2,3}", "alpha": 1}
+
+
+@pytest.mark.parametrize("content", [b"[" * 100000, b'{"levels": [}', b"\xff{}"],
+                         ids=["deep_nesting", "syntax_error", "not_utf8"])
+@pytest.mark.parametrize("argv", [
+    ["scheme", "check"],
+    ["norm", "eval", "--vec", "0:1", "--family"],
+    ["scheme", "build", "--type"],
+], ids=["scheme", "family", "type"])
+def test_undecodable_json_is_io_error_naming_the_file(tmp_path, capsys, content, argv):
+    bad_file = tmp_path / "bad.json"
+    bad_file.write_bytes(content)
+    code, out, err = run(capsys, *argv, str(bad_file))
+    assert code == 3
+    assert out == "" and err.startswith("i/o error") and str(bad_file) in err
 
 
 def test_reports_are_byte_identical(tmp_path, capsys):
