@@ -37,7 +37,7 @@ from .norming import (
     norm,
     spread,
 )
-from .schemes import Scheme, find_capture, make_captured_family, position_map
+from .schemes import Scheme, find_capture, make_captured_family
 from .vectors import SparseVector, format_rational, pair
 
 _REL_CHECK = {
@@ -410,7 +410,7 @@ def _captured_copies(family: NormingFamily, count, pattern):
         raise ConfigInvalidError("pattern must be nonzero")
     z = pattern / norm(pattern, family)
     members = make_captured_family(scheme, site, z.support, count)
-    xs = [z.map_positions(position_map(first, children[i])) for i in range(count)]
+    xs = [z.map_positions(pm) for pm in scheme.piece_maps(site)[:count]]
     return site, children, z, members, xs
 
 

@@ -2,7 +2,7 @@
 
 Two family variants are built bottom-up along the scheme's decomposition
 tree.  Writing F = F_0 u ... u F_{n-1} for the canonical pieces, R for the
-root, and phi_i for the increasing bijection F_0 -> F_i:
+root, and phi_i for the increasing bijection F_0 -> F_i (`Scheme.piece_maps`):
 
 Alternating variant ("eps"): each set F carries one functional h_a per
 position a in F,
@@ -35,10 +35,10 @@ the two genuinely differ and both are exposed.
 
 Construction runs bottom-up with one amalgamation per rank, at the first
 rank-k set; every other rank-k set gets that family's transport through the
-increasing bijection.  The transport is exact because the bijection carries
-the first set's decomposition onto the set's own; the builder refuses a
-scheme where it does not.  Families are immutable afterwards and norm
-evaluation is pure, so built values are safe to share.
+increasing bijection `Scheme.transport`.  The transport is exact because the
+bijection carries the first set's decomposition onto the set's own; the
+scheme refuses to give a bijection that does not.  Families are immutable
+afterwards and norm evaluation is pure, so built values are safe to share.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .errors import (
     WrongSpaceKindError,
 )
 from .hull import norming_max
-from .schemes import Scheme, SchemeSet, position_map, scheme_from_json, scheme_to_json
+from .schemes import Scheme, SchemeSet, scheme_from_json, scheme_to_json
 from .vectors import SparseVector, format_rational, parse_rational
 
 EPS_KIND = "eps"
@@ -169,25 +169,24 @@ class NormingFamily:
 def spread(scheme: Scheme, f: Functional, F: SchemeSet) -> Functional:
     """Extend a first-piece functional to all pieces of F via the increasing
     bijections; well-defined because each bijection fixes the root."""
-    children = scheme.decomposition.get(F)
-    if not children:
-        raise NotInSchemeError(f"{F} has no decomposition to spread over")
-    if f.home != children[0]:
-        raise HomeMismatchError(
-            f"functional lives on {f.home}, expected first piece {children[0]}")
-    vec = _spread_vector(f.vector, children)
+    maps = scheme.piece_maps(F)
+    first = scheme.decomposition[F][0]
+    if f.home != first:
+        raise HomeMismatchError(f"functional lives on {f.home}, expected first piece {first}")
+    vec = _spread_vector(f.vector, maps)
     origin = Origin(rule=RULE_SPREAD, rank=F.rank, alpha=f.origin.alpha,
                     exponent=f.exponent)
     return Functional(vector=vec, home=F, origins=(origin,))
 
 
-def _spread_vector(vec: SparseVector, children) -> SparseVector:
-    first = set(children[0].elements)
+def _spread_vector(vec: SparseVector, maps) -> SparseVector:
+    """`vec` on the first piece moved through the piece maps phi_1 .. phi_{n-1}
+    and kept off the first piece (maps[0] is the identity on it)."""
+    first = maps[0]
     total = dict(vec.items())
-    for child in children[1:]:
-        fwd = position_map(children[0], child)
+    for pm in maps[1:]:
         for p, v in vec.items():
-            q = fwd[p]
+            q = pm[p]
             if q not in first:
                 total[q] = v
     return SparseVector(total.items())
@@ -225,22 +224,17 @@ def _transported(fam, pm, target):
 
 
 def _build(scheme, rank0, amalgamate) -> dict:
-    """Families of every scheme set: `rank0(set)` or `amalgamate(F, children,
-    first child's family)` builds the first set of each rank, and every other
+    """Families of every scheme set: `rank0(set)` or `amalgamate(F, piece maps,
+    first piece's family)` builds the first set of each rank, and every other
     set of that rank gets the transport of its family."""
     families = {}
     for k, level in enumerate(scheme.levels):
         first = level[0]
-        children = scheme.decomposition.get(first, ())
-        fam = amalgamate(first, children, families[children[0]]) if k else rank0(first)
+        fam = rank0(first) if k == 0 else amalgamate(
+            first, scheme.piece_maps(first), families[scheme.decomposition[first][0]])
         families[first] = fam
         for F in level[1:]:
-            pm = position_map(first, F)
-            if ([tuple(pm[p] for p in c.elements) for c in children]
-                    != [c.elements for c in scheme.decomposition.get(F, ())]):
-                raise ConfigInvalidError(
-                    f"the decomposition of {F} is not the transport of {first}'s")
-            families[F] = _transported(fam, pm, F)
+            families[F] = _transported(fam, scheme.transport(F), F)
     return families
 
 
@@ -248,18 +242,17 @@ def build_eps_family(scheme: Scheme, eps) -> NormingFamily:
     """Bottom-up construction of the alternating families for every scheme set."""
     eps = _parameter(EPS_KIND, eps, 0)
 
-    def amalgamate(F, children, first_family):
-        maps = [position_map(children[0], c) for c in children]
-        off_first = [set(c.elements) - set(children[0].elements) for c in children]
+    def amalgamate(F, maps, first_family):
+        off_first = [set(pm.values()).difference(maps[0]) for pm in maps]
         fam = []
         for f in first_family:  # h_b is spread on the root, else moved to every piece
             b = f.origin.alpha
             if b in F.root:
-                fam.append(Functional(_spread_vector(f.vector, children), F,
+                fam.append(Functional(_spread_vector(f.vector, maps), F,
                                       (Origin(RULE_ROOT_SPREAD, F.rank, alpha=b),)))
                 continue
             tail = SparseVector()
-            for i in range(2, len(children)):
+            for i in range(2, len(maps)):
                 part = f.vector.map_positions(maps[i]).restrict_to(off_first[i])
                 tail = tail + part.scale(eps if i % 2 == 0 else -eps)
             for j, pm in enumerate(maps):
@@ -280,7 +273,7 @@ def build_K_family(scheme: Scheme, K, scale_cap=1) -> NormingFamily:
     K = _parameter(K_KIND, K, scale_cap)
     inv = Fraction(1) / K
 
-    def amalgamate(F, children, first_family):
+    def amalgamate(F, maps, first_family):
         k = F.rank
         pool = {}
 
@@ -299,7 +292,7 @@ def build_K_family(scheme: Scheme, K, scale_cap=1) -> NormingFamily:
         for a in F.elements:
             register(SparseVector.unit(a), Origin(RULE_UNIT, k, alpha=a))
         for f in first_family:
-            vec = _spread_vector(f.vector, children)
+            vec = _spread_vector(f.vector, maps)
             register(vec, Origin(RULE_SPREAD, k, alpha=f.origin.alpha,
                                  exponent=f.exponent))
         cuts = list(F.elements) + [None]
@@ -402,6 +395,10 @@ def family_from_json(obj) -> NormingFamily:
                 raise ConfigInvalidError(f"a functional of {key} has position "
                                          f"{min(set(vec.support) - elements)} outside {s}")
             fam.append(Functional(vec, s, tuple(origins)))
+        if obj["space"] == EPS_KIND and (len(fam) != len(elements)
+                                         or {f.origin.alpha for f in fam} != elements):
+            raise ConfigInvalidError(
+                f"the eps functionals of {key} are not one per position of {s}")
         families[s] = fam
     return NormingFamily(
         scheme=scheme,

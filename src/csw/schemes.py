@@ -7,8 +7,10 @@ universe at rank `depth`, and every rank-k set decomposing into n_k rank-(k-1)
 sets that form an increasing delta-system with root the first r_k elements.
 
 The builder realizes the scheme deterministically by consecutive-block
-splitting: a rank-k set keeps its first r_k elements as the root and cuts the
-remainder into n_k consecutive blocks.  `check_axioms` re-verifies every
+splitting, one level at a time from the top: a rank-k set keeps its first r_k
+elements as the root and cuts the remainder into n_k consecutive blocks.  The
+scheme is the one source of the increasing bijections that transport along it:
+`Scheme.piece_maps` and `Scheme.transport`.  `check_axioms` re-verifies every
 defining property by exhaustive enumeration, so corrupted or hand-altered
 schemes are diagnosed rather than trusted.
 
@@ -177,41 +179,48 @@ class Scheme:
         needed = set(positions)
         return (s for s in self.sets() if needed <= set(s.elements))
 
+    def piece_maps(self, F: SchemeSet) -> list:
+        """phi_0 .. phi_{n-1}: the increasing bijections from F's first piece
+        onto each of its pieces, phi_0 the identity."""
+        children = self.decomposition.get(F)
+        if not children:
+            raise NotInSchemeError(f"{F} has no decomposition")
+        return [position_map(children[0], c) for c in children]
+
+    def transport(self, F: SchemeSet) -> dict:
+        """The increasing bijection onto F from the first set of F's rank;
+        refuses a scheme where it does not carry that set's decomposition
+        onto F's."""
+        first = self.levels[F.rank][0]
+        pm = position_map(first, F)
+        if ([tuple(pm[p] for p in c.elements) for c in self.decomposition.get(first, ())]
+                != [c.elements for c in self.decomposition.get(F, ())]):
+            raise ConfigInvalidError(
+                f"the decomposition of {F} is not the transport of {first}'s")
+        return pm
+
 
 def build_scheme(type_spec: TypeSpec) -> Scheme:
-    """Deterministic scheme over [0, m_depth) by consecutive-block splitting."""
+    """Deterministic scheme over [0, m_depth), cut level by level from the top
+    by consecutive-block splitting."""
     depth = type_spec.depth
-    levels = [dict() for _ in range(depth + 1)]
+    levels = [[SchemeSet(rank=depth, elements=tuple(range(type_spec.universe_size)),
+                         root_size=type_spec.r_of(depth))]]
     decomposition = {}
-    top = SchemeSet(rank=depth,
-                    elements=tuple(range(type_spec.universe_size)),
-                    root_size=type_spec.r_of(depth))
-    levels[depth][top.elements] = top
-    stack = [top]
-    while stack:
-        parent = stack.pop()
-        k = parent.rank
-        if k == 0 or parent in decomposition:
-            continue
+    for k in range(depth, 0, -1):
         rk = type_spec.r_of(k)
         width = type_spec.m_of(k - 1) - rk
-        root = parent.elements[:rk]
-        rest = parent.elements[rk:]
-        children = []
-        child_root = type_spec.r_of(k - 1)
-        for i in range(type_spec.n_of(k)):
-            elems = root + rest[i * width: (i + 1) * width]
-            known = levels[k - 1].get(elems)
-            if known is None:
-                known = SchemeSet(rank=k - 1, elements=elems, root_size=child_root)
-                levels[k - 1][elems] = known
-                stack.append(known)
-            children.append(known)
-        decomposition[parent] = tuple(children)
-    sorted_levels = [sorted(level.values(), key=lambda s: s.elements)
-                     for level in levels]
-    return Scheme(type_spec=type_spec, levels=sorted_levels,
-                  decomposition=decomposition)
+        below = {}  # elements -> the rank-(k-1) set, one object for every parent
+        for parent in levels[0]:
+            root, rest = parent.elements[:rk], parent.elements[rk:]
+            children = []
+            for i in range(type_spec.n_of(k)):
+                elems = root + rest[i * width: (i + 1) * width]
+                children.append(below.setdefault(elems, SchemeSet(
+                    rank=k - 1, elements=elems, root_size=type_spec.r_of(k - 1))))
+            decomposition[parent] = tuple(children)
+        levels.insert(0, sorted(below.values(), key=lambda s: s.elements))
+    return Scheme(type_spec=type_spec, levels=levels, decomposition=decomposition)
 
 
 @dataclass
@@ -445,14 +454,10 @@ def find_capture(scheme: Scheme, system, t: int):
                 if not member_sets[combo[0]] <= first:
                     continue
                 if maps is None:
-                    maps = [position_map(children[0], c) for c in children]
+                    maps = scheme.piece_maps(F)
                 base = members[combo[0]]
-                ok = True
-                for i in range(1, t):
-                    if tuple(maps[i][p] for p in base) != members[combo[i]]:
-                        ok = False
-                        break
-                if ok:
+                if all(tuple(maps[i][p] for p in base) == members[combo[i]]
+                       for i in range(1, t)):
                     return Capture(site=F, member_indices=combo)
     return None
 
@@ -473,8 +478,7 @@ def make_captured_family(scheme: Scheme, F: SchemeSet, pattern_positions, t: int
     if not set(base) <= set(children[0].elements):
         raise PatternOutOfRangeError(
             f"pattern {list(base)} is not inside the first piece {children[0]}")
-    maps = [position_map(children[0], children[i]) for i in range(t)]
-    members = [tuple(pm[p] for p in base) for pm in maps]
+    members = [tuple(pm[p] for p in base) for pm in scheme.piece_maps(F)[:t]]
     return is_delta_system(members)
 
 

@@ -152,7 +152,10 @@ class SparseVector:
 
     @classmethod
     def from_json(cls, obj) -> "SparseVector":
-        return cls({int(p): parse_rational(v) for p, v in obj.items()})
+        entries = {int(p): parse_rational(v) for p, v in obj.items()}
+        if len(entries) != len(obj):
+            raise ValueError(f"two entries of the vector {obj!r} name the same position")
+        return cls(entries)
 
     def __repr__(self):
         body = ", ".join(f"{p}: {format_rational(v)}" for p, v in self.items())
@@ -176,7 +179,7 @@ def parse_vector(text) -> SparseVector:
     text = (text or "").strip()
     if not text:
         return SparseVector()
-    entries = []
+    entries = {}
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
@@ -184,7 +187,10 @@ def parse_vector(text) -> SparseVector:
         pos, _, val = chunk.partition(":")
         if not _:
             raise ValueError(f"bad vector entry {chunk!r}; expected pos:val")
-        entries.append((int(pos), parse_rational(val)))
+        pos = int(pos)
+        if pos in entries:
+            raise ValueError(f"position {pos} appears twice in {text!r}")
+        entries[pos] = parse_rational(val)
     return SparseVector(entries)
 
 

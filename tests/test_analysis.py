@@ -69,6 +69,30 @@ def test_hand_injected_sup_family_has_constant_one(scheme_tiny):
     assert basis_constant(fam).value == 1
 
 
+def _top_only(scheme, vectors):
+    """A family of `scheme` whose top set carries `vectors` and nothing else."""
+    top = scheme.top
+    return NormingFamily(
+        scheme=scheme, space_kind="k", parameter=Fraction(2),
+        families={top: [Functional(v, top, (Origin("unit", 1, alpha=0),))
+                        for v in vectors]})
+
+
+def test_basis_constant_skips_a_cut_outside_the_span(scheme_tiny):
+    # the cut of e_0 + e_1 below 1 is e_0, which {e_0 + e_1} does not span
+    result = basis_constant(_top_only(scheme_tiny, [parse_vector("0:1,1:1")]))
+    assert (result.value, result.cut) == (1, 2)
+    assert result.report.meta["skipped"] == [{
+        "cut": 1, "functional": "unit/a0",
+        "reason": "vector lies outside the span of the norming set"}]
+
+
+def test_basis_constant_of_an_empty_top_family_is_zero(scheme_tiny):
+    result = basis_constant(_top_only(scheme_tiny, []))
+    assert result.value == 0 and result.attaining == SparseVector()
+    assert not result.report.claim("prefix_constant_at_least_one").passed
+
+
 def test_width8_constant_is_exactly_two(k2_wide8):
     result = basis_constant(k2_wide8)
     assert result.value == 2

@@ -228,7 +228,8 @@ def test_scheme_with_bad_decomposition_key_is_config_error(tmp_path, capsys, edi
 # key, a parameter that is not a rational, has a zero denominator, lies
 # outside (0, 1) or is a boolean, an unknown space, a scale_cap that is not an
 # integer, a boolean vector entry, a vector position outside the universe or
-# outside the functional's set
+# outside the functional's set, a vector naming one position twice, an eps
+# set without exactly one functional per position
 @pytest.mark.parametrize("edit", [
     lambda p: _rename(p["families"], "2:0", "2:-1"),
     lambda p: p.update(param="x"),
@@ -240,9 +241,16 @@ def test_scheme_with_bad_decomposition_key_is_config_error(tmp_path, capsys, edi
     lambda p: p["families"]["0:0"][0]["vec"].update({"0": True}),
     lambda p: p["families"]["1:0"][0]["vec"].update({"999": "1"}),
     lambda p: p["families"]["1:0"][0]["vec"].update({"3": "1"}),
+    lambda p: p["families"]["1:0"][0]["vec"].update({"00": "5"}),
+    lambda p: p["families"]["2:0"].pop(),
+    lambda p: p["families"]["2:0"].append(p["families"]["2:0"][0]),
+    lambda p: p["families"]["2:0"][3]["origin"].update(alpha=2),
+    lambda p: p["families"]["1:0"][0]["origin"].pop("alpha"),
 ], ids=["negative_key", "bad_param", "zero_denominator_param", "bad_space",
         "eps_out_of_range", "boolean_param", "fractional_scale_cap",
-        "boolean_vec_entry", "vec_outside_universe", "vec_outside_set"])
+        "boolean_vec_entry", "vec_outside_universe", "vec_outside_set",
+        "repeated_vec_position", "top_set_lacks_a_functional", "duplicated_alpha",
+        "alpha_moved_within_set", "missing_alpha"])
 def test_family_with_negative_set_key_is_config_error(tmp_path, capsys, edit):
     scheme_file = tmp_path / "s.json"
     family_file = tmp_path / "H.json"
@@ -334,6 +342,18 @@ def test_zero_denominator_vector_is_config_error(k_family_file, capsys):
     assert "zero denominator" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["norm", "eval", "--vec", "0:1,0:2", "--family", None],
+    ["experiment", "eps", "--type", "1,6;6;0", "--eps", "1/2", "--n", "1",
+     "--pattern", "0:1, 00:2"],
+], ids=["vec", "pattern"])
+def test_repeated_vector_position_is_config_error(k_family_file, capsys, argv):
+    argv = [str(k_family_file) if a is None else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and "position 0 appears twice" in err
+
+
 def test_coherence_reports_a_missing_functional_as_failure(tmp_path, capsys):
     scheme_file = tmp_path / "s.json"
     family_file = tmp_path / "H.json"
@@ -345,10 +365,8 @@ def test_coherence_reports_a_missing_functional_as_failure(tmp_path, capsys):
     payload["families"]["1:0"].pop()  # the functional at 1 of {0, 1}
     family_file.write_text(json.dumps(payload))
     code, out, err = run(capsys, "analyze", "coherence", "--family", str(family_file))
-    assert (code, err) == (1, "")
-    claims = {c["name"]: c for c in json.loads(out)["claims"]}
-    assert claims["restriction_coherence"]["witness"] == {
-        "E": "rank1{0,1}", "F": "rank2{0,1,2,3}", "alpha": 1}
+    assert code == 2
+    assert out == "" and str(family_file) in err
 
 
 @pytest.mark.parametrize("content", [b"[" * 100000, b'{"levels": [}', b"\xff{}"],

@@ -1,4 +1,5 @@
-"""Mutated scheme and family files never crash `csw`: every command ends with
+"""Mutated scheme and family files, raw-byte damage to them, and arbitrary
+`--vec` and inline `--type` strings never crash `csw`: every command ends with
 one of the documented exit codes (0 pass, 1 claim failure, 2 configuration
 error, 3 I/O error) and no exception escapes `cli.main`."""
 
@@ -72,6 +73,12 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+def exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
 @pytest.mark.parametrize("kind", sorted(BASES))
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
@@ -82,7 +89,80 @@ def test_mutated_files_end_with_an_exit_code(workdir, kind, data):
     path = workdir / f"{kind}.json"
     path.write_text(json.dumps(doc))
     for argv in COMMANDS[kind]:
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
-            code = main([*argv, str(path)])
-        assert code in (0, 1, 2, 3), argv
+        assert exit_code([*argv, str(path)]) in (0, 1, 2, 3), argv
+
+
+@pytest.mark.parametrize("kind", sorted(BASES))
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_damaged_bytes_end_with_an_exit_code(workdir, kind, data):
+    raw = bytearray(BASES[kind].encode())
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(raw)))
+        op = data.draw(st.sampled_from(["flip", "delete", "insert", "truncate"]))
+        if op == "flip" and at < len(raw):
+            raw[at] ^= 1 << data.draw(st.integers(0, 7))
+        elif op == "delete":
+            del raw[at:at + data.draw(st.integers(1, 8))]
+        elif op == "insert":
+            raw[at:at] = data.draw(st.binary(min_size=1, max_size=4))
+        else:
+            del raw[at:]
+    path = workdir / f"{kind}-bytes.json"
+    path.write_bytes(bytes(raw))
+    for argv in COMMANDS[kind]:
+        assert exit_code([*argv, str(path)]) in (0, 1, 2, 3), argv
+
+
+# no character that would spell an exponent such as "1e99999999": an exact
+# value that large is a memory hazard, not a malformed input
+VEC_TEXT = st.one_of(st.text(alphabet="0123456789:/,-+. ", max_size=24),
+                     st.text(alphabet=st.characters(blacklist_characters="eE"),
+                             max_size=12))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(vec=VEC_TEXT)
+def test_vec_strings_end_with_an_exit_code(workdir, vec):
+    path = workdir / "k-vec.json"
+    if not path.exists():
+        path.write_text(BASES["k"])
+    argv = ["norm", "eval", "--family", str(path), f"--vec={vec}"]
+    assert exit_code(argv) in (0, 1, 2, 3), vec
+
+
+# every integer at most 40, so no type allocates a large universe
+TOKEN = st.one_of(st.integers(-3, 40).map(str),
+                  st.sampled_from(["", " ", "x", "1.5", "+2", "0x1", "-"]))
+
+
+@st.composite
+def near_types(draw):
+    """A type string that keeps the type arithmetic, or breaks one entry of it."""
+    m, n, r = [1], [], []
+    for k in range(1, draw(st.integers(0, 3)) + 1):
+        rk = draw(st.integers(0, m[-1] - 1))
+        nk = draw(st.integers(k + 1, k + 3))
+        if nk * (m[-1] - rk) + rk > 40:
+            break
+        m.append(nk * (m[-1] - rk) + rk)
+        n.append(nk)
+        r.append(rk)
+    parts = [[str(v) for v in part] for part in (m, n, r)]
+    if draw(st.booleans()):
+        part = draw(st.sampled_from([p for p in parts if p]))
+        part[draw(st.integers(0, len(part) - 1))] = draw(TOKEN)
+    return ";".join(",".join(part) for part in parts)
+
+
+TYPE_TEXT = st.one_of(st.lists(st.lists(TOKEN, max_size=5).map(",".join),
+                               max_size=4).map(";".join),
+                      near_types())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(spec=TYPE_TEXT)
+def test_inline_type_strings_end_with_an_exit_code(spec):
+    for argv in (["scheme", "build", f"--type={spec}"],
+                 ["experiment", "eps", "--eps", "1/2", "--n", "1", f"--type={spec}"]):
+        assert exit_code(argv) in (0, 1, 2, 3), spec

@@ -237,6 +237,21 @@ def test_position_map_examples():
         position_map((0, 1), (0,))
 
 
+def test_piece_maps_and_transport_are_the_increasing_bijections(scheme_depth2):
+    top = scheme_depth2.top
+    assert scheme_depth2.piece_maps(top) == [{0: 0, 1: 1}, {0: 0, 1: 2}, {0: 0, 1: 3}]
+    for level in scheme_depth2.levels:
+        for s in level:
+            assert scheme_depth2.transport(s) == position_map(level[0], s)
+    with pytest.raises(NotInSchemeError):
+        scheme_depth2.piece_maps(scheme_depth2.levels[0][0])
+    payload = scheme_to_json(scheme_depth2)
+    payload["decomposition"]["1:1"].reverse()
+    tampered = scheme_from_json(payload)
+    with pytest.raises(ConfigInvalidError):  # {0,2} would not be cut like {0,1}
+        tampered.transport(tampered.levels[1][1])
+
+
 def test_sibling_maps_fix_the_root(scheme_depth3):
     for rank in range(1, scheme_depth3.depth + 1):
         for parent in scheme_depth3.levels[rank]:

@@ -1,6 +1,7 @@
 """The benchmark's trace hooks and the demo scripts still run against the
-current package."""
+current package, and the package source keeps its exactness rules."""
 
+import ast
 import importlib.util
 import os
 import subprocess
@@ -29,3 +30,25 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def _inexact_nodes(tree):
+    """Every assert statement, float literal and call to `float` in `tree`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            yield node, "assert statement"
+        elif isinstance(node, ast.Constant) and type(node.value) is float:
+            yield node, f"float literal {node.value!r}"
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "float"):
+            yield node, "call to float"
+
+
+@pytest.mark.parametrize("source", sorted((ROOT / "src" / "csw").glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_source_has_no_assert_or_floating_point(source):
+    # `assert` is never control flow, and no floating point decides a result;
+    # naming `float` (as in an isinstance refusal) stays legal
+    tree = ast.parse(source.read_text(encoding="utf-8"), filename=str(source))
+    found = [f"{source.name}:{node.lineno}: {what}" for node, what in _inexact_nodes(tree)]
+    assert found == []
