@@ -25,8 +25,12 @@ together with the spreads of the first piece's family, under the operations
   g  ->  (1/K) * g,
 
 with the total scaling exponent capped at `scale_cap`.  Singleton families
-are {K^-j e_a : j <= scale_cap}.  Cuts compose into single cuts, so every
-functional is K^-j times a cut of a base shape and the closure is finite.
+are {K^-j e_a : j <= scale_cap}.  Cuts compose into single cuts, so the
+closure is finite.  Units and spreads have 0/1 entries times K^-e, and a
+scaled cut keeps a 0/1 pattern and adds 1 to e, so every functional is
+K^-e chi_S, with e the exponent of each of its origins.  As K > 1, every
+route to a vector carries the same e: the closure expands each vector once
+and only collects the origins of the routes that reach it again.
 
 Norms: |x| = max |<f, x>| over f in H_F, where F is the minimal-rank scheme
 set containing supp(x) ("local" mode; coherence makes the choice of F
@@ -44,7 +48,7 @@ afterwards and norm evaluation is pure, so built values are safe to share.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -275,42 +279,37 @@ def build_K_family(scheme: Scheme, K, scale_cap=1) -> NormingFamily:
 
     def amalgamate(F, maps, first_family):
         k = F.rank
-        pool = {}
+        origins = {}  # vector -> {origin: None}, origins in discovery order
+        queue = []
 
         def register(vec, origin):
-            """Track the functional; True when new or its exponent dropped."""
-            known = pool.get(vec)
-            if known is None:
-                pool[vec] = Functional(vec, F, (origin,))
-                return True
-            if origin in known.origins:
-                return False
-            improved = origin.exponent < known.exponent
-            pool[vec] = replace(known, origins=known.origins + (origin,))
-            return improved
+            """Enqueue a new vector; give a known one the origin if it is new."""
+            if vec in origins:
+                origins[vec][origin] = None
+            else:
+                origins[vec] = {origin: None}
+                queue.append((vec, origin.exponent))
 
         for a in F.elements:
             register(SparseVector.unit(a), Origin(RULE_UNIT, k, alpha=a))
         for f in first_family:
             vec = _spread_vector(f.vector, maps)
             register(vec, Origin(RULE_SPREAD, k, alpha=f.origin.alpha,
-                                 exponent=f.exponent))
+                                 exponent=f.origin.exponent))
         cuts = list(F.elements) + [None]
-        queue = [f.vector for f in pool.values()]
         while queue:
-            source = pool[queue.pop()]
-            e = source.exponent
+            source, e = queue.pop()
             if e >= scale_cap:
                 continue
             for cut in cuts:
-                vec = source.vector if cut is None else source.vector.restrict_below(cut)
+                vec = source if cut is None else source.restrict_below(cut)
                 if vec.is_zero():
                     continue
                 vec = vec.scale(inv)
-                if register(vec, Origin(RULE_SCALED_CUT, k, cut=cut, exponent=e + 1)):
-                    queue.append(vec)
-        return sorted(pool.values(),
-                      key=lambda f: (f.exponent, f.vector.support, tuple(f.vector.items())))
+                register(vec, Origin(RULE_SCALED_CUT, k, cut=cut, exponent=e + 1))
+        fam = [Functional(vec, F, tuple(found)) for vec, found in origins.items()]
+        return sorted(fam, key=lambda f: (f.origin.exponent, f.vector.support,
+                                          tuple(f.vector.items())))
 
     families = _build(scheme, lambda s: _units(s, inv, scale_cap), amalgamate)
     return NormingFamily(scheme=scheme, space_kind=K_KIND, parameter=K,
@@ -400,6 +399,9 @@ def family_from_json(obj) -> NormingFamily:
             raise ConfigInvalidError(
                 f"the eps functionals of {key} are not one per position of {s}")
         families[s] = fam
+    for s in scheme.sets():
+        if s not in families:
+            raise ConfigInvalidError(f"families has no entry for the scheme set {s}")
     return NormingFamily(
         scheme=scheme,
         space_kind=obj["space"],

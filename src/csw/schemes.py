@@ -159,7 +159,10 @@ class Scheme:
         return 0 <= s.rank < len(self.levels) and s in self.levels[s.rank]
 
     def set_by_id(self, key: str) -> SchemeSet:
+        """The set named "k:i", in the one spelling the writers produce."""
         rank, idx = (int(v) for v in key.split(":"))
+        if key != f"{rank}:{idx}":
+            raise ConfigInvalidError(f"set key {key!r} is not written as '{rank}:{idx}'")
         return _at(_at(self.levels, rank, "rank"), idx, f"rank-{rank} set")
 
     def minimal_containing(self, positions) -> SchemeSet:

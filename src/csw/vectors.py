@@ -9,11 +9,19 @@ anywhere.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_POSITION = re.compile(r"[0-9]+")
 
 
 def parse_rational(text) -> Fraction:
-    """Parse "p/q" or "p" into a Fraction."""
+    """Parse "p/q" or "p", as `format_rational` writes them, into a Fraction.
+
+    Only ASCII digits, one optional leading "-" and one optional "/" are
+    accepted: no decimals, exponents, "_" separators or "+" signs.
+    """
     if isinstance(text, Fraction):
         return text
     if isinstance(text, (bool, float)):
@@ -21,10 +29,21 @@ def parse_rational(text) -> Fraction:
                          "pass an exact 'p/q' string")
     if isinstance(text, int):
         return Fraction(text)
+    text = str(text).strip()
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"{text!r} is not a rational written as 'p/q' or 'p'")
+    num, _, den = text.partition("/")
     try:
-        return Fraction(str(text).strip())
+        return Fraction(int(num), int(den or 1))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def _position(text) -> int:
+    """A vector position written in ASCII digits."""
+    if not _POSITION.fullmatch(text):
+        raise ValueError(f"position {text!r} is not written in ASCII digits")
+    return int(text)
 
 
 def format_rational(value) -> str:
@@ -152,7 +171,7 @@ class SparseVector:
 
     @classmethod
     def from_json(cls, obj) -> "SparseVector":
-        entries = {int(p): parse_rational(v) for p, v in obj.items()}
+        entries = {_position(p): parse_rational(v) for p, v in obj.items()}
         if len(entries) != len(obj):
             raise ValueError(f"two entries of the vector {obj!r} name the same position")
         return cls(entries)
@@ -187,7 +206,7 @@ def parse_vector(text) -> SparseVector:
         pos, _, val = chunk.partition(":")
         if not _:
             raise ValueError(f"bad vector entry {chunk!r}; expected pos:val")
-        pos = int(pos)
+        pos = _position(pos.strip())
         if pos in entries:
             raise ValueError(f"position {pos} appears twice in {text!r}")
         entries[pos] = parse_rational(val)

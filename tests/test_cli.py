@@ -195,8 +195,8 @@ def _rename(mapping, old, new):
 
 # edits of a built 1,2,4;2,3;0,1 scheme file that loading must refuse: a set
 # index out of range, negative or below rank 0, an invalid type, an extra level,
-# a key that is not "rank:index", a set with non-integer elements, a boolean
-# where the type or a child list needs an integer
+# a key that is not "rank:index" or not in its canonical spelling, a set with
+# non-integer elements, a boolean where the type or a child list needs an integer
 @pytest.mark.parametrize("edit", [
     lambda p: _rename(p["decomposition"], "1:0", "1:5"),
     lambda p: _rename(p["decomposition"], "2:0", "2:-1"),
@@ -209,9 +209,10 @@ def _rename(mapping, old, new):
     lambda p: p["levels"][1].__setitem__(0, ["a", "b"]),
     lambda p: p["type"].update(m=[True, 2, 4]),
     lambda p: p["decomposition"]["2:0"].__setitem__(1, True),
+    lambda p: _rename(p["decomposition"], "1:0", "1:00"),
 ], ids=["key_out_of_range", "negative_key", "negative_child", "rank0_parent",
         "short_n", "extra_level", "bad_m", "three_part_key", "non_integer_elements",
-        "boolean_type_entry", "boolean_child"])
+        "boolean_type_entry", "boolean_child", "non_canonical_key"])
 def test_scheme_with_bad_decomposition_key_is_config_error(tmp_path, capsys, edit):
     scheme_file = tmp_path / "s.json"
     run(capsys, "scheme", "build", "--type", "1,2,4;2,3;0,1",
@@ -229,7 +230,10 @@ def test_scheme_with_bad_decomposition_key_is_config_error(tmp_path, capsys, edi
 # outside (0, 1) or is a boolean, an unknown space, a scale_cap that is not an
 # integer, a boolean vector entry, a vector position outside the universe or
 # outside the functional's set, a vector naming one position twice, an eps
-# set without exactly one functional per position
+# set without exactly one functional per position, a scheme set without a
+# family, a set key not in its canonical spelling, a vector value outside the
+# "p/q" grammar (an exponent, a non-ASCII digit), a vector position that is
+# not ASCII digits
 @pytest.mark.parametrize("edit", [
     lambda p: _rename(p["families"], "2:0", "2:-1"),
     lambda p: p.update(param="x"),
@@ -246,11 +250,18 @@ def test_scheme_with_bad_decomposition_key_is_config_error(tmp_path, capsys, edi
     lambda p: p["families"]["2:0"].append(p["families"]["2:0"][0]),
     lambda p: p["families"]["2:0"][3]["origin"].update(alpha=2),
     lambda p: p["families"]["1:0"][0]["origin"].pop("alpha"),
+    lambda p: p["families"].pop("1:1"),
+    lambda p: _rename(p["families"], "1:1", "1:01"),
+    lambda p: p["families"]["1:0"][0]["vec"].update({"0": "1e0"}),
+    lambda p: p["families"]["1:0"][0]["vec"].update({"0": "\u0661"}),
+    lambda p: _rename(p["families"]["0:0"][0]["vec"], "0", "+0"),
 ], ids=["negative_key", "bad_param", "zero_denominator_param", "bad_space",
         "eps_out_of_range", "boolean_param", "fractional_scale_cap",
         "boolean_vec_entry", "vec_outside_universe", "vec_outside_set",
         "repeated_vec_position", "top_set_lacks_a_functional", "duplicated_alpha",
-        "alpha_moved_within_set", "missing_alpha"])
+        "alpha_moved_within_set", "missing_alpha", "missing_set",
+        "non_canonical_set_key", "exponent_value", "non_ascii_value",
+        "signed_position"])
 def test_family_with_negative_set_key_is_config_error(tmp_path, capsys, edit):
     scheme_file = tmp_path / "s.json"
     family_file = tmp_path / "H.json"
@@ -340,6 +351,34 @@ def test_zero_denominator_vector_is_config_error(k_family_file, capsys):
                        "--vec", "0:1/0")
     assert code == 2
     assert "zero denominator" in err
+
+
+# numbers that Fraction or int would read but that are outside the grammar
+# format_rational writes: a decimal, an exponent, a "_" separator, a "+" sign,
+# a non-ASCII digit
+@pytest.mark.parametrize("text", ["1.5", "1e3", "1_0", "+2", "\u0663"],
+                         ids=["decimal", "exponent", "underscore", "plus", "arabic_digit"])
+@pytest.mark.parametrize("argv", [
+    ["norm", "eval", "--family", "H.json", "--vec", "0:{}"],
+    ["norming", "build", "--scheme", "s.json", "--space", "k", "--param", "{}",
+     "--out", "H2.json"],
+], ids=["vec", "param"])
+def test_number_outside_the_p_q_grammar_is_config_error(k_family_file, capsys,
+                                                         argv, text):
+    argv = [str(k_family_file.with_name(a)) if a.endswith(".json") else a.format(text)
+            for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and f"{text!r} is not a rational" in err
+
+
+@pytest.mark.parametrize("text", ["+0", "0_0", "\u0660"],
+                         ids=["plus", "underscore", "arabic_digit"])
+def test_vec_position_outside_ascii_digits_is_config_error(k_family_file, capsys, text):
+    code, out, err = run(capsys, "norm", "eval", "--family", str(k_family_file),
+                         "--vec", f"{text}:1")
+    assert code == 2
+    assert out == "" and f"position {text!r} is not written in ASCII digits" in err
 
 
 @pytest.mark.parametrize("argv", [

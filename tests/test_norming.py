@@ -30,7 +30,7 @@ from csw.schemes import (
 )
 from csw.vectors import SparseVector, pair, parse_vector
 
-from conftest import TYPE_DEPTH2, TYPE_DEPTH3, TYPE_DEPTH4
+from conftest import TYPE_DEPTH2, TYPE_DEPTH3, TYPE_DEPTH4, TYPE_WIDE8
 
 HALF = Fraction(1, 2)
 
@@ -200,6 +200,21 @@ def test_closure_property_exhaustive(scheme_depth2, k2_depth2):
                 assert image.is_zero() or image in vectors, (s, f.label(), cut)
 
 
+# every K functional is K^-e times a 0/1 vector, e the exponent of each of its
+# origins, so no route to a vector can reach it with another exponent
+@pytest.mark.parametrize("cap", [1, 2, 3], ids=["cap1", "cap2", "cap3"])
+@pytest.mark.parametrize("K", ["3/2", "2", "5/2"])
+@pytest.mark.parametrize("type_triple", [TYPE_DEPTH2, TYPE_DEPTH3, TYPE_WIDE8],
+                         ids=["d2", "d3", "w8"])
+def test_k_functionals_are_scaled_indicators_of_one_exponent(type_triple, K, cap):
+    K = Fraction(K)
+    family = build_K_family(build_scheme(validate_type(*type_triple)), K, scale_cap=cap)
+    for f in family.all_functionals():
+        e = f.origin.exponent
+        assert {o.exponent for o in f.origins} == {e}, f.label()
+        assert {v for _, v in f.vector.items()} == {K ** -e}, f.label()
+
+
 def test_scale_cap_stability(scheme_depth3, k2_depth3):
     deeper = build_K_family(scheme_depth3, 2, scale_cap=3)
     rng = random.Random(5)
@@ -338,12 +353,19 @@ FAMILY_DIGESTS = [
      "3ef7b44ba240c9835f675385a555238f2186430b1391d38e67b699f904deb951"),
     (([1, 16], [16], [0]), "k", "3/2", 1,
      "4909ac8c56937bad47e2a7569f432dc03b6e9655c0de33d61453506541073a2c"),
+    (TYPE_DEPTH3, "k", "3/2", 3,
+     "972c5306200b1522ee29792490c51eabaa3dd0e98a9f1e0d94c5e6dbb1723df3"),
+    (TYPE_WIDE8, "k", "5/2", 3,
+     "61801f2ca917b2913c7630ba34f4c751bfab738dd0aefbf15053495be141d245"),
+    (TYPE_DEPTH4, "k", "2", 2,
+     "fc4dfd1101d90b1963d560beb32a1eed7542958c3f830052e5904ea8cdb2f8ac"),
 ]
 
 
 @pytest.mark.parametrize("type_triple, space, param, cap, digest", FAMILY_DIGESTS,
                          ids=["d2-k-5/2-cap2", "d3-eps-1/3", "d3-k-2-cap2",
-                              "d4-eps-1/2", "d4-k-2-cap1", "w16-k-3/2-cap1"])
+                              "d4-eps-1/2", "d4-k-2-cap1", "w16-k-3/2-cap1",
+                              "d3-k-3/2-cap3", "w8-k-5/2-cap3", "d4-k-2-cap2"])
 def test_family_bytes_are_pinned(type_triple, space, param, cap, digest):
     scheme = build_scheme(validate_type(*type_triple))
     if space == "eps":
