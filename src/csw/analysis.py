@@ -65,6 +65,14 @@ class Claim:
         return cls(name=name, lhs=lhs, relation=relation, rhs=rhs,
                    passed=ok or vacuous, witness=witness, vacuous=vacuous)
 
+    @classmethod
+    def first_failure(cls, name, value, bad):
+        """A sweep verdict `value == value` that passes unless a first
+        failure `bad` was found; `bad` is the witness."""
+        value = Fraction(value)
+        return cls(name=name, lhs=value, relation="==", rhs=value,
+                   passed=bad is None, witness=bad)
+
     def to_json(self):
         out = {
             "name": self.name,
@@ -144,12 +152,8 @@ def check_biorthogonality(family: NormingFamily) -> ExperimentReport:
                 off_max = abs(v)
                 witness = {"alpha": a, "beta": b, "value": format_rational(v)}
         report.pairings[f"h{a}"] = h[a]
-    report.claims.append(Claim(
-        name="diagonal_is_one", lhs=Fraction(1), relation="==", rhs=Fraction(1),
-        passed=diag_bad is None, witness=diag_bad))
-    report.claims.append(Claim(
-        name="vanishes_below_index", lhs=Fraction(0), relation="==", rhs=Fraction(0),
-        passed=vanish_bad is None, witness=vanish_bad))
+    report.claims.append(Claim.first_failure("diagonal_is_one", 1, diag_bad))
+    report.claims.append(Claim.first_failure("vanishes_below_index", 0, vanish_bad))
     report.claims.append(Claim.compare(
         "offdiagonal_bounded", off_max, "<=", eps, witness=witness))
     report.claims.append(Claim.compare(
@@ -214,6 +218,7 @@ def basis_constant(family: NormingFamily) -> BasisConstantResult:
         "cut": cut,
         "functional": label,
         "skipped": skipped,
+        "attaining_vector": attaining.to_json(),
     })
     report.claims.append(Claim.compare("prefix_constant_at_least_one",
                                        best, ">=", Fraction(1)))
@@ -281,13 +286,9 @@ def coherence_report(family: NormingFamily, lp_every=0) -> ExperimentReport:
             if not ok and hull_bad is None:
                 hull_bad = {"E": str(E), "F": str(F), "functional": f.label()}
     if family.space_kind == EPS_KIND:
-        report.claims.append(Claim(
-            name="restriction_coherence", lhs=Fraction(restriction_count),
-            relation="==", rhs=Fraction(restriction_count),
-            passed=restriction_bad is None, witness=restriction_bad))
-    report.claims.append(Claim(
-        name="hull_coherence", lhs=Fraction(hull_count), relation="==",
-        rhs=Fraction(hull_count), passed=hull_bad is None, witness=hull_bad))
+        report.claims.append(Claim.first_failure(
+            "restriction_coherence", restriction_count, restriction_bad))
+    report.claims.append(Claim.first_failure("hull_coherence", hull_count, hull_bad))
     report.meta.update({
         "restriction_instances": restriction_count,
         "hull_instances": hull_count,
@@ -340,10 +341,8 @@ def well_definedness_report(family: NormingFamily, samples=200, seed=0) -> Exper
             bad = {"vector": x.to_json(),
                    "values": sorted(format_rational(v) for v in values)}
     report = ExperimentReport(meta={"samples": checked, "seed": seed})
-    report.claims.append(Claim(
-        name="norm_independent_of_covering_set",
-        lhs=Fraction(checked), relation="==", rhs=Fraction(checked),
-        passed=bad is None, witness=bad))
+    report.claims.append(Claim.first_failure(
+        "norm_independent_of_covering_set", checked, bad))
     return report
 
 
@@ -357,13 +356,9 @@ class EpsExperimentConfig:
 
     def validated(self, eps):
         """(n, m) once n >= 1 and m = 2 n eps is an integer."""
-        n = self.n
-        if n < 1:
+        if self.n < 1:
             raise ConfigInvalidError("n must be a positive integer")
-        m = 2 * n * Fraction(eps)
-        if m.denominator != 1:
-            raise ConfigInvalidError(f"m = 2 n eps = {format_rational(m)} is not an integer")
-        return n, int(m)
+        return self.n, _alternating_m(self.n, eps)
 
 
 @dataclass
@@ -414,6 +409,14 @@ def _captured_copies(family: NormingFamily, count, pattern):
     return site, children, z, members, xs
 
 
+def _alternating_m(n, eps) -> int:
+    """m = 2 n eps, refused unless it is an integer."""
+    m = 2 * n * Fraction(eps)
+    if m.denominator != 1:
+        raise ConfigInvalidError(f"m = 2 n eps = {format_rational(m)} is not an integer")
+    return int(m)
+
+
 def _alternating_difference(xs, n, m):
     """(x_0 - x_1) - (1/m) sum_{i=1..n} (x_{2i} - x_{2i+1})."""
     w = xs[0] - xs[1]
@@ -459,10 +462,9 @@ def run_eps_experiment(family: NormingFamily,
         "pattern": z.to_json(),
     })
     root_part = w.restrict_to(site.root)
-    report.claims.append(Claim(
-        name="difference_vanishes_on_root", lhs=Fraction(0), relation="==",
-        rhs=Fraction(0), passed=root_part.is_zero(),
-        witness=None if root_part.is_zero() else {"values": root_part.to_json()}))
+    report.claims.append(Claim.first_failure(
+        "difference_vanishes_on_root", 0,
+        None if root_part.is_zero() else {"values": root_part.to_json()}))
 
     form_max = {1: Fraction(0), 2: Fraction(0), 3: Fraction(0), 4: Fraction(0)}
     form_counts = {1: 0, 2: 0, 3: 0, 4: 0}
@@ -549,15 +551,7 @@ def run_K_experiment(family: NormingFamily,
 @dataclass
 class SeparationConfig:
     tau: Fraction
-    dual_bound: Fraction  # upper bound N for the dual norms of the ystars
     n: int = 0
-    m: int = 1
-
-    def delta(self) -> Fraction:
-        """(1/N)(1 - tau (1 + 2n/m)); with m/(2n) = eps this is the
-        (1/N)(1 - tau (1+eps)/eps) separation level."""
-        slack = Fraction(1) - Fraction(self.tau) * (1 + Fraction(2 * self.n, self.m))
-        return slack / Fraction(self.dual_bound)
 
 
 @dataclass
@@ -571,17 +565,27 @@ def verify_eps_separation(family: NormingFamily, ys, ystars, config: SeparationC
                           indices=None) -> ExperimentReport:
     """Evaluate the alternating separation inequality on explicit data.
 
-    `ys`/`ystars` form a tau-biorthogonal system (validated exactly,
-    including dual-norm bounds via LP); the alternating combination of the
-    indexed ys must have norm >= delta.  A nonpositive delta is reported as
-    vacuous.
+    `ys`/`ystars` form a tau-biorthogonal system (validated exactly).  With
+    m = 2 n eps and N the largest dual norm of the ystars (by LP), the
+    alternating combination of the indexed ys must have norm >= delta =
+    (1/N)(1 - tau (1 + 2n/m)), which is (1/N)(1 - tau (1+eps)/eps) for n >= 1
+    and (1 - tau)/N for the two-term n = 0 case.  A nonpositive delta, that
+    is tau >= eps/(1+eps) for n >= 1, is reported as vacuous.
     """
     if family.space_kind != EPS_KIND:
         raise WrongSpaceKindError("separation bound needs the alternating variant")
     if len(ystars) != len(ys):
         raise ConfigInvalidError("need one dual per vector")
+    n = config.n
+    if n < 0:
+        raise ConfigInvalidError(f"n must be >= 0, got {n}")
+    m = _alternating_m(n, family.parameter)
+    indices = list(range(2 * n + 2) if indices is None else indices)
+    if len(indices) != 2 * n + 2:
+        raise ConfigInvalidError(f"need 2n+2 = {2 * n + 2} indices, got {len(indices)}")
+    if any(i < 0 or i >= len(ys) for i in indices):
+        raise ConfigInvalidError("separation indices outside the candidate list")
     tau = Fraction(config.tau)
-    bound = Fraction(config.dual_bound)
     for i, (y, ystar) in enumerate(zip(ys, ystars)):
         d = pair(ystar, y)
         if d != 1:
@@ -593,21 +597,11 @@ def verify_eps_separation(family: NormingFamily, ys, ystars, config: SeparationC
                     f"|<y*_{i}, y_{j}>| exceeds tau = {format_rational(tau)}",
                     witness=(i, j))
     H = [f.vector for f in family.top_functionals]
-    for i, ystar in enumerate(ystars):
-        value, _ = dual_norm(ystar, H)
-        if value > bound:
-            raise NotBiorthogonalError(
-                f"dual norm of y*_{i} is {format_rational(value)} > N = "
-                f"{format_rational(bound)}", witness=(i, i))
-    n, m = config.n, config.m
-    indices = list(range(2 * n + 2) if indices is None else indices)
-    if len(indices) != 2 * n + 2:
-        raise ConfigInvalidError(f"need 2n+2 = {2 * n + 2} indices, got {len(indices)}")
-    if any(i < 0 or i >= len(ys) for i in indices):
-        raise ConfigInvalidError("separation indices outside the candidate list")
+    bound = max(dual_norm(ystar, H)[0] for ystar in ystars)
     combo = _alternating_difference([ys[i] for i in indices], n, m)
     lhs = norm(combo, family)
-    delta = config.delta()
+    ratio = 1 + Fraction(2 * n, m) if n else Fraction(1)
+    delta = (1 - tau * ratio) / bound
     report = ExperimentReport(meta={
         "tau": format_rational(tau), "N": format_rational(bound),
         "n": n, "m": m, "delta": format_rational(delta),

@@ -71,6 +71,16 @@ def _csv_text(rows):
     return buf.getvalue()
 
 
+def _emit_report(args, report):
+    """Emit a report (CSV under `--format csv`, else JSON) and return the
+    exit code of its verdict."""
+    if getattr(args, "format", "json") == "csv":
+        _emit(args, _csv_text(report.to_csv_rows()))
+    else:
+        _emit(args, _json_text(report.to_json()))
+    return EXIT_PASS if report.passed else EXIT_CLAIM_FAILURE
+
+
 def _parse_int_list(text):
     text = (text or "").strip()
     if not text:
@@ -139,10 +149,7 @@ def cmd_scheme_build(args):
 
 
 def cmd_scheme_check(args):
-    scheme = _load_scheme(args.scheme)
-    report = schemes.check_axioms(scheme)
-    _emit(args, _json_text(report.to_json()))
-    return EXIT_PASS if report.passed else EXIT_CLAIM_FAILURE
+    return _emit_report(args, schemes.check_axioms(_load_scheme(args.scheme)))
 
 
 def cmd_norming_build(args):
@@ -151,9 +158,12 @@ def cmd_norming_build(args):
     if not report.passed:
         raise ConfigError("scheme fails its axioms; refusing to build a family")
     if args.space == "eps":
+        if args.scale_cap is not None:
+            raise ConfigError("--scale-cap applies only to --space k")
         family = norming.build_eps_family(scheme, args.param)
     else:
-        family = norming.build_K_family(scheme, args.param, scale_cap=args.scale_cap)
+        cap = 1 if args.scale_cap is None else args.scale_cap
+        family = norming.build_K_family(scheme, args.param, scale_cap=cap)
     _emit(args, norming.family_dumps(family) + "\n")
     return EXIT_PASS
 
@@ -176,14 +186,8 @@ def cmd_analyze(args):
         report = analysis.well_definedness_report(
             family, samples=args.samples, seed=args.seed)
     else:  # basis-constant
-        result = analysis.basis_constant(family)
-        report = result.report
-        report.meta["attaining_vector"] = result.attaining.to_json()
-    if args.format == "csv":
-        _emit(args, _csv_text(report.to_csv_rows()))
-    else:
-        _emit(args, _json_text(report.to_json()))
-    return EXIT_PASS if report.passed else EXIT_CLAIM_FAILURE
+        report = analysis.basis_constant(family).report
+    return _emit_report(args, report)
 
 
 def cmd_experiment_eps(args):
@@ -193,9 +197,7 @@ def cmd_experiment_eps(args):
     config.validated(eps)  # before the family build, which dominates on deep types
     scheme = schemes.build_scheme(_load_type(args))
     family = norming.build_eps_family(scheme, eps)
-    report = analysis.run_eps_experiment(family, config)
-    _emit(args, _json_text(report.to_json()))
-    return EXIT_PASS if report.passed else EXIT_CLAIM_FAILURE
+    return _emit_report(args, analysis.run_eps_experiment(family, config))
 
 
 def cmd_experiment_kbasis(args):
@@ -206,9 +208,7 @@ def cmd_experiment_kbasis(args):
     config.validated(K)  # before the family build, which dominates on deep types
     scheme = schemes.build_scheme(_load_type(args))
     family = norming.build_K_family(scheme, K, scale_cap=args.scale_cap)
-    report = analysis.run_K_experiment(family, config)
-    _emit(args, _json_text(report.to_json()))
-    return EXIT_PASS if report.passed else EXIT_CLAIM_FAILURE
+    return _emit_report(args, analysis.run_K_experiment(family, config))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +247,8 @@ def build_parser():
     p_nb.add_argument("--scheme", required=True)
     p_nb.add_argument("--space", choices=("eps", "k"), required=True)
     p_nb.add_argument("--param", required=True, help="eps or K as 'p/q'")
-    p_nb.add_argument("--scale-cap", dest="scale_cap", type=int, default=1)
+    p_nb.add_argument("--scale-cap", dest="scale_cap", type=int, default=None,
+                      help="K only; default 1")
     p_nb.add_argument("--out")
     p_nb.set_defaults(func=cmd_norming_build)
 

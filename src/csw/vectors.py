@@ -63,7 +63,8 @@ class SparseVector:
         data = {}
         items = entries.items() if isinstance(entries, dict) else entries
         for pos, val in items:
-            pos = int(pos)
+            if not isinstance(pos, int) or isinstance(pos, bool):
+                raise ValueError(f"position {pos!r} is not an int")
             if pos < 0:
                 raise ValueError(f"negative position {pos}")
             val = val if isinstance(val, Fraction) else parse_rational(val)
@@ -71,6 +72,15 @@ class SparseVector:
                 data[pos] = val
         self._entries = data
         self._hash = None
+
+    @classmethod
+    def _of(cls, data) -> "SparseVector":
+        """The vector on `data`, a dict of nonnegative int positions to
+        nonzero Fractions that the caller has checked and hands over."""
+        out = cls.__new__(cls)
+        out._entries = data
+        out._hash = None
+        return out
 
     @classmethod
     def unit(cls, pos) -> "SparseVector":
@@ -113,9 +123,7 @@ class SparseVector:
                 data.pop(pos, None)
             else:
                 data[pos] = new
-        out = SparseVector()
-        out._entries = data
-        return out
+        return SparseVector._of(data)
 
     def __sub__(self, other):
         return self + (-other)
@@ -127,9 +135,7 @@ class SparseVector:
         scalar = scalar if isinstance(scalar, Fraction) else Fraction(scalar)
         if scalar == 0:
             return SparseVector()
-        out = SparseVector()
-        out._entries = {p: scalar * v for p, v in self._entries.items()}
-        return out
+        return SparseVector._of({p: scalar * v for p, v in self._entries.items()})
 
     def __truediv__(self, scalar):
         return self.scale(Fraction(1) / Fraction(scalar))
@@ -137,15 +143,11 @@ class SparseVector:
     def restrict_to(self, positions) -> "SparseVector":
         """Keep only entries whose position lies in `positions`."""
         keep = set(positions)
-        out = SparseVector()
-        out._entries = {p: v for p, v in self._entries.items() if p in keep}
-        return out
+        return SparseVector._of({p: v for p, v in self._entries.items() if p in keep})
 
     def restrict_below(self, cut) -> "SparseVector":
         """Keep only entries at positions strictly below `cut`."""
-        out = SparseVector()
-        out._entries = {p: v for p, v in self._entries.items() if p < cut}
-        return out
+        return SparseVector._of({p: v for p, v in self._entries.items() if p < cut})
 
     def map_positions(self, mapping) -> "SparseVector":
         """Relocate entries through a position-to-position map.
@@ -162,9 +164,7 @@ class SparseVector:
             if target in data:
                 raise ValueError(f"transport not injective at {target}")
             data[target] = val
-        out = SparseVector()
-        out._entries = data
-        return out
+        return SparseVector._of(data)
 
     def to_json(self) -> dict:
         return {str(p): format_rational(v) for p, v in self.items()}
@@ -174,7 +174,7 @@ class SparseVector:
         entries = {_position(p): parse_rational(v) for p, v in obj.items()}
         if len(entries) != len(obj):
             raise ValueError(f"two entries of the vector {obj!r} name the same position")
-        return cls(entries)
+        return cls._of({p: v for p, v in entries.items() if v})
 
     def __repr__(self):
         body = ", ".join(f"{p}: {format_rational(v)}" for p, v in self.items())
@@ -210,7 +210,7 @@ def parse_vector(text) -> SparseVector:
         if pos in entries:
             raise ValueError(f"position {pos} appears twice in {text!r}")
         entries[pos] = parse_rational(val)
-    return SparseVector(entries)
+    return SparseVector._of({p: v for p, v in entries.items() if v})
 
 
 def format_vector(vec: SparseVector) -> str:

@@ -28,7 +28,7 @@ from csw.errors import (
 from csw.hull import dual_norm, polar_support
 from csw.norming import Functional, NormingFamily, Origin, build_eps_family, global_dual, norm
 from csw.schemes import build_scheme, validate_type
-from csw.vectors import SparseVector, pair, parse_vector
+from csw.vectors import SparseVector, format_rational, pair, parse_vector
 
 HALF = Fraction(1, 2)
 
@@ -226,7 +226,7 @@ def _unit_system(universe):
 def test_separation_vacuous_at_tau_equal_eps(eps_half_depth1):
     ys = _unit_system(6)
     ystars = [global_dual(eps_half_depth1, i) for i in range(6)]
-    config = SeparationConfig(tau=HALF, dual_bound=Fraction(1), n=2, m=2)
+    config = SeparationConfig(tau=HALF, n=2)
     report = verify_eps_separation(eps_half_depth1, ys, ystars, config)
     assert report.meta["vacuous"] is True
     assert report.claim("separation_lower_bound").passed
@@ -237,9 +237,9 @@ def test_separation_tau_zero_exact(eps_half_depth1):
     ystars = _unit_system(6)
     H = [f.vector for f in eps_half_depth1.top_functionals]
     bound = max(dual_norm(y, H)[0] for y in ystars)
-    config = SeparationConfig(tau=Fraction(0), dual_bound=bound, n=2, m=2)
+    config = SeparationConfig(tau=Fraction(0), n=2)
     report = verify_eps_separation(eps_half_depth1, ys, ystars, config)
-    assert config.delta() == Fraction(1) / bound
+    assert report.meta["delta"] == format_rational(Fraction(1) / bound)
     assert report.norms["combination"] == HALF
     assert report.claim("separation_lower_bound").passed
     assert not report.meta["vacuous"]
@@ -250,7 +250,7 @@ def test_separation_two_term_degenerate(eps_half_depth1):
     ystars = _unit_system(6)
     H = [f.vector for f in eps_half_depth1.top_functionals]
     bound = max(dual_norm(y, H)[0] for y in ystars)
-    config = SeparationConfig(tau=Fraction(0), dual_bound=bound, n=0, m=1)
+    config = SeparationConfig(tau=Fraction(0), n=0)
     report = verify_eps_separation(eps_half_depth1, ys, ystars, config, indices=(0, 1))
     assert report.norms["combination"] == 1
     assert report.claim("separation_lower_bound").passed
@@ -259,10 +259,35 @@ def test_separation_two_term_degenerate(eps_half_depth1):
 def test_separation_rejects_non_biorthogonal(eps_half_depth1):
     ys = [SparseVector.unit(0), SparseVector.unit(0)]
     ystars = [SparseVector.unit(0), SparseVector.unit(0)]
-    config = SeparationConfig(tau=Fraction(0), dual_bound=Fraction(3), n=0, m=1)
+    config = SeparationConfig(tau=Fraction(0), n=0)
     with pytest.raises(NotBiorthogonalError) as err:
         verify_eps_separation(eps_half_depth1, ys, ystars, config)
     assert err.value.witness == (0, 1)
+
+
+@pytest.mark.parametrize("tau, delta, vacuous", [
+    (Fraction(1, 3), "0", True),  # tau = eps/(1+eps): delta vanishes
+    (Fraction(1, 4), "1/12", False),
+])
+def test_separation_delta_reads_m_and_n_off_the_data(eps_half_depth1, tau, delta, vacuous):
+    units = _unit_system(6)
+    report = verify_eps_separation(eps_half_depth1, units, units,
+                                   SeparationConfig(tau=tau, n=2))
+    assert report.meta["m"] == 2 and report.meta["N"] == "3"
+    assert report.meta["delta"] == delta
+    assert report.meta["vacuous"] is vacuous
+    assert report.claim("separation_lower_bound").vacuous is vacuous
+    assert report.passed
+
+
+def test_separation_refuses_negative_n_and_fractional_m(eps_half_depth1):
+    units = _unit_system(6)
+    with pytest.raises(ConfigInvalidError, match="n must be >= 0"):
+        verify_eps_separation(eps_half_depth1, units, units,
+                              SeparationConfig(tau=Fraction(0), n=-1))
+    third = build_eps_family(eps_half_depth1.scheme, Fraction(1, 3))
+    with pytest.raises(ConfigInvalidError, match="m = 2 n eps = 2/3 is not an integer"):
+        verify_eps_separation(third, units, units, SeparationConfig(tau=Fraction(0), n=1))
 
 
 def test_k_separation_engineered_refutation(k2_wide8):
@@ -292,7 +317,7 @@ def test_separation_checks_refuse_the_other_kind(eps_half_depth1, k2_wide8):
     ys = [SparseVector.unit(0), SparseVector.unit(1)]
     with pytest.raises(WrongSpaceKindError):
         verify_eps_separation(k2_wide8, ys, ys, SeparationConfig(
-            tau=Fraction(0), dual_bound=Fraction(1), n=0, m=1))
+            tau=Fraction(0), n=0))
     with pytest.raises(WrongSpaceKindError):
         verify_K_separation(eps_half_depth1, ys, KSeparationConfig(
             kprime=Fraction(1), L=Fraction(5, 4), n=1))

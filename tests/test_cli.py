@@ -3,7 +3,9 @@ import os
 
 import pytest
 
+from csw.analysis import basis_constant
 from csw.cli import main
+from csw.norming import family_loads
 
 
 def run(capsys, *argv):
@@ -137,6 +139,33 @@ def test_analyze_basis_constant_and_coherence(k_family_file, capsys):
                        "--family", str(k_family_file), "--samples", "20",
                        "--seed", "4")
     assert code == 0
+
+
+def test_analyze_basis_constant_prints_the_library_report(k_family_file, capsys):
+    code, out, _ = run(capsys, "analyze", "basis-constant",
+                       "--family", str(k_family_file))
+    report = basis_constant(family_loads(k_family_file.read_text())).report
+    assert code == 0
+    assert out == json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("space, param, cap_args, code, cap", [
+    ("k", "2", ["--scale-cap", "7"], 0, 7),
+    ("k", "2", [], 0, 1),
+    ("eps", "1/2", ["--scale-cap", "7"], 2, None),
+], ids=["k_cap", "k_default", "eps_refused"])
+def test_scale_cap_is_k_only(tmp_path, capsys, space, param, cap_args, code, cap):
+    scheme_file = tmp_path / "s.json"
+    family_file = tmp_path / "H.json"
+    run(capsys, "scheme", "build", "--type", "1,2;2;0", "--out", str(scheme_file))
+    result, _, err = run(capsys, "norming", "build", "--scheme", str(scheme_file),
+                         "--space", space, "--param", param, *cap_args,
+                         "--out", str(family_file))
+    assert result == code
+    if cap is None:
+        assert "--scale-cap" in err and not family_file.exists()
+    else:
+        assert json.loads(family_file.read_text())["scale_cap"] == cap
 
 
 def test_experiment_eps_cli(tmp_path, capsys):

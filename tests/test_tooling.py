@@ -4,6 +4,8 @@ current package, and the package source keeps its exactness rules."""
 import ast
 import importlib.util
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +32,25 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def _readme_commands():
+    """The `csw ...` lines of README's "Command line" block, in order."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", text, re.S).group(1)
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("csw ")]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    from csw.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("CSW_OUT_DIR", raising=False)
+    commands = _readme_commands()
+    assert len(commands) >= 13
+    for argv in commands:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
 
 
 def _inexact_nodes(tree):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import lcm
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -22,6 +23,17 @@ def test_zero_entries_dropped():
     v = SparseVector({0: Fraction(1), 1: Fraction(0)})
     assert v.support == (0,)
     assert not (SparseVector.unit(3) - SparseVector.unit(3))
+
+
+def test_parsed_zero_entries_are_not_stored():
+    assert parse_vector("0:0,1:1/2").support == (1,)
+    assert SparseVector.from_json({"0": "0", "1": "1/2"}).support == (1,)
+
+
+@pytest.mark.parametrize("position", [2.5, True, "3"], ids=["float", "bool", "str"])
+def test_positions_must_be_ints(position):
+    with pytest.raises(ValueError, match="is not an int"):
+        SparseVector({position: 1})
 
 
 def test_parse_and_format():
