@@ -9,6 +9,7 @@ dual norm was involved).
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -233,11 +234,10 @@ def basis_constant(family: NormingFamily) -> BasisConstantResult:
 
 def nested_pairs(scheme: Scheme):
     """All ordered pairs (E, F) of scheme sets with E a proper subset of F."""
-    sets = list(scheme.sets())
-    for F in sets:
-        big = set(F.elements)
-        for E in sets:
-            if E is not F and len(E) < len(F) and set(E.elements) <= big:
+    sets = [(s, frozenset(s.elements)) for s in scheme.sets()]
+    for F, big in sets:
+        for E, small in sets:
+            if small < big:
                 yield E, F
 
 
@@ -251,17 +251,76 @@ def coherence_report(family: NormingFamily, lp_every=0) -> ExperimentReport:
     in conv(+-H_E), certified by explicit coefficients that are re-verified
     by reconstruction.  `lp_every` > 0 additionally forces every n-th
     instance through the raw LP path as a cross-check.
+
+    Both properties compose through a scheme set P with E < P < F: if f|P =
+    sum c_h h over H_P with sum |c_h| <= 1 and every h|E lies in
+    conv(+-H_E), so does f|E; and f|E = (f|P)|E = g|E for the P-functional g
+    at a.  So a pair (E, F) with such a P in F's decomposition follows from
+    (E, P) and (P, F), and by induction on |F - E| every pair follows from
+    the pairs that no piece covers; only those are checked directly.  The
+    instance counts are still those of every nested pair.  With `lp_every`
+    > 0, or when a directly checked pair fails, every pair is checked in
+    scan order, so the cross-check schedule and the first-failure
+    witnesses are the full scan's.
     """
     if lp_every < 0:
         raise ConfigInvalidError(f"lp_every must be >= 0, got {lp_every}")
-    scheme = family.scheme
-    report = ExperimentReport(meta={"kind": family.space_kind})
+    if lp_every:
+        return _full_scan(family, lp_every)
+    pairs = list(nested_pairs(family.scheme))
+    restriction_count, hull_count = _instance_counts(family, pairs)
+    _, _, _, restriction_bad, hull_bad = _scan(
+        family, _uncovered(family.scheme, pairs), 0)
+    if restriction_bad is not None or hull_bad is not None:
+        return _full_scan(family, 0)
+    return _coherence(family, restriction_count, hull_count, 0, None, None)
+
+
+def _full_scan(family: NormingFamily, lp_every) -> ExperimentReport:
+    """The coherence report from checking every nested pair directly."""
+    return _coherence(family, *_scan(family, nested_pairs(family.scheme), lp_every))
+
+
+def _uncovered(scheme: Scheme, pairs):
+    """The pairs (E, F) with no scheme set P in F's decomposition such that
+    E < P < F as element sets; covering is tested, not assumed, since a
+    loaded scheme need not satisfy the axioms."""
+    elements = {s: frozenset(s.elements) for s in scheme.sets()}
+    return [(E, F) for E, F in pairs
+            if not any(P in elements and elements[E] < elements[P] < elements[F]
+                       for P in scheme.decomposition.get(F, ()))]
+
+
+def _instance_counts(family: NormingFamily, pairs):
+    """(restriction, hull) instances over `pairs` without restricting: |H_F|
+    per pair, and the F-functionals whose alpha lies in E (alternating
+    variant only).  Every E and F family is looked up, so a missing one
+    raises as it does in the scan."""
+    eps = family.space_kind == EPS_KIND
+    alphas = {}
+    restriction_count = 0
+    hull_count = 0
+    for E, F in pairs:
+        family.functionals_for(E)
+        fam_F = family.functionals_for(F)
+        hull_count += len(fam_F)
+        if eps:
+            if F not in alphas:
+                alphas[F] = Counter(f.origin.alpha for f in fam_F)
+            restriction_count += sum(alphas[F][a] for a in frozenset(E.elements))
+    return restriction_count, hull_count
+
+
+def _scan(family: NormingFamily, pairs, lp_every):
+    """Check every instance of `pairs` in order: (restriction count, hull
+    count, LP cross-checks, first restriction failure, first hull
+    failure)."""
     restriction_bad = None
     restriction_count = 0
     hull_bad = None
     hull_count = 0
     lp_checked = 0
-    for E, F in nested_pairs(scheme):
+    for E, F in pairs:
         elems = set(E.elements)
         fam_E = family.functionals_for(E)
         vectors_E = [g.vector for g in fam_E]
@@ -285,6 +344,13 @@ def coherence_report(family: NormingFamily, lp_every=0) -> ExperimentReport:
                                                              lp_cert.coefficients)
             if not ok and hull_bad is None:
                 hull_bad = {"E": str(E), "F": str(F), "functional": f.label()}
+    return restriction_count, hull_count, lp_checked, restriction_bad, hull_bad
+
+
+def _coherence(family, restriction_count, hull_count, lp_checked,
+               restriction_bad, hull_bad) -> ExperimentReport:
+    """The coherence report for the given counts and first failures."""
+    report = ExperimentReport(meta={"kind": family.space_kind})
     if family.space_kind == EPS_KIND:
         report.claims.append(Claim.first_failure(
             "restriction_coherence", restriction_count, restriction_bad))
@@ -625,6 +691,10 @@ def verify_K_separation(family: NormingFamily, ys,
     n = config.n
     L = Fraction(config.L)
     kprime = Fraction(config.kprime)
+    if n < 1:
+        raise ConfigInvalidError(f"n must be >= 1, got {n}")
+    if kprime < 1:
+        raise ConfigInvalidError(f"need 1 <= K', got K'={format_rational(kprime)}")
     if len(ys) != 2 * n:
         raise ConfigInvalidError(f"need 2n = {2 * n} vectors, got {len(ys)}")
     for i, y in enumerate(ys):

@@ -3,7 +3,10 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from csw import analysis
 from csw.analysis import (
     EpsExperimentConfig,
     KExperimentConfig,
@@ -25,7 +28,7 @@ from csw.errors import (
     NotBiorthogonalError,
     WrongSpaceKindError,
 )
-from csw.hull import dual_norm, polar_support
+from csw.hull import dual_norm, in_symmetric_hull, polar_support
 from csw.norming import Functional, NormingFamily, Origin, build_eps_family, global_dual, norm
 from csw.schemes import build_scheme, validate_type
 from csw.vectors import SparseVector, format_rational, pair, parse_vector
@@ -313,6 +316,19 @@ def test_k_separation_requires_normalized(k2_wide8):
         verify_K_separation(k2_wide8, ys, config)
 
 
+@pytest.mark.parametrize("n, kprime, message", [
+    (0, Fraction(1), "n must be >= 1, got 0"),
+    (-1, Fraction(1), "n must be >= 1, got -1"),
+    (1, Fraction(0), "need 1 <= K', got K'=0"),
+    (1, Fraction(1, 2), "need 1 <= K', got K'=1/2"),
+])
+def test_k_separation_refuses_bad_n_and_kprime(k2_wide8, n, kprime, message):
+    ys = [SparseVector.unit(0), SparseVector.unit(1)]
+    config = KSeparationConfig(kprime=kprime, L=Fraction(5, 4), n=n)
+    with pytest.raises(ConfigInvalidError, match=message):
+        verify_K_separation(k2_wide8, ys, config)
+
+
 def test_separation_checks_refuse_the_other_kind(eps_half_depth1, k2_wide8):
     ys = [SparseVector.unit(0), SparseVector.unit(1)]
     with pytest.raises(WrongSpaceKindError):
@@ -426,3 +442,80 @@ def test_well_definedness_reports_first_disagreement(k2_depth2):
     report = well_definedness_report(family, samples=20, seed=0)
     assert _witnesses(report) == {"norm_independent_of_covering_set": (
         False, {"vector": {"0": "3"}, "values": ["3", "9"]})}
+
+
+# ---------------------------------------------------------------------------
+# the piece scan against the full scan
+
+PINNED_FAMILIES = ["eps_half_depth1", "eps_half_depth2", "eps_half_depth3",
+                   "k2_tiny", "k2_wide8", "k2_depth2", "k2_depth3"]
+
+
+def _piece_instances(family):
+    """Instances of the (piece, parent) pairs: the only pairs of a built
+    scheme that no piece covers."""
+    return sum(len(set(pieces)) * len(family.functionals_for(F))
+               for F, pieces in family.scheme.decomposition.items())
+
+
+def _uncovered_pairs(scheme):
+    return analysis._uncovered(scheme, list(analysis.nested_pairs(scheme)))
+
+
+@pytest.mark.parametrize("name", PINNED_FAMILIES)
+def test_piece_scan_matches_full_scan(request, name):
+    family = request.getfixturevalue(name)
+    report = coherence_report(family)
+    assert report.passed
+    assert report.to_json() == analysis._full_scan(family, 0).to_json()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_piece_scan_matches_full_scan_on_tampered_families(
+        data, eps_half_depth2, eps_half_depth3, k2_depth2, k2_depth3):
+    family = data.draw(st.sampled_from(
+        [eps_half_depth2, eps_half_depth3, k2_depth2, k2_depth3]))
+    s = data.draw(st.sampled_from(list(family.scheme.sets())))
+    index = data.draw(st.integers(0, len(family.families[s]) - 1))
+    support = data.draw(st.lists(st.sampled_from(s.elements), unique=True))
+    values = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+    vector = SparseVector({p: data.draw(values) for p in support})
+    tampered = _tampered(family, s, index, vector)
+    assert (coherence_report(tampered).to_json()
+            == analysis._full_scan(tampered, 0).to_json())
+
+
+def test_piece_scan_checks_pairs_a_loaded_decomposition_leaves_uncovered(k2_depth2):
+    scheme = k2_depth2.scheme
+    top = scheme.top
+    dropped = scheme.decomposition[top][-1]  # rank1{0,3}
+    kept = {**scheme.decomposition, top: scheme.decomposition[top][:-1]}
+    family = _tampered(k2_depth2, top, 0, parse_vector("3:2"))
+    family = replace(family, scheme=replace(scheme, decomposition=kept))
+    single = scheme.levels[0][3]  # rank0{3}: covered by rank1{0,3} until it is dropped
+    assert (single, top) not in _uncovered_pairs(scheme)
+    assert {(single, top), (dropped, top)} <= set(_uncovered_pairs(family.scheme))
+    report = coherence_report(family)
+    assert not report.passed
+    assert _witnesses(report) == {"hull_coherence": (
+        False, {"E": "rank0{3}", "F": "rank2{0,1,2,3}", "functional": "unit/a0"})}
+    assert report.to_json() == analysis._full_scan(family, 0).to_json()
+
+
+@pytest.mark.parametrize("name", PINNED_FAMILIES)
+def test_piece_scan_checks_only_the_piece_pairs(request, monkeypatch, name):
+    family = request.getfixturevalue(name)
+    calls = 0
+
+    def counted(f, H, try_direct=True):
+        nonlocal calls
+        calls += 1
+        return in_symmetric_hull(f, H, try_direct)
+
+    monkeypatch.setattr(analysis, "in_symmetric_hull", counted)
+    report = coherence_report(family)
+    assert report.passed
+    assert calls == _piece_instances(family)
+    if family.scheme.depth > 1:
+        assert calls < report.meta["hull_instances"]
