@@ -257,28 +257,19 @@ def coherence_report(family: NormingFamily, lp_every=0) -> ExperimentReport:
     conv(+-H_E), so does f|E; and f|E = (f|P)|E = g|E for the P-functional g
     at a.  So a pair (E, F) with such a P in F's decomposition follows from
     (E, P) and (P, F), and by induction on |F - E| every pair follows from
-    the pairs that no piece covers; only those are checked directly.  The
-    instance counts are still those of every nested pair.  With `lp_every`
-    > 0, or when a directly checked pair fails, every pair is checked in
-    scan order, so the cross-check schedule and the first-failure
-    witnesses are the full scan's.
+    the pairs that no piece covers.  With `lp_every` = 0 one scan checks
+    only those pairs directly; if it finds a failure, a second scan checks
+    every pair, so the first-failure witnesses are those of scan order.
+    With `lp_every` > 0 one scan checks every pair, and the cross-check
+    schedule indexes it.  The instance counts are always those of every
+    nested pair.
     """
     if lp_every < 0:
         raise ConfigInvalidError(f"lp_every must be >= 0, got {lp_every}")
-    if lp_every:
-        return _full_scan(family, lp_every)
-    pairs = list(nested_pairs(family.scheme))
-    restriction_count, hull_count = _instance_counts(family, pairs)
-    _, _, _, restriction_bad, hull_bad = _scan(
-        family, _uncovered(family.scheme, pairs), 0)
-    if restriction_bad is not None or hull_bad is not None:
-        return _full_scan(family, 0)
-    return _coherence(family, restriction_count, hull_count, 0, None, None)
-
-
-def _full_scan(family: NormingFamily, lp_every) -> ExperimentReport:
-    """The coherence report from checking every nested pair directly."""
-    return _coherence(family, *_scan(family, nested_pairs(family.scheme), lp_every))
+    report = _scan(family, lp_every, every=lp_every > 0)
+    if not (report.passed or lp_every):
+        report = _scan(family, 0, every=True)
+    return report
 
 
 def _uncovered(scheme: Scheme, pairs):
@@ -291,45 +282,38 @@ def _uncovered(scheme: Scheme, pairs):
                        for P in scheme.decomposition.get(F, ()))]
 
 
-def _instance_counts(family: NormingFamily, pairs):
-    """(restriction, hull) instances over `pairs` without restricting: |H_F|
-    per pair, and the F-functionals whose alpha lies in E (alternating
-    variant only).  Every E and F family is looked up, so a missing one
-    raises as it does in the scan."""
+def _scan(family: NormingFamily, lp_every, every) -> ExperimentReport:
+    """The coherence report from one pass over the nested pairs in order,
+    checking each instance of a pair directly when `every` is set or no
+    piece covers the pair.  A covered pair only adds its instance counts:
+    |H_F|, and the F-functionals whose alpha lies in E (alternating variant
+    only).  Every E and F family is looked up, so a missing one raises."""
+    pairs = list(nested_pairs(family.scheme))
+    direct = None if every else set(_uncovered(family.scheme, pairs))
     eps = family.space_kind == EPS_KIND
     alphas = {}
-    restriction_count = 0
-    hull_count = 0
-    for E, F in pairs:
-        family.functionals_for(E)
-        fam_F = family.functionals_for(F)
-        hull_count += len(fam_F)
-        if eps:
-            if F not in alphas:
-                alphas[F] = Counter(f.origin.alpha for f in fam_F)
-            restriction_count += sum(alphas[F][a] for a in frozenset(E.elements))
-    return restriction_count, hull_count
-
-
-def _scan(family: NormingFamily, pairs, lp_every):
-    """Check every instance of `pairs` in order: (restriction count, hull
-    count, LP cross-checks, first restriction failure, first hull
-    failure)."""
     restriction_bad = None
     restriction_count = 0
     hull_bad = None
     hull_count = 0
     lp_checked = 0
     for E, F in pairs:
-        elems = set(E.elements)
+        elems = frozenset(E.elements)
         fam_E = family.functionals_for(E)
+        fam_F = family.functionals_for(F)
+        if direct is not None and (E, F) not in direct:
+            hull_count += len(fam_F)
+            if eps:
+                if F not in alphas:
+                    alphas[F] = Counter(f.origin.alpha for f in fam_F)
+                restriction_count += sum(alphas[F][a] for a in elems)
+            continue
         vectors_E = [g.vector for g in fam_E]
-        by_alpha = ({g.origin.alpha: g.vector for g in fam_E}
-                    if family.space_kind == EPS_KIND else None)
-        for f in family.functionals_for(F):
+        by_alpha = {g.origin.alpha: g.vector for g in fam_E} if eps else None
+        for f in fam_F:
             restricted = f.vector.restrict_to(elems)
             a = f.origin.alpha
-            if by_alpha is not None and a in elems:
+            if eps and a in elems:
                 restriction_count += 1
                 if restricted != by_alpha.get(a) and restriction_bad is None:
                     restriction_bad = {"E": str(E), "F": str(F), "alpha": a}
@@ -344,14 +328,8 @@ def _scan(family: NormingFamily, pairs, lp_every):
                                                              lp_cert.coefficients)
             if not ok and hull_bad is None:
                 hull_bad = {"E": str(E), "F": str(F), "functional": f.label()}
-    return restriction_count, hull_count, lp_checked, restriction_bad, hull_bad
-
-
-def _coherence(family, restriction_count, hull_count, lp_checked,
-               restriction_bad, hull_bad) -> ExperimentReport:
-    """The coherence report for the given counts and first failures."""
     report = ExperimentReport(meta={"kind": family.space_kind})
-    if family.space_kind == EPS_KIND:
+    if eps:
         report.claims.append(Claim.first_failure(
             "restriction_coherence", restriction_count, restriction_bad))
     report.claims.append(Claim.first_failure("hull_coherence", hull_count, hull_bad))
@@ -627,13 +605,13 @@ class KSeparationConfig:
     n: int
 
 
-def verify_eps_separation(family: NormingFamily, ys, ystars, config: SeparationConfig,
-                          indices=None) -> ExperimentReport:
+def verify_eps_separation(family: NormingFamily, ys, ystars,
+                          config: SeparationConfig) -> ExperimentReport:
     """Evaluate the alternating separation inequality on explicit data.
 
     `ys`/`ystars` form a tau-biorthogonal system (validated exactly).  With
     m = 2 n eps and N the largest dual norm of the ystars (by LP), the
-    alternating combination of the indexed ys must have norm >= delta =
+    alternating combination of ys[0], ..., ys[2n+1] must have norm >= delta =
     (1/N)(1 - tau (1 + 2n/m)), which is (1/N)(1 - tau (1+eps)/eps) for n >= 1
     and (1 - tau)/N for the two-term n = 0 case.  A nonpositive delta, that
     is tau >= eps/(1+eps) for n >= 1, is reported as vacuous.
@@ -646,11 +624,8 @@ def verify_eps_separation(family: NormingFamily, ys, ystars, config: SeparationC
     if n < 0:
         raise ConfigInvalidError(f"n must be >= 0, got {n}")
     m = _alternating_m(n, family.parameter)
-    indices = list(range(2 * n + 2) if indices is None else indices)
-    if len(indices) != 2 * n + 2:
-        raise ConfigInvalidError(f"need 2n+2 = {2 * n + 2} indices, got {len(indices)}")
-    if any(i < 0 or i >= len(ys) for i in indices):
-        raise ConfigInvalidError("separation indices outside the candidate list")
+    if len(ys) < 2 * n + 2:
+        raise ConfigInvalidError(f"need 2n+2 = {2 * n + 2} vectors, got {len(ys)}")
     tau = Fraction(config.tau)
     for i, (y, ystar) in enumerate(zip(ys, ystars)):
         d = pair(ystar, y)
@@ -664,7 +639,7 @@ def verify_eps_separation(family: NormingFamily, ys, ystars, config: SeparationC
                     witness=(i, j))
     H = [f.vector for f in family.top_functionals]
     bound = max(dual_norm(ystar, H)[0] for ystar in ystars)
-    combo = _alternating_difference([ys[i] for i in indices], n, m)
+    combo = _alternating_difference(ys, n, m)
     lhs = norm(combo, family)
     ratio = 1 + Fraction(2 * n, m) if n else Fraction(1)
     delta = (1 - tau * ratio) / bound

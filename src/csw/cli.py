@@ -18,7 +18,7 @@ import tempfile
 
 from . import analysis, norming, schemes
 from .errors import ConfigError, CswError
-from .vectors import format_rational, parse_rational, parse_vector
+from .vectors import format_rational, parse_int, parse_rational, parse_vector
 
 EXIT_PASS = 0
 EXIT_CLAIM_FAILURE = 1
@@ -85,7 +85,7 @@ def _parse_int_list(text):
     text = (text or "").strip()
     if not text:
         return []
-    return [int(v) for v in text.split(",")]
+    return [parse_int(v) for v in text.split(",")]
 
 
 def _parse_file(path, parse):
@@ -247,7 +247,7 @@ def build_parser():
     p_nb.add_argument("--scheme", required=True)
     p_nb.add_argument("--space", choices=("eps", "k"), required=True)
     p_nb.add_argument("--param", required=True, help="eps or K as 'p/q'")
-    p_nb.add_argument("--scale-cap", dest="scale_cap", type=int, default=None,
+    p_nb.add_argument("--scale-cap", dest="scale_cap", type=parse_int, default=None,
                       help="K only; default 1")
     p_nb.add_argument("--out")
     p_nb.set_defaults(func=cmd_norming_build)
@@ -266,10 +266,10 @@ def build_parser():
                                        "welldef"))
     p_an.add_argument("--family", required=True)
     p_an.add_argument("--format", choices=("json", "csv"), default="json")
-    p_an.add_argument("--lp-every", dest="lp_every", type=int, default=0,
+    p_an.add_argument("--lp-every", dest="lp_every", type=parse_int, default=0,
                       help="cross-check every n-th hull certificate via the raw LP")
-    p_an.add_argument("--samples", type=int, default=200)
-    p_an.add_argument("--seed", type=int, default=0)
+    p_an.add_argument("--samples", type=parse_int, default=200)
+    p_an.add_argument("--seed", type=parse_int, default=0)
     p_an.add_argument("--out")
     p_an.set_defaults(func=cmd_analyze)
 
@@ -278,7 +278,7 @@ def build_parser():
     p_ee = exp_sub.add_parser("eps")
     p_ee.add_argument("--type", required=True)
     p_ee.add_argument("--eps", required=True)
-    p_ee.add_argument("--n", type=int, required=True,
+    p_ee.add_argument("--n", type=parse_int, required=True,
                       help="m = 2 n eps must be an integer")
     p_ee.add_argument("--pattern", default=None)
     p_ee.add_argument("--out")
@@ -286,10 +286,10 @@ def build_parser():
     p_ek = exp_sub.add_parser("kbasis")
     p_ek.add_argument("--type", required=True)
     p_ek.add_argument("--k", required=True)
-    p_ek.add_argument("--n", type=int, required=True)
+    p_ek.add_argument("--n", type=parse_int, required=True)
     p_ek.add_argument("--L", required=True)
     p_ek.add_argument("--kprime", default="1")
-    p_ek.add_argument("--scale-cap", dest="scale_cap", type=int, default=1)
+    p_ek.add_argument("--scale-cap", dest="scale_cap", type=parse_int, default=1)
     p_ek.add_argument("--pattern", default=None)
     p_ek.add_argument("--out")
     p_ek.set_defaults(func=cmd_experiment_kbasis)

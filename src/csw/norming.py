@@ -167,7 +167,7 @@ class NormingFamily:
     def all_functionals(self):
         for level in self.scheme.levels:
             for s in level:
-                yield from self.families.get(s, ())
+                yield from self.functionals_for(s)
 
 
 def spread(scheme: Scheme, f: Functional, F: SchemeSet) -> Functional:
@@ -324,6 +324,7 @@ def norm(x: SparseVector, family: NormingFamily, mode="local") -> Fraction:
     if x.is_zero():
         return Fraction(0)
     if mode == "all":
+        family.scheme.in_universe(x.support)
         functionals = list(family.all_functionals())
     else:
         site = family.scheme.minimal_containing(x.support)

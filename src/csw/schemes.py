@@ -165,12 +165,16 @@ class Scheme:
             raise ConfigInvalidError(f"set key {key!r} is not written as '{rank}:{idx}'")
         return _at(_at(self.levels, rank, "rank"), idx, f"rank-{rank} set")
 
-    def minimal_containing(self, positions) -> SchemeSet:
-        """Lexicographically first scheme set of minimal rank covering `positions`."""
+    def in_universe(self, positions) -> set:
+        """`positions` as a set, refused unless each lies in the universe."""
         needed = set(positions)
         if not needed <= set(range(self.universe_size)):
             raise NotInSchemeError(f"positions {sorted(needed)} exceed the universe")
-        for s in self._covering(needed):
+        return needed
+
+    def minimal_containing(self, positions) -> SchemeSet:
+        """Lexicographically first scheme set of minimal rank covering `positions`."""
+        for s in self._covering(self.in_universe(positions)):
             return s
         raise NotInSchemeError("no scheme set covers the given positions")
 

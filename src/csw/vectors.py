@@ -12,7 +12,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_INTEGER = re.compile(r"-?[0-9]+")
+_RATIONAL = re.compile(_INTEGER.pattern + r"(?:/[0-9]+)?")
 _POSITION = re.compile(r"[0-9]+")
 
 
@@ -37,6 +38,15 @@ def parse_rational(text) -> Fraction:
         return Fraction(int(num), int(den or 1))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def parse_int(text) -> int:
+    """Parse an integer written as the "p" of `parse_rational`: ASCII digits
+    with one optional leading "-", surrounding whitespace stripped."""
+    text = text.strip()
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"{text!r} is not an integer written in ASCII digits")
+    return int(text)
 
 
 def _position(text) -> int:

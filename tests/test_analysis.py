@@ -254,9 +254,16 @@ def test_separation_two_term_degenerate(eps_half_depth1):
     H = [f.vector for f in eps_half_depth1.top_functionals]
     bound = max(dual_norm(y, H)[0] for y in ystars)
     config = SeparationConfig(tau=Fraction(0), n=0)
-    report = verify_eps_separation(eps_half_depth1, ys, ystars, config, indices=(0, 1))
+    report = verify_eps_separation(eps_half_depth1, ys, ystars, config)
     assert report.norms["combination"] == 1
     assert report.claim("separation_lower_bound").passed
+
+
+def test_separation_refuses_fewer_than_2n_plus_2_vectors(eps_half_depth1):
+    units = _unit_system(5)
+    with pytest.raises(ConfigInvalidError, match="need 2n[+]2 = 6 vectors, got 5"):
+        verify_eps_separation(eps_half_depth1, units, units,
+                              SeparationConfig(tau=Fraction(0), n=2))
 
 
 def test_separation_rejects_non_biorthogonal(eps_half_depth1):
@@ -467,7 +474,7 @@ def test_piece_scan_matches_full_scan(request, name):
     family = request.getfixturevalue(name)
     report = coherence_report(family)
     assert report.passed
-    assert report.to_json() == analysis._full_scan(family, 0).to_json()
+    assert report.to_json() == analysis._scan(family, 0, every=True).to_json()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -483,7 +490,7 @@ def test_piece_scan_matches_full_scan_on_tampered_families(
     vector = SparseVector({p: data.draw(values) for p in support})
     tampered = _tampered(family, s, index, vector)
     assert (coherence_report(tampered).to_json()
-            == analysis._full_scan(tampered, 0).to_json())
+            == analysis._scan(tampered, 0, every=True).to_json())
 
 
 def test_piece_scan_checks_pairs_a_loaded_decomposition_leaves_uncovered(k2_depth2):
@@ -500,22 +507,40 @@ def test_piece_scan_checks_pairs_a_loaded_decomposition_leaves_uncovered(k2_dept
     assert not report.passed
     assert _witnesses(report) == {"hull_coherence": (
         False, {"E": "rank0{3}", "F": "rank2{0,1,2,3}", "functional": "unit/a0"})}
-    assert report.to_json() == analysis._full_scan(family, 0).to_json()
+    assert report.to_json() == analysis._scan(family, 0, every=True).to_json()
+
+
+def _count_hull_calls(monkeypatch):
+    """A list whose length is the number of `in_symmetric_hull` calls that
+    `analysis` makes from now on."""
+    calls = []
+
+    def counted(f, H, try_direct=True):
+        calls.append(try_direct)
+        return in_symmetric_hull(f, H, try_direct)
+
+    monkeypatch.setattr(analysis, "in_symmetric_hull", counted)
+    return calls
 
 
 @pytest.mark.parametrize("name", PINNED_FAMILIES)
 def test_piece_scan_checks_only_the_piece_pairs(request, monkeypatch, name):
     family = request.getfixturevalue(name)
-    calls = 0
-
-    def counted(f, H, try_direct=True):
-        nonlocal calls
-        calls += 1
-        return in_symmetric_hull(f, H, try_direct)
-
-    monkeypatch.setattr(analysis, "in_symmetric_hull", counted)
+    calls = _count_hull_calls(monkeypatch)
     report = coherence_report(family)
     assert report.passed
-    assert calls == _piece_instances(family)
+    assert len(calls) == _piece_instances(family)
     if family.scheme.depth > 1:
-        assert calls < report.meta["hull_instances"]
+        assert len(calls) < report.meta["hull_instances"]
+
+
+@pytest.mark.parametrize("lp_every", [0, 3])
+def test_coherence_scans_a_failing_family_at_most_twice(k2_depth2, monkeypatch, lp_every):
+    family = _tampered(k2_depth2, k2_depth2.scheme.top, 4, parse_vector("2:3"))
+    calls = _count_hull_calls(monkeypatch)
+    report = coherence_report(family, lp_every=lp_every)
+    assert not report.passed and report.meta["hull_instances"] == 141
+    if lp_every:  # one every-pair scan and its 47 LP cross-checks
+        assert len(calls) == 141 + 47 and calls.count(False) == 47
+    else:  # the piece scan, then one every-pair scan
+        assert len(calls) == _piece_instances(family) + 141

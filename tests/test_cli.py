@@ -410,6 +410,54 @@ def test_vec_position_outside_ascii_digits_is_config_error(k_family_file, capsys
     assert out == "" and f"position {text!r} is not written in ASCII digits" in err
 
 
+# integers that int() would read but that are outside the "p" of the p/q
+# grammar: a "_" separator, a "+" sign, a non-ASCII digit; argparse refuses
+# an option value itself (exit 2), the library a comma list
+@pytest.mark.parametrize("text", ["1_0", "+3", "\u0662"],
+                         ids=["underscore", "plus", "arabic_digit"])
+@pytest.mark.parametrize("argv", [
+    ["type", "validate", "--m", "1,{}", "--n", "2", "--r", "0"],
+    ["type", "validate", "--m", "1,2", "--n", "{}", "--r", "0"],
+    ["scheme", "build", "--type", "1,{};2;0"],
+    ["analyze", "welldef", "--family", "H.json", "--samples", "{}"],
+    ["analyze", "welldef", "--family", "H.json", "--seed", "{}"],
+    ["analyze", "coherence", "--family", "H.json", "--lp-every", "{}"],
+    ["norming", "build", "--scheme", "s.json", "--space", "k", "--param", "2",
+     "--scale-cap", "{}", "--out", "H2.json"],
+    ["experiment", "eps", "--type", "1,6;6;0", "--eps", "1/2", "--n", "{}"],
+    ["experiment", "kbasis", "--type", "1,8;8;0", "--k", "2", "--L", "5/4",
+     "--n", "{}"],
+    ["experiment", "kbasis", "--type", "1,8;8;0", "--k", "2", "--L", "5/4",
+     "--n", "4", "--scale-cap", "{}"],
+], ids=["type_list", "type_n_list", "inline_type", "samples", "seed", "lp_every",
+        "norming_scale_cap", "eps_n", "kbasis_n", "kbasis_scale_cap"])
+def test_integer_outside_ascii_digits_is_config_error(k_family_file, capsys, argv, text):
+    argv = [str(k_family_file.with_name(a)) if a.endswith(".json") else a.format(text)
+            for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as stop:
+        code = stop.code
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and repr(text) in err
+
+
+def test_negative_root_size_is_a_claim_failure(capsys):
+    code, out, _ = run(capsys, "type", "validate", "--m", "1,2", "--n", "2", "--r", "-1")
+    assert code == 1
+    assert {v["constraint"] for v in json.loads(out)["violations"]} >= {"root_nonnegative"}
+
+
+@pytest.mark.parametrize("mode", ["local", "all"])
+@pytest.mark.parametrize("vec", ["999:1", "0:1,999:1"])
+def test_norm_refuses_positions_outside_the_universe(k_family_file, capsys, mode, vec):
+    code, out, err = run(capsys, "norm", "eval", "--family", str(k_family_file),
+                         "--vec", vec, "--norm-mode", mode)
+    assert code == 2
+    assert out == "" and "exceed the universe" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["norm", "eval", "--vec", "0:1,0:2", "--family", None],
     ["experiment", "eps", "--type", "1,6;6;0", "--eps", "1/2", "--n", "1",

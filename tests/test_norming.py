@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from csw.errors import (
     ConfigInvalidError,
     HomeMismatchError,
+    NotInSchemeError,
     ParameterOutOfRangeError,
     WrongSpaceKindError,
 )
@@ -223,6 +225,21 @@ def test_scale_cap_stability(scheme_depth3, k2_depth3):
         assert norm(x, k2_depth3) == norm(x, deeper)
 
 
+# the stability above is a depth-3 finding: at depth 4 with K = 2, the
+# attaining vector of the cap-1 basis constant (5, at cut 23) has norm 1 at
+# cap 1 and 5/2 at cap 2, attained by one exponent-2 functional
+def test_scale_cap_changes_a_norm_at_depth4():
+    scheme = build_scheme(validate_type(*TYPE_DEPTH4))
+    plus = [1, 5, *range(11, 15), *range(19, 23), 24, 33, 35, 36, 43, 44]
+    minus = [*range(6, 10), *range(15, 19), 23, *range(28, 31), *range(37, 41)]
+    y = SparseVector({**dict.fromkeys(plus, 1), **dict.fromkeys(minus, -1)})
+    cap1, cap2 = (build_K_family(scheme, 2, scale_cap=cap) for cap in (1, 2))
+    assert norm(y, cap1) == 1
+    assert norm(y, cap2) == Fraction(5, 2)
+    assert {f.label() for f in cap2.top_functionals
+            if abs(pair(f.vector, y)) == Fraction(5, 2)} == {"scaled_cut/cut23/exp2"}
+
+
 def test_transport_invariance_both_kinds(scheme_depth3, eps_half_depth3, k2_depth3):
     for family in (eps_half_depth3, k2_depth3):
         for rank in range(1, scheme_depth3.depth + 1):
@@ -258,6 +275,21 @@ def test_norm_of_zero_and_mode_validation(k2_tiny):
     assert norm(SparseVector(), k2_tiny) == 0
     with pytest.raises(ValueError):
         norm(SparseVector.unit(0), k2_tiny, mode="bogus")
+
+
+@pytest.mark.parametrize("mode", ["local", "all"])
+@pytest.mark.parametrize("text", ["999:1", "0:1,999:1"])
+def test_norm_refuses_positions_outside_the_universe(eps_half_depth2, mode, text):
+    with pytest.raises(NotInSchemeError, match=r"positions \[.*999\] exceed the universe"):
+        norm(v(text), eps_half_depth2, mode=mode)
+
+
+def test_all_mode_refuses_a_set_without_a_family(eps_half_depth2):
+    first = eps_half_depth2.scheme.levels[1][0]
+    families = {s: fam for s, fam in eps_half_depth2.families.items() if s != first}
+    hollow = replace(eps_half_depth2, families=families)
+    with pytest.raises(NotInSchemeError, match="no family attached"):
+        norm(v("0:1"), hollow, mode="all")
 
 
 def test_norm_reports_empty_family(scheme_tiny):

@@ -1,6 +1,7 @@
 """The benchmark's trace hooks and the demo scripts still run against the
 current package, and the package source keeps its exactness rules."""
 
+import argparse
 import ast
 import importlib.util
 import os
@@ -72,4 +73,22 @@ def test_source_has_no_assert_or_floating_point(source):
     # naming `float` (as in an isinstance refusal) stays legal
     tree = ast.parse(source.read_text(encoding="utf-8"), filename=str(source))
     found = [f"{source.name}:{node.lineno}: {what}" for node, what in _inexact_nodes(tree)]
+    assert found == []
+
+
+def _actions(parser, path=("csw",)):
+    """(command path, action) for every action of `parser` and its subparsers."""
+    for action in parser._actions:
+        yield path, action
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _actions(sub, path + (name,))
+
+
+def test_no_option_is_read_with_int():
+    # int() reads "1_0", "+3" and non-ASCII digits; options use parse_int
+    from csw.cli import build_parser
+
+    found = [" ".join(path) + " " + "/".join(action.option_strings or [action.dest])
+             for path, action in _actions(build_parser()) if action.type is int]
     assert found == []
