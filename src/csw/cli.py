@@ -90,7 +90,8 @@ def _parse_int_list(text):
 
 def _parse_file(path, parse):
     """parse(JSON content of path); undecodable JSON is an I/O error and a
-    structural or validation error a configuration error, each naming the file."""
+    structural, validation or transport error a configuration error, each naming
+    the file."""
     with open(path, encoding="utf-8") as handle:
         try:
             obj = json.load(handle)
@@ -99,7 +100,7 @@ def _parse_file(path, parse):
                           f"{type(err).__name__}: {err}") from None
     try:
         return parse(obj)
-    except (KeyError, IndexError, TypeError, AttributeError, ValueError, ConfigError) as err:
+    except (KeyError, IndexError, TypeError, AttributeError, ValueError, CswError) as err:
         raise ConfigError(f"malformed {path}: {type(err).__name__}: {err}") from None
 
 

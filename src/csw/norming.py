@@ -41,7 +41,9 @@ Construction runs bottom-up with one amalgamation per rank, at the first
 rank-k set; every other rank-k set gets that family's transport through the
 increasing bijection `Scheme.transport`.  The transport is exact because the
 bijection carries the first set's decomposition onto the set's own; the
-scheme refuses to give a bijection that does not.  Families are immutable
+scheme refuses to give a bijection that does not.  Loading a family file
+takes the same route: it reads the first set of each rank and refuses a file
+whose other sets are not that transport.  Families are immutable
 afterwards and norm evaluation is pure, so built values are safe to share.
 """
 
@@ -101,8 +103,9 @@ class Origin:
         return out
 
     @classmethod
-    def from_json(cls, obj, universe_size):
-        """An origin read from a family file; `alpha` and `cut` are positions."""
+    def from_json(cls, obj, positions):
+        """An origin read from a family file; `alpha` and `cut` must lie in
+        `positions`, the positions of the functional's set."""
         rule, rank = obj["rule"], obj["rank"]
         alpha, cut = obj.get("alpha"), obj.get("cut")
         exponent = obj.get("exponent", 0)
@@ -112,11 +115,9 @@ class Origin:
             raise ConfigInvalidError("origin rank and exponent must be integers, "
                                      f"got {rank!r} and {exponent!r}")
         for name, value in (("alpha", alpha), ("cut", cut)):
-            if value is not None and (type(value) is not int
-                                      or not 0 <= value < universe_size):
+            if value is not None and (type(value) is not int or value not in positions):
                 raise ConfigInvalidError(
-                    f"origin {name} must be a position 0..{universe_size - 1}, "
-                    f"got {value!r}")
+                    f"origin {name} must be a position of its set, got {value!r}")
         return cls(rule, rank, alpha, cut, exponent)
 
 
@@ -350,66 +351,72 @@ def global_dual(family: NormingFamily, alpha: int) -> SparseVector:
 # ---------------------------------------------------------------------------
 # JSON serialization
 
+def _entry(f: Functional) -> dict:
+    """The JSON entry the writer emits for one functional."""
+    entry = {"vec": f.vector.to_json(), "origin": f.origin.to_json()}
+    if len(f.origins) > 1:
+        entry["merged"] = [o.to_json() for o in f.origins[1:]]
+    return entry
+
+
 def family_to_json(family: NormingFamily) -> dict:
     scheme = family.scheme
-    payload = {}
-    for k, level in enumerate(scheme.levels):
-        for i, s in enumerate(level):
-            fam = family.families.get(s)
-            if fam is None:
-                continue
-            entries = []
-            for f in fam:
-                entry = {"vec": f.vector.to_json(), "origin": f.origin.to_json()}
-                if len(f.origins) > 1:
-                    entry["merged"] = [o.to_json() for o in f.origins[1:]]
-                entries.append(entry)
-            payload[f"{k}:{i}"] = entries
     return {
         "space": family.space_kind,
         "param": format_rational(family.parameter),
         "scale_cap": family.scale_cap,
         "scheme": scheme_to_json(scheme),
-        "families": payload,
+        "families": {f"{k}:{i}": [_entry(f) for f in family.functionals_for(s)]
+                     for k, level in enumerate(scheme.levels)
+                     for i, s in enumerate(level)},
     }
 
 
 def family_from_json(obj) -> NormingFamily:
-    if obj["space"] not in (EPS_KIND, K_KIND):
+    """A family read from a file: the first set of each rank is parsed and
+    checked, every other set's family is its transport (as the builders make
+    it), and each other set's entries must be the writer's for that transport."""
+    space = obj["space"]
+    if space not in (EPS_KIND, K_KIND):
         raise ConfigInvalidError(
-            f"space must be {EPS_KIND!r} or {K_KIND!r}, got {obj['space']!r}")
+            f"space must be {EPS_KIND!r} or {K_KIND!r}, got {space!r}")
     scale_cap = obj.get("scale_cap", 0)
-    param = _parameter(obj["space"], obj["param"], scale_cap)
+    param = _parameter(space, obj["param"], scale_cap)
     scheme = scheme_from_json(obj["scheme"])
-    universe_size = scheme.universe_size
-    families = {}
-    for key, entries in obj["families"].items():
-        s = scheme.set_by_id(key)
-        elements = set(s.elements)
+    entries = obj["families"]
+    keys = {f"{k}:{i}" for k, level in enumerate(scheme.levels) for i in range(len(level))}
+    odd = set(entries).symmetric_difference(keys)
+    if odd:
+        raise ConfigInvalidError(f"families keys differ from the scheme's sets at "
+                                 f"{min(odd)!r}: each set needs one key, written 'k:i'")
+
+    def read(first, *_):
+        """The checked family of `first`, the first set of its rank."""
+        key, elements = f"{first.rank}:0", set(first.elements)
         fam = []
-        for entry in entries:
-            origins = [Origin.from_json(o, universe_size)
-                       for o in (entry["origin"], *entry.get("merged", ()))]
+        for entry in entries[key]:
+            origins = tuple(Origin.from_json(o, elements)
+                            for o in (entry["origin"], *entry.get("merged", ())))
             vec = SparseVector.from_json(entry["vec"])
             if not elements.issuperset(vec.support):
                 raise ConfigInvalidError(f"a functional of {key} has position "
-                                         f"{min(set(vec.support) - elements)} outside {s}")
-            fam.append(Functional(vec, s, tuple(origins)))
-        if obj["space"] == EPS_KIND and (len(fam) != len(elements)
-                                         or {f.origin.alpha for f in fam} != elements):
+                                         f"{min(set(vec.support) - elements)} outside {first}")
+            fam.append(Functional(vec, first, origins))
+        if space == EPS_KIND and (len(fam) != len(elements)
+                                  or {f.origin.alpha for f in fam} != elements):
             raise ConfigInvalidError(
-                f"the eps functionals of {key} are not one per position of {s}")
-        families[s] = fam
-    for s in scheme.sets():
-        if s not in families:
-            raise ConfigInvalidError(f"families has no entry for the scheme set {s}")
-    return NormingFamily(
-        scheme=scheme,
-        space_kind=obj["space"],
-        parameter=param,
-        families=families,
-        scale_cap=scale_cap,
-    )
+                f"the eps functionals of {key} are not one per position of {first}")
+        return fam
+
+    families = _build(scheme, read, read)
+    for k, level in enumerate(scheme.levels):
+        for i, s in enumerate(level[1:], 1):
+            if (json.dumps(entries[f"{k}:{i}"], sort_keys=True)
+                    != json.dumps([_entry(f) for f in families[s]], sort_keys=True)):
+                raise ConfigInvalidError(
+                    f"the family of {k}:{i} is not the transport of the family of {k}:0")
+    return NormingFamily(scheme=scheme, space_kind=space, parameter=param,
+                         families=families, scale_cap=scale_cap)
 
 
 def family_dumps(family: NormingFamily) -> str:

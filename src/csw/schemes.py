@@ -268,11 +268,15 @@ def _is_initial_segment(prefix, whole):
 
 def _well_formed(scheme):
     for k, level in enumerate(scheme.levels):
+        seen = set()
         for s in level:
             if list(s.elements) != sorted(set(s.elements)) or (s.elements and s.elements[0] < 0):
                 yield f"{s} is not a strictly increasing nonnegative sequence"
             if s.rank != k:
                 yield f"{s} stored at level {k}"
+            if s in seen:
+                yield f"{s} is listed twice at level {k}"
+            seen.add(s)
 
 
 def _set_sizes(scheme):

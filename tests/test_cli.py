@@ -218,6 +218,22 @@ def test_family_without_scheme_is_config_error(k_family_file, capsys):
     assert str(k_family_file) in err
 
 
+@pytest.mark.parametrize("rank, index", [(0, 3), (1, 1)])
+def test_scheme_listing_a_set_twice_is_refused(tmp_path, capsys, rank, index):
+    scheme_file = tmp_path / "s.json"
+    run(capsys, "scheme", "build", "--type", "1,2,4;2,3;0,1",
+        "--out", str(scheme_file))
+    payload = json.loads(scheme_file.read_text())
+    payload["levels"][rank].append(payload["levels"][rank][index])
+    scheme_file.write_text(json.dumps(payload))
+    code, out, _ = run(capsys, "scheme", "check", str(scheme_file))
+    assert code == 1
+    assert "is listed twice at level" in out
+    code, _, err = run(capsys, "norming", "build", "--scheme", str(scheme_file),
+                       "--space", "k", "--param", "2")
+    assert code == 2 and "fails its axioms" in err
+
+
 def _rename(mapping, old, new):
     mapping[new] = mapping.pop(old)
 
@@ -262,7 +278,11 @@ def test_scheme_with_bad_decomposition_key_is_config_error(tmp_path, capsys, edi
 # set without exactly one functional per position, a scheme set without a
 # family, a set key not in its canonical spelling, a vector value outside the
 # "p/q" grammar (an exponent, a non-ASCII digit), a vector position that is
-# not ASCII digits
+# not ASCII digits; a set other than the first of its rank whose entries are
+# not the writer's for the transport of that first set's family (a vector
+# value, origin alphas, a rank-0 vector, the order of two functionals); an
+# embedded scheme whose rank-1 sets differ in size or whose first rank-1 set
+# has no decomposition
 @pytest.mark.parametrize("edit", [
     lambda p: _rename(p["families"], "2:0", "2:-1"),
     lambda p: p.update(param="x"),
@@ -284,13 +304,21 @@ def test_scheme_with_bad_decomposition_key_is_config_error(tmp_path, capsys, edi
     lambda p: p["families"]["1:0"][0]["vec"].update({"0": "1e0"}),
     lambda p: p["families"]["1:0"][0]["vec"].update({"0": "\u0661"}),
     lambda p: _rename(p["families"]["0:0"][0]["vec"], "0", "+0"),
+    lambda p: p["families"]["1:1"][0]["vec"].update({"2": "3"}),
+    lambda p: [e["origin"].update(alpha=a) for e, a in zip(p["families"]["1:1"], (2, 0))],
+    lambda p: p["families"]["0:3"][0]["vec"].update({"3": "2"}),
+    lambda p: p["families"]["1:2"].reverse(),
+    lambda p: p["scheme"]["levels"][1].__setitem__(1, [0, 2, 3]),
+    lambda p: p["scheme"]["decomposition"].pop("1:0"),
 ], ids=["negative_key", "bad_param", "zero_denominator_param", "bad_space",
         "eps_out_of_range", "boolean_param", "fractional_scale_cap",
         "boolean_vec_entry", "vec_outside_universe", "vec_outside_set",
         "repeated_vec_position", "top_set_lacks_a_functional", "duplicated_alpha",
         "alpha_moved_within_set", "missing_alpha", "missing_set",
         "non_canonical_set_key", "exponent_value", "non_ascii_value",
-        "signed_position"])
+        "signed_position", "transported_vec_value", "transported_alphas_swapped",
+        "transported_rank0_vec", "transported_entries_swapped",
+        "scheme_set_size_differs", "scheme_first_set_undecomposed"])
 def test_family_with_negative_set_key_is_config_error(tmp_path, capsys, edit):
     scheme_file = tmp_path / "s.json"
     family_file = tmp_path / "H.json"

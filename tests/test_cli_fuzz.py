@@ -1,7 +1,9 @@
 """Mutated scheme and family files, raw-byte damage to them, and arbitrary
 `--vec` and inline `--type` strings never crash `csw`: every command ends with
 one of the documented exit codes (0 pass, 1 claim failure, 2 configuration
-error, 3 I/O error) and no exception escapes `cli.main`."""
+error, 3 I/O error) and no exception escapes `cli.main`.  A family file that
+loads is one whose every set is the writer's transport of the first set of
+its rank."""
 
 import contextlib
 import copy
@@ -16,11 +18,13 @@ from csw import (
     build_K_family,
     build_eps_family,
     build_scheme,
+    family_from_json,
     family_to_json,
     scheme_to_json,
     validate_type,
 )
 from csw.cli import main
+from csw.errors import ConfigError
 
 SCHEME = build_scheme(validate_type([1, 2, 4], [2, 3], [0, 1]))
 BASES = {
@@ -73,10 +77,15 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+def run(argv):
+    """The exit code of `csw argv` and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return main(argv), err.getvalue()
+
+
 def exit_code(argv):
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        return main(argv)
+    return run(argv)[0]
 
 
 @pytest.mark.parametrize("kind", sorted(BASES))
@@ -90,6 +99,27 @@ def test_mutated_files_end_with_an_exit_code(workdir, kind, data):
     path.write_text(json.dumps(doc))
     for argv in COMMANDS[kind]:
         assert exit_code([*argv, str(path)]) in (0, 1, 2, 3), argv
+    if kind != "scheme":  # the zero vector's norm needs nothing past the load
+        code, err = run(["norm", "eval", "--vec", "", "--family", str(path)])
+        assert code == 0 or (code in (2, 3) and str(path) in err), (code, err)
+
+
+@pytest.mark.parametrize("kind", ["eps", "k"])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_an_edit_past_the_first_set_of_a_rank_is_refused(kind, data):
+    doc = json.loads(BASES[kind])
+    key = data.draw(st.sampled_from(
+        [key for key in sorted(doc["families"]) if key.split(":")[1] != "0"]))
+    before = json.dumps(doc["families"][key], sort_keys=True)
+    for _ in range(data.draw(st.integers(1, 3))):
+        if doc["families"][key]:
+            mutate(data, doc["families"][key])
+    if json.dumps(doc["families"][key], sort_keys=True) == before:
+        family_from_json(doc)
+    else:
+        with pytest.raises(ConfigError, match=f"{key} is not the transport"):
+            family_from_json(doc)
 
 
 @pytest.mark.parametrize("kind", sorted(BASES))

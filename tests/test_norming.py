@@ -404,7 +404,24 @@ def test_family_bytes_are_pinned(type_triple, space, param, cap, digest):
         family = build_eps_family(scheme, Fraction(param))
     else:
         family = build_K_family(scheme, Fraction(param), scale_cap=cap)
-    assert hashlib.sha256(family_dumps(family).encode()).hexdigest() == digest
+    text = family_dumps(family)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert family_dumps(family_loads(text)) == text
+
+
+def test_loading_parses_only_the_first_set_of_each_rank(k2_depth3, monkeypatch):
+    text = family_dumps(k2_depth3)
+    parsed = []
+    from_json = SparseVector.from_json
+
+    def counted(obj):
+        parsed.append(obj)
+        return from_json(obj)
+
+    monkeypatch.setattr(SparseVector, "from_json", counted)
+    family = family_loads(text)
+    assert len(parsed) == sum(len(family.functionals_for(level[0]))
+                              for level in family.scheme.levels) == 72
 
 
 @pytest.mark.parametrize("build", [

@@ -197,7 +197,12 @@ AXIOM_CASES = {
         ("decomposition-delta-system", "rank1{0,1} has a child missing from level 0"),
         _NOT_UNIVERSE]),
     "two-tops": (lambda s: s.levels[2].append(s.top), [
+        ("well-formed", f"{_TOP} is listed twice at level 2"),
         ("top-covers-all", "top level is not the single full-universe set")]),
+    "repeated-singleton": (lambda s: s.levels[0].append(s.levels[0][3]), [
+        ("well-formed", "rank0{3} is listed twice at level 0")]),
+    "repeated-piece": (lambda s: s.levels[1].append(s.levels[1][1]), [
+        ("well-formed", "rank1{0,2} is listed twice at level 1")]),
 }
 
 
