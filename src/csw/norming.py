@@ -28,9 +28,11 @@ with the total scaling exponent capped at `scale_cap`.  Singleton families
 are {K^-j e_a : j <= scale_cap}.  Cuts compose into single cuts, so the
 closure is finite.  Units and spreads have 0/1 entries times K^-e, and a
 scaled cut keeps a 0/1 pattern and adds 1 to e, so every functional is
-K^-e chi_S, with e the exponent of each of its origins.  As K > 1, every
-route to a vector carries the same e: the closure expands each vector once
-and only collects the origins of the routes that reach it again.
+K^-e chi_S, with e the exponent of each of its origins.  As K > 1, the pair
+(S, e) names the vector, so the closure runs on (support, exponent) pairs: a
+scaled cut at d keeps the part of S below d and adds 1 to e.  It expands
+each pair once, collects the origins of the routes that reach it again, and
+builds each vector K^-e chi_S once, after the closure.
 
 Norms: |x| = max |<f, x>| over f in H_F, where F is the minimal-rank scheme
 set containing supp(x) ("local" mode; coherence makes the choice of F
@@ -50,6 +52,7 @@ afterwards and norm evaluation is pure, so built values are safe to share.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -131,10 +134,6 @@ class Functional:
     def origin(self) -> Origin:
         return self.origins[0]
 
-    @property
-    def exponent(self) -> int:
-        return min(o.exponent for o in self.origins)
-
     def label(self) -> str:
         o = self.origin
         bits = [o.rule]
@@ -180,7 +179,7 @@ def spread(scheme: Scheme, f: Functional, F: SchemeSet) -> Functional:
         raise HomeMismatchError(f"functional lives on {f.home}, expected first piece {first}")
     vec = _spread_vector(f.vector, maps)
     origin = Origin(rule=RULE_SPREAD, rank=F.rank, alpha=f.origin.alpha,
-                    exponent=f.exponent)
+                    exponent=f.origin.exponent)
     return Functional(vector=vec, home=F, origins=(origin,))
 
 
@@ -239,6 +238,8 @@ def _build(scheme, rank0, amalgamate) -> dict:
             first, scheme.piece_maps(first), families[scheme.decomposition[first][0]])
         families[first] = fam
         for F in level[1:]:
+            if F in families:
+                raise ConfigInvalidError(f"{F} is listed twice at level {k}")
             families[F] = _transported(fam, scheme.transport(F), F)
     return families
 
@@ -280,37 +281,37 @@ def build_K_family(scheme: Scheme, K, scale_cap=1) -> NormingFamily:
 
     def amalgamate(F, maps, first_family):
         k = F.rank
-        origins = {}  # vector -> {origin: None}, origins in discovery order
+        origins = {}  # (support, e) -> {origin: None}, origins in discovery order
         queue = []
 
-        def register(vec, origin):
-            """Enqueue a new vector; give a known one the origin if it is new."""
-            if vec in origins:
-                origins[vec][origin] = None
+        def register(key, origin):
+            """Enqueue a new key; give a known one the origin if it is new."""
+            if key in origins:
+                origins[key][origin] = None
             else:
-                origins[vec] = {origin: None}
-                queue.append((vec, origin.exponent))
+                origins[key] = {origin: None}
+                queue.append(key)
 
         for a in F.elements:
-            register(SparseVector.unit(a), Origin(RULE_UNIT, k, alpha=a))
+            register(((a,), 0), Origin(RULE_UNIT, k, alpha=a))
         for f in first_family:
-            vec = _spread_vector(f.vector, maps)
-            register(vec, Origin(RULE_SPREAD, k, alpha=f.origin.alpha,
-                                 exponent=f.origin.exponent))
+            e = f.origin.exponent
+            register((_spread_vector(f.vector, maps).support, e),
+                     Origin(RULE_SPREAD, k, alpha=f.origin.alpha, exponent=e))
         cuts = list(F.elements) + [None]
         while queue:
-            source, e = queue.pop()
+            support, e = queue.pop()
             if e >= scale_cap:
                 continue
             for cut in cuts:
-                vec = source if cut is None else source.restrict_below(cut)
-                if vec.is_zero():
-                    continue
-                vec = vec.scale(inv)
-                register(vec, Origin(RULE_SCALED_CUT, k, cut=cut, exponent=e + 1))
-        fam = [Functional(vec, F, tuple(found)) for vec, found in origins.items()]
-        return sorted(fam, key=lambda f: (f.origin.exponent, f.vector.support,
-                                          tuple(f.vector.items())))
+                below = support if cut is None else support[:bisect_left(support, cut)]
+                if below:
+                    register((below, e + 1),
+                             Origin(RULE_SCALED_CUT, k, cut=cut, exponent=e + 1))
+        powers = [inv ** e for e in range(scale_cap + 1)]
+        return [Functional(SparseVector(dict.fromkeys(support, powers[e])), F,
+                           tuple(origins[support, e]))
+                for e, support in sorted((e, s) for s, e in origins)]
 
     families = _build(scheme, lambda s: _units(s, inv, scale_cap), amalgamate)
     return NormingFamily(scheme=scheme, space_kind=K_KIND, parameter=K,
@@ -390,6 +391,15 @@ def family_from_json(obj) -> NormingFamily:
         raise ConfigInvalidError(f"families keys differ from the scheme's sets at "
                                  f"{min(odd)!r}: each set needs one key, written 'k:i'")
 
+    powers = {}  # e -> the writer's string for K^-e
+
+    def is_k_power(e, text):
+        """Whether `text` is the writer's string for K^-e.  Its denominator has
+        more than e/4 digits, so a shorter text is refused without the power."""
+        if 4 * len(text) >= e and e not in powers:
+            powers[e] = format_rational(param ** -e)
+        return powers.get(e) == text
+
     def read(first, *_):
         """The checked family of `first`, the first set of its rank."""
         key, elements = f"{first.rank}:0", set(first.elements)
@@ -397,6 +407,16 @@ def family_from_json(obj) -> NormingFamily:
         for entry in entries[key]:
             origins = tuple(Origin.from_json(o, elements)
                             for o in (entry["origin"], *entry.get("merged", ())))
+            if space == K_KIND:
+                e = origins[0].exponent
+                if any(o.exponent != e for o in origins) or not 0 <= e <= scale_cap:
+                    raise ConfigInvalidError(
+                        f"a functional of {key} has origin exponents "
+                        f"{sorted({o.exponent for o in origins})}, not one in 0..{scale_cap}")
+                texts = set(entry["vec"].values())
+                if len(texts) != 1 or not is_k_power(e, texts.pop()):
+                    raise ConfigInvalidError(f"a functional of {key} with exponent {e} "
+                                             f"is not K^-{e} on a nonempty support")
             vec = SparseVector.from_json(entry["vec"])
             if not elements.issuperset(vec.support):
                 raise ConfigInvalidError(f"a functional of {key} has position "

@@ -17,6 +17,7 @@ TYPE_DEPTH1 = ([1, 6], [6], [0])
 TYPE_DEPTH2 = ([1, 2, 4], [2, 3], [0, 1])
 TYPE_DEPTH3 = ([1, 2, 4, 10], [2, 3, 4], [0, 1, 2])
 TYPE_DEPTH4 = ([1, 2, 4, 10, 46], [2, 3, 4, 5], [0, 1, 2, 1])
+TYPE_DEPTH5 = ([1, 2, 4, 10, 46, 271], [2, 3, 4, 5, 6], [0, 1, 2, 1, 1])
 TYPE_WIDE8 = ([1, 8], [8], [0])
 TYPE_TINY = ([1, 2], [2], [0])
 

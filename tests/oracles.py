@@ -114,3 +114,46 @@ def random_span_member(rng, H, dim):
     for h in H:
         g = g + h.scale(random_fraction(rng, max_num=3, max_den=3))
     return g
+
+
+def k_family_vectors(scheme, K, cap):
+    """{set: the vectors of its scaled-cut family H_F}, from the definition.
+
+    Each set is closed on its own, from its own pieces, with no transport:
+    H_F is the closure of the unit vectors of F and the spreads of the first
+    piece's family under g -> (1/K)(g below d), d in F, and g -> (1/K) g, on
+    (vector, exponent) pairs whose exponent stays at most `cap`.  A singleton
+    {a} carries K^-j e_a for j <= cap.
+    """
+    inv = Fraction(1) / Fraction(K)
+    pairs = {}
+
+    def closure(F):
+        if F in pairs:
+            return pairs[F]
+        if F.rank == 0:
+            found = {(SparseVector.unit(F.elements[0]).scale(inv ** j), j)
+                     for j in range(cap + 1)}
+        else:
+            first, *others = scheme.decomposition[F]
+            found = {(SparseVector.unit(a), 0) for a in F.elements}
+            for g, e in closure(first):
+                spread = g
+                for piece in others:
+                    moved = g.map_positions(dict(zip(first.elements, piece.elements)))
+                    spread = spread + moved.restrict_to(set(piece.elements) - set(first.elements))
+                found.add((spread, e))
+            todo = list(found)
+            while todo:
+                g, e = todo.pop()
+                if e >= cap:
+                    continue
+                for d in (*F.elements, None):
+                    h = (g if d is None else g.restrict_below(d)).scale(inv)
+                    if h and (h, e + 1) not in found:
+                        found.add((h, e + 1))
+                        todo.append((h, e + 1))
+        pairs[F] = found
+        return found
+
+    return {F: {g for g, _ in closure(F)} for F in scheme.sets()}

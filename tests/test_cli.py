@@ -365,18 +365,49 @@ def test_family_with_bad_origin_is_config_error(tmp_path, capsys, edit, command)
     assert out == "" and str(family_file) in err
 
 
+# edits of a built 1,2;2;0 K=2 cap1 family file that loading must refuse: the
+# parameters, and a first-set functional that is not K^-e on a nonempty support
+# for one exponent e in 0..scale_cap (a wrong value, a merged origin of another
+# exponent, an exponent above the cap, a value not written as format_rational
+# writes it, an empty vector)
 @pytest.mark.parametrize("edit", [
     lambda p: p.update(param="1"),
     lambda p: p.update(scale_cap=0),
     lambda p: p.update(scale_cap=True),
-], ids=["K_not_above_1", "scale_cap_0", "boolean_scale_cap"])
+    lambda p: p["families"]["1:0"][-1]["vec"].update({"1": "5"}),
+    lambda p: p["families"]["1:0"][3]["merged"][0].pop("exponent"),
+    lambda p: p["families"]["1:0"][-1].update(
+        origin={"exponent": 2, "rank": 1, "rule": "scaled_cut"}, vec={"1": "1/4"}),
+    lambda p: p["families"]["1:0"][-1]["vec"].update({"1": "2/4"}),
+    lambda p: p["families"]["1:0"][-1].update(vec={}),
+], ids=["K_not_above_1", "scale_cap_0", "boolean_scale_cap", "value_not_K_power",
+        "merged_exponent_differs", "exponent_above_cap", "value_not_canonical",
+        "empty_vec"])
 def test_k_family_parameters_are_checked_at_load(k_family_file, capsys, edit):
     payload = json.loads(k_family_file.read_text())
     edit(payload)
     k_family_file.write_text(json.dumps(payload))
-    code, _, err = run(capsys, "analyze", "biorth", "--family", str(k_family_file))
+    code, out, err = run(capsys, "norm", "eval", "--family", str(k_family_file),
+                         "--vec", "0:1,1:1")
     assert code == 2
-    assert str(k_family_file) in err
+    assert out == "" and str(k_family_file) in err
+
+
+# a family file whose embedded scheme lists a set twice, with a family for
+# each listing: the sweeps would count the duplicate's nested pairs twice
+def test_family_with_a_set_listed_twice_is_config_error(tmp_path, capsys):
+    scheme_file = tmp_path / "s.json"
+    family_file = tmp_path / "H.json"
+    run(capsys, "scheme", "build", "--type", "1,2,4;2,3;0,1", "--out", str(scheme_file))
+    run(capsys, "norming", "build", "--scheme", str(scheme_file),
+        "--space", "k", "--param", "2", "--out", str(family_file))
+    payload = json.loads(family_file.read_text())
+    payload["scheme"]["levels"][0].append([3])
+    payload["families"]["0:4"] = payload["families"]["0:3"]
+    family_file.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "analyze", "coherence", "--family", str(family_file))
+    assert code == 2
+    assert out == "" and str(family_file) in err
 
 
 @pytest.mark.parametrize("type_obj", [

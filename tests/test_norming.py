@@ -32,7 +32,8 @@ from csw.schemes import (
 )
 from csw.vectors import SparseVector, pair, parse_vector
 
-from conftest import TYPE_DEPTH2, TYPE_DEPTH3, TYPE_DEPTH4, TYPE_WIDE8
+from conftest import TYPE_DEPTH2, TYPE_DEPTH3, TYPE_DEPTH4, TYPE_DEPTH5, TYPE_WIDE8
+from oracles import k_family_vectors
 
 HALF = Fraction(1, 2)
 
@@ -195,7 +196,7 @@ def test_closure_property_exhaustive(scheme_depth2, k2_depth2):
         fam = k2_depth2.functionals_for(s)
         vectors = {f.vector for f in fam}
         for f in fam:
-            if f.exponent >= cap:
+            if f.origin.exponent >= cap:
                 continue
             for cut in s.elements:
                 image = f.vector.restrict_below(cut).scale(Fraction(1) / K)
@@ -215,6 +216,25 @@ def test_k_functionals_are_scaled_indicators_of_one_exponent(type_triple, K, cap
         e = f.origin.exponent
         assert {o.exponent for o in f.origins} == {e}, f.label()
         assert {v for _, v in f.vector.items()} == {K ** -e}, f.label()
+
+
+# the builder closes (support, exponent) pairs at the first set of each rank
+# and transports; the oracle closes vectors at every set from the definition
+ORACLE_CASES = [(name, t, K, cap)
+                for name, t in (("d2", TYPE_DEPTH2), ("d3", TYPE_DEPTH3), ("w8", TYPE_WIDE8))
+                for K in ("3/2", "2", "5/2") for cap in (1, 2, 3)] + [("d4", TYPE_DEPTH4, "2", 2)]
+
+
+@pytest.mark.parametrize("type_triple, K, cap", [c[1:] for c in ORACLE_CASES],
+                         ids=[f"{n}-K{K}-cap{cap}" for n, _, K, cap in ORACLE_CASES])
+def test_k_family_matches_the_closure_oracle(type_triple, K, cap):
+    scheme = build_scheme(validate_type(*type_triple))
+    family = build_K_family(scheme, Fraction(K), scale_cap=cap)
+    expected = k_family_vectors(scheme, K, cap)
+    for s in scheme.sets():
+        vectors = [f.vector for f in family.functionals_for(s)]
+        assert len(set(vectors)) == len(vectors), s
+        assert set(vectors) == expected[s], s
 
 
 def test_scale_cap_stability(scheme_depth3, k2_depth3):
@@ -371,7 +391,8 @@ def test_family_round_trip(eps_half_depth2, k2_depth2):
 
 
 # sha256 of family_dumps for (type, space, parameter, scale_cap), recorded
-# when every set's family was still built separately
+# when every set's family was still built separately; the two d5 digests were
+# recorded when the K closure still ran on Fraction vectors
 FAMILY_DIGESTS = [
     (TYPE_DEPTH2, "k", "5/2", 2,
      "6b8811d606d8e5627da6034af45893cb1f4876b230b58a2d44ad9d88630c1e98"),
@@ -391,13 +412,18 @@ FAMILY_DIGESTS = [
      "61801f2ca917b2913c7630ba34f4c751bfab738dd0aefbf15053495be141d245"),
     (TYPE_DEPTH4, "k", "2", 2,
      "fc4dfd1101d90b1963d560beb32a1eed7542958c3f830052e5904ea8cdb2f8ac"),
+    (TYPE_DEPTH5, "eps", "1/2", 0,
+     "44c58aa958f536d64b7f401ec1bfcaea14c530b3071a40db8c66ce6313a903ad"),
+    (TYPE_DEPTH5, "k", "2", 1,
+     "c6aa94a6e985c190a8d6f956f3f2839d341bc03ea425f80a467f3d8d35abbde7"),
 ]
 
 
 @pytest.mark.parametrize("type_triple, space, param, cap, digest", FAMILY_DIGESTS,
                          ids=["d2-k-5/2-cap2", "d3-eps-1/3", "d3-k-2-cap2",
                               "d4-eps-1/2", "d4-k-2-cap1", "w16-k-3/2-cap1",
-                              "d3-k-3/2-cap3", "w8-k-5/2-cap3", "d4-k-2-cap2"])
+                              "d3-k-3/2-cap3", "w8-k-5/2-cap3", "d4-k-2-cap2",
+                              "d5-eps-1/2", "d5-k-2-cap1"])
 def test_family_bytes_are_pinned(type_triple, space, param, cap, digest):
     scheme = build_scheme(validate_type(*type_triple))
     if space == "eps":
