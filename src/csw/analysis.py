@@ -371,15 +371,18 @@ def well_definedness_report(family: NormingFamily, samples=200, seed=0) -> Exper
         raise ConfigInvalidError(f"samples must be >= 1, got {samples}")
     rng = random.Random(seed)
     scheme = family.scheme
+    vectors = {}  # each covering set's vector list, built at its first use
     bad = None
     checked = 0
     while checked < samples:
         x = random_rational_vector(rng, scheme.universe_size)
         if x.is_zero():
             continue
-        covering = scheme.containing_sets(x.support)
-        values = {norming_max(x, [f.vector for f in family.functionals_for(s)])
-                  for s in covering}
+        values = set()
+        for s in scheme.containing_sets(x.support):
+            if s not in vectors:
+                vectors[s] = [f.vector for f in family.functionals_for(s)]
+            values.add(norming_max(x, vectors[s]))
         checked += 1
         if len(values) != 1 and bad is None:
             bad = {"vector": x.to_json(),

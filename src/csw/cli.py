@@ -18,7 +18,14 @@ import tempfile
 
 from . import analysis, norming, schemes
 from .errors import ConfigError, CswError
-from .vectors import format_rational, parse_int, parse_rational, parse_vector
+from .vectors import (
+    SparseVector,
+    format_rational,
+    parse_entries,
+    parse_int,
+    parse_rational,
+    parse_vector,
+)
 
 EXIT_PASS = 0
 EXIT_CLAIM_FAILURE = 1
@@ -171,8 +178,9 @@ def cmd_norming_build(args):
 
 def cmd_norm_eval(args):
     family = _load_family(args.family)
-    vec = parse_vector(args.vec)
-    value = norming.norm(vec, family, mode=args.norm_mode)
+    entries = parse_entries(args.vec)
+    family.scheme.in_universe(entries)  # the positions as written, zeros too
+    value = norming.norm(SparseVector(entries), family, mode=args.norm_mode)
     print(format_rational(value))
     return EXIT_PASS
 

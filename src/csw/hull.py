@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import NotInSpanError
 from .simplex import EQ, GE, LE, LinearConstraint, simplex_solve
-from .vectors import SparseVector, pair
+from .vectors import SparseVector
 
 
 def _positions(vectors):
@@ -76,15 +77,34 @@ def proportional_member(f: SparseVector, H, bound):
 
     f must be nonzero.  A hit writes f with mass |c|, so it bounds
     dual_norm(f, H) by |c| without an LP.
+
+    Integers throughout: supports are compared as entry-dict key sets, and
+    with f[lead] = A/B and h[lead] = C/D the ratio is (A D)/(B C), so
+    |ratio| <= bound is one cross-multiplication and f[p] == ratio * h[p],
+    for f[p] = a/b and h[p] = c/d, is a B C d == A D c b.  The one Fraction
+    built is the ratio of a hit, so the result equals the Fraction scan by
+    sorted support and h.scale(ratio), first index included.
     """
-    support = f.support
-    lead = support[0]
+    entries = f._entries
+    size, keys = len(entries), entries.keys()
+    lead = next(iter(keys))
+    lead_value = entries[lead]
+    bound_n, bound_d = bound.numerator, bound.denominator
     for i, h in enumerate(H):
-        if h.support != support:
+        values = h._entries
+        if len(values) != size or values.keys() != keys:
             continue
-        ratio = f[lead] / h[lead]
-        if abs(ratio) <= bound and f == h.scale(ratio):
-            return i, ratio
+        scale = values[lead]
+        rn = lead_value.numerator * scale.denominator
+        rd = lead_value.denominator * scale.numerator
+        if abs(rn) * bound_d > bound_n * abs(rd):
+            continue
+        for p, v in entries.items():
+            w = values[p]
+            if v.numerator * rd * w.denominator != rn * w.numerator * v.denominator:
+                break
+        else:
+            return i, Fraction(rn, rd)
     return None
 
 
@@ -154,10 +174,34 @@ def polar_support(g: SparseVector, H):
 
 
 def norming_max(x: SparseVector, H) -> Fraction:
-    """max |<h, x>| over the finite norming set H."""
-    best = Fraction(0)
+    """max |<h, x>| over the finite norming set H.
+
+    Integers throughout: x is scaled once to X = D x, D the lcm of its
+    denominators.  Each <h, X> is summed as n/d over the common positions
+    (a dict-view intersection, which walks the smaller support as `pair`
+    does), with d the lcm of the denominators of h's values seen so far,
+    grown only when a new one appears.  Candidates are compared by
+    cross-multiplying, and the one Fraction built is the best n/(d D), so
+    the result equals max |pair(h, x)| in Fractions.
+    """
+    xs = x._entries
+    if not xs:
+        return Fraction(0)
+    D = lcm(*(v.denominator for v in xs.values()))
+    X = {p: v.numerator * (D // v.denominator) for p, v in xs.items()}
+    positions = X.keys()
+    best_n, best_d = 0, 1
     for h in H:
-        v = abs(pair(h, x))
-        if v > best:
-            best = v
-    return best
+        values = h._entries
+        n, d = 0, 1
+        for p in values.keys() & positions:
+            v = values[p]
+            b = v.denominator
+            if d % b:
+                m = b // gcd(d, b)
+                n *= m
+                d *= m
+            n += v.numerator * X[p] * (d // b)
+        if abs(n) * best_d > best_n * d:
+            best_n, best_d = abs(n), d
+    return Fraction(best_n, best_d * D)

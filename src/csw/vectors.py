@@ -203,11 +203,10 @@ def pair(f: SparseVector, x: SparseVector) -> Fraction:
     return total
 
 
-def parse_vector(text) -> SparseVector:
-    """Parse "pos:val,pos:val" (values as "p/q") into a SparseVector."""
+def parse_entries(text) -> dict:
+    """Parse "pos:val,pos:val" (values as "p/q") into {position: value},
+    zero values kept, so the keys are the positions as written."""
     text = (text or "").strip()
-    if not text:
-        return SparseVector()
     entries = {}
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -220,7 +219,13 @@ def parse_vector(text) -> SparseVector:
         if pos in entries:
             raise ValueError(f"position {pos} appears twice in {text!r}")
         entries[pos] = parse_rational(val)
-    return SparseVector._of({p: v for p, v in entries.items() if v})
+    return entries
+
+
+def parse_vector(text) -> SparseVector:
+    """Parse "pos:val,pos:val" (values as "p/q") into a SparseVector; zero
+    values are dropped."""
+    return SparseVector._of({p: v for p, v in parse_entries(text).items() if v})
 
 
 def format_vector(vec: SparseVector) -> str:

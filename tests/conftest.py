@@ -80,3 +80,13 @@ def k2_depth2(scheme_depth2):
 @pytest.fixture(scope="session")
 def k2_depth3(scheme_depth3):
     return build_K_family(scheme_depth3, 2, scale_cap=1)
+
+
+@pytest.fixture(scope="session")
+def eps_half_depth5():
+    return build_eps_family(build_scheme(validate_type(*TYPE_DEPTH5)), Fraction(1, 2))
+
+
+@pytest.fixture(scope="session")
+def k2cap2_depth4():
+    return build_K_family(build_scheme(validate_type(*TYPE_DEPTH4)), 2, scale_cap=2)

@@ -1,16 +1,19 @@
-"""Independent brute-force oracles used to cross-check the LP machinery.
+"""Independent brute-force oracles used to cross-check the LP machinery
+and the integer kernels of `csw.hull`.
 
 Everything here is deliberately simplex-free: plain Gaussian elimination
 over Fractions plus exhaustive vertex enumeration.  The gauge of the
 symmetric hull conv(+-H) at g equals the support function of the polar
 polytope {y : |<h, y>| <= 1}, so enumerating the polar's vertices and
 maximizing <y, g> reproduces dual_norm by a completely different route.
+`norming_max_oracle` and `proportional_member_oracle` are the definitions
+of the two hull kernels, written with one Fraction per arithmetic step.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from csw.vectors import SparseVector
+from csw.vectors import SparseVector, pair
 
 
 def solve_square_system(rows, rhs):
@@ -84,6 +87,29 @@ def gauge_oracle(g, H, dim):
         if value > best:
             best = value
     return best
+
+
+def norming_max_oracle(x, H):
+    """max |pair(h, x)| over H, in Fractions; 0 for an empty H."""
+    best = Fraction(0)
+    for h in H:
+        best = max(best, abs(pair(h, x)))
+    return best
+
+
+def proportional_member_oracle(f, H, bound):
+    """The first (i, c) with f == c * H[i] and |c| <= bound, else None: the
+    scan by sorted support, with the ratio read at f's least position and
+    tested by building h.scale(ratio)."""
+    support = f.support
+    lead = support[0]
+    for i, h in enumerate(H):
+        if h.support != support:
+            continue
+        ratio = f[lead] / h[lead]
+        if abs(ratio) <= bound and f == h.scale(ratio):
+            return i, ratio
+    return None
 
 
 def random_fraction(rng, max_num=5, max_den=4, nonzero=False):

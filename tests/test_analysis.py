@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csw import analysis
+from csw.cli import _json_text
 from csw.analysis import (
     EpsExperimentConfig,
     KExperimentConfig,
@@ -449,6 +451,33 @@ def test_well_definedness_reports_first_disagreement(k2_depth2):
     report = well_definedness_report(family, samples=20, seed=0)
     assert _witnesses(report) == {"norm_independent_of_covering_set": (
         False, {"vector": {"0": "3"}, "values": ["3", "9"]})}
+
+
+# sha256 of each report as `csw analyze` renders it, recorded while
+# norming_max and proportional_member still computed in Fractions
+REPORT_DIGESTS = [
+    ("welldef", "k2cap2_depth4",
+     "1d07611aa07f049bc052be9c56a55b98d83f2dc55737e01b0c56e1d5a1e3c1ce"),
+    ("welldef", "eps_half_depth5",
+     "1d07611aa07f049bc052be9c56a55b98d83f2dc55737e01b0c56e1d5a1e3c1ce"),
+    ("coherence", "k2cap2_depth4",
+     "85a65b77a12f3a8a354612a3b5c1b3749986c69fe427ccf24c24bf4571d22e3e"),
+    ("coherence", "eps_half_depth5",
+     "cda6a6918aa32b0f26ca1da6162e67010140248a34a17cecacb9b53f78f64b92"),
+]
+
+
+@pytest.mark.parametrize("what, name, digest", REPORT_DIGESTS,
+                         ids=["welldef-d4-k-2-cap2", "welldef-d5-eps-1/2",
+                              "coherence-d4-k-2-cap2", "coherence-d5-eps-1/2"])
+def test_report_bytes_are_pinned(request, what, name, digest):
+    family = request.getfixturevalue(name)
+    if what == "welldef":
+        report = well_definedness_report(family, samples=200, seed=0)
+    else:
+        report = coherence_report(family)
+    text = _json_text(report.to_json())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

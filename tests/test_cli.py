@@ -95,6 +95,11 @@ def test_norm_eval_values(k_family_file, capsys):
     code, out, _ = run(capsys, "norm", "eval", "--family", str(k_family_file),
                        "--vec", "")
     assert (code, out.strip()) == (0, "0")
+    for mode in ("local", "all"):
+        for vec, value in (("0:0", "0"), ("0:1,1:0", "1")):
+            code, out, _ = run(capsys, "norm", "eval", "--family", str(k_family_file),
+                               "--vec", vec, "--norm-mode", mode)
+            assert (code, out.strip()) == (0, value)
 
 
 def test_norm_mode_flag_demonstrates_discrepancy(tmp_path, capsys):
@@ -508,8 +513,9 @@ def test_negative_root_size_is_a_claim_failure(capsys):
     assert {v["constraint"] for v in json.loads(out)["violations"]} >= {"root_nonnegative"}
 
 
+# a zero value is dropped from the vector, but its position is still checked
 @pytest.mark.parametrize("mode", ["local", "all"])
-@pytest.mark.parametrize("vec", ["999:1", "0:1,999:1"])
+@pytest.mark.parametrize("vec", ["999:1", "0:1,999:1", "9:0", "0:1,2:0"])
 def test_norm_refuses_positions_outside_the_universe(k_family_file, capsys, mode, vec):
     code, out, err = run(capsys, "norm", "eval", "--family", str(k_family_file),
                          "--vec", vec, "--norm-mode", mode)

@@ -11,11 +11,19 @@ from csw.hull import (
     in_symmetric_hull,
     norming_max,
     polar_support,
+    proportional_member,
     verify_decomposition,
 )
 from csw.vectors import SparseVector, pair, parse_vector
 
-from oracles import gauge_oracle, random_fraction, random_norming_set, random_span_member
+from oracles import (
+    gauge_oracle,
+    norming_max_oracle,
+    proportional_member_oracle,
+    random_fraction,
+    random_norming_set,
+    random_span_member,
+)
 
 E0, E1 = SparseVector.unit(0), SparseVector.unit(1)
 
@@ -103,3 +111,64 @@ def test_dual_norm_triangle_and_weak_duality(seed):
     x = SparseVector((p, random_fraction(rng)) for p in range(dim))
     primal = norming_max(x, H)
     assert abs(pair(g1, x)) <= v1 * primal
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels against their Fraction definitions
+
+# mixed signs over large coprime denominators: powers of 5/2 and 2/5 as in
+# the K = 5/2 families, of 1/3 as in eps = 1/3, and plain integers
+VALUES = st.builds(lambda k, base, e: k * base ** e,
+                   st.integers(-3, 3).filter(bool),
+                   st.sampled_from([Fraction(5, 2), Fraction(2, 5), Fraction(1, 3),
+                                    Fraction(-1, 7), Fraction(1)]),
+                   st.integers(0, 12))
+VECTORS = st.dictionaries(st.integers(0, 7), VALUES, max_size=6).map(SparseVector)
+RATIOS = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 3), Fraction(-5, 2),
+                          Fraction(2, 5), Fraction(-32, 3125)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(VECTORS, st.lists(VECTORS, max_size=8))
+def test_norming_max_matches_its_oracle(x, H):
+    assert norming_max(x, H) == norming_max_oracle(x, H)
+
+
+def test_norming_max_of_a_zero_vector_or_an_empty_set_is_zero():
+    H = [E0, E1.scale(Fraction(-5, 2))]
+    assert norming_max(SparseVector(), H) == 0
+    assert norming_max(parse_vector("0:1/3,1:-2"), []) == 0
+    assert norming_max(parse_vector("0:1/3,1:-2"), iter(H)) == 5
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(VECTORS.filter(bool), min_size=1, max_size=6), st.data())
+def test_proportional_member_matches_its_oracle(H, data):
+    # duplicates (the first index must win) and multiples (the same support
+    # at another ratio, negative ones included), in any order
+    copies = data.draw(st.lists(st.tuples(st.integers(0, len(H) - 1), RATIOS),
+                                max_size=4))
+    H = data.draw(st.permutations(H + [H[i].scale(r) for i, r in copies]))
+    ratio = data.draw(RATIOS)
+    f = data.draw(st.one_of(st.sampled_from(H).map(lambda h: h.scale(ratio)),
+                            VECTORS.filter(bool)))
+    bound = data.draw(st.one_of(st.just(abs(ratio)), RATIOS.map(abs),
+                                st.sampled_from([Fraction(0), 1, Fraction(5, 2)])))
+    assert proportional_member(f, H, bound) == proportional_member_oracle(f, H, bound)
+
+
+def test_proportional_member_takes_the_first_qualifying_index():
+    f = parse_vector("0:1/3,2:-1")
+    H = [
+        parse_vector("0:1/3,1:-1"),            # another support
+        f.scale(Fraction(1, 5)),               # ratio 5, above the bound
+        f.scale(-3),                           # ratio -1/3
+        f.scale(-3),                           # its duplicate
+        f,                                     # ratio 1
+    ]
+    assert proportional_member(f, H, 1) == (2, Fraction(-1, 3))
+    assert proportional_member(f, H, Fraction(1, 3)) == (2, Fraction(-1, 3))
+    assert proportional_member(f, H, Fraction(1, 4)) is None
+    assert proportional_member(f, H, 5) == (1, Fraction(5))
+    assert proportional_member(f, H[:2] + H[4:], 1) == (2, Fraction(1))
+    assert proportional_member(parse_vector("0:1/3,2:1"), H, 5) is None

@@ -33,7 +33,7 @@ from csw.schemes import (
 from csw.vectors import SparseVector, pair, parse_vector
 
 from conftest import TYPE_DEPTH2, TYPE_DEPTH3, TYPE_DEPTH4, TYPE_DEPTH5, TYPE_WIDE8
-from oracles import k_family_vectors
+from oracles import k_family_vectors, norming_max_oracle
 
 HALF = Fraction(1, 2)
 
@@ -324,13 +324,12 @@ def test_norm_reports_empty_family(scheme_tiny):
 
 def test_norm_well_definedness_random(scheme_depth3, eps_half_depth3, k2_depth3):
     rng = random.Random(17)
-    from csw.hull import norming_max
     for _ in range(40):
         x = random_rational_vector(rng, scheme_depth3.universe_size)
         for family in (eps_half_depth3, k2_depth3):
-            values = {norming_max(x, [f.vector for f in family.functionals_for(s)])
+            values = {norming_max_oracle(x, [f.vector for f in family.functionals_for(s)])
                       for s in scheme_depth3.containing_sets(x.support)}
-            assert len(values) == 1
+            assert values == {norm(x, family)}
 
 
 # ---------------------------------------------------------------------------
