@@ -234,7 +234,7 @@ def basis_constant(family: NormingFamily) -> BasisConstantResult:
 
 def nested_pairs(scheme: Scheme):
     """All ordered pairs (E, F) of scheme sets with E a proper subset of F."""
-    sets = [(s, frozenset(s.elements)) for s in scheme.sets()]
+    sets = [(s, s.element_set) for s in scheme.sets()]
     for F, big in sets:
         for E, small in sets:
             if small < big:
@@ -276,9 +276,9 @@ def _uncovered(scheme: Scheme, pairs):
     """The pairs (E, F) with no scheme set P in F's decomposition such that
     E < P < F as element sets; covering is tested, not assumed, since a
     loaded scheme need not satisfy the axioms."""
-    elements = {s: frozenset(s.elements) for s in scheme.sets()}
+    sets = set(scheme.sets())
     return [(E, F) for E, F in pairs
-            if not any(P in elements and elements[E] < elements[P] < elements[F]
+            if not any(P in sets and E.element_set < P.element_set < F.element_set
                        for P in scheme.decomposition.get(F, ()))]
 
 
@@ -298,7 +298,7 @@ def _scan(family: NormingFamily, lp_every, every) -> ExperimentReport:
     hull_count = 0
     lp_checked = 0
     for E, F in pairs:
-        elems = frozenset(E.elements)
+        elems = E.element_set
         fam_E = family.functionals_for(E)
         fam_F = family.functionals_for(F)
         if direct is not None and (E, F) not in direct:

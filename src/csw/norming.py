@@ -43,10 +43,12 @@ Construction runs bottom-up with one amalgamation per rank, at the first
 rank-k set; every other rank-k set gets that family's transport through the
 increasing bijection `Scheme.transport`.  The transport is exact because the
 bijection carries the first set's decomposition onto the set's own; the
-scheme refuses to give a bijection that does not.  Loading a family file
-takes the same route: it reads the first set of each rank and refuses a file
-whose other sets are not that transport.  Families are immutable
-afterwards and norm evaluation is pure, so built values are safe to share.
+scheme refuses to give a bijection that does not.  A family is a function of
+(scheme, space, param, scale_cap), and a family file holds all four, so
+loading one rebuilds the family and refuses the file unless its header and
+every set's entries are what the writer writes for it.  Families are
+immutable afterwards and norm evaluation is pure, so built values are safe
+to share.
 """
 
 from __future__ import annotations
@@ -104,24 +106,6 @@ class Origin:
         if self.exponent:
             out["exponent"] = self.exponent
         return out
-
-    @classmethod
-    def from_json(cls, obj, positions):
-        """An origin read from a family file; `alpha` and `cut` must lie in
-        `positions`, the positions of the functional's set."""
-        rule, rank = obj["rule"], obj["rank"]
-        alpha, cut = obj.get("alpha"), obj.get("cut")
-        exponent = obj.get("exponent", 0)
-        if type(rule) is not str:
-            raise ConfigInvalidError(f"origin rule must be a string, got {rule!r}")
-        if type(rank) is not int or type(exponent) is not int:
-            raise ConfigInvalidError("origin rank and exponent must be integers, "
-                                     f"got {rank!r} and {exponent!r}")
-        for name, value in (("alpha", alpha), ("cut", cut)):
-            if value is not None and (type(value) is not int or value not in positions):
-                raise ConfigInvalidError(
-                    f"origin {name} must be a position of its set, got {value!r}")
-        return cls(rule, rank, alpha, cut, exponent)
 
 
 @dataclass(frozen=True)
@@ -360,28 +344,45 @@ def _entry(f: Functional) -> dict:
     return entry
 
 
+def _header(family: NormingFamily) -> dict:
+    """The fields the writer puts beside the scheme and the families."""
+    return {"space": family.space_kind, "param": format_rational(family.parameter),
+            "scale_cap": family.scale_cap}
+
+
+def _set_entries(family: NormingFamily):
+    """("k:i", the writer's entries) for every scheme set, in scan order."""
+    for k, level in enumerate(family.scheme.levels):
+        for i, s in enumerate(level):
+            yield f"{k}:{i}", [_entry(f) for f in family.functionals_for(s)]
+
+
 def family_to_json(family: NormingFamily) -> dict:
-    scheme = family.scheme
-    return {
-        "space": family.space_kind,
-        "param": format_rational(family.parameter),
-        "scale_cap": family.scale_cap,
-        "scheme": scheme_to_json(scheme),
-        "families": {f"{k}:{i}": [_entry(f) for f in family.functionals_for(s)]
-                     for k, level in enumerate(scheme.levels)
-                     for i, s in enumerate(level)},
-    }
+    return {**_header(family), "scheme": scheme_to_json(family.scheme),
+            "families": dict(_set_entries(family))}
+
+
+def _same_entries(entries, written) -> bool:
+    """Whether a set's entries in a file are the writer's `written`.  Python's
+    `==` takes a JSON `true` or `1.0` for `1`, and the writer's only integers
+    are origin fields, so those must be JSON integers too."""
+    return entries == written and all(
+        type(v) in (int, str)
+        for entry in entries for o in (entry["origin"], *entry.get("merged", ()))
+        for v in o.values())
 
 
 def family_from_json(obj) -> NormingFamily:
-    """A family read from a file: the first set of each rank is parsed and
-    checked, every other set's family is its transport (as the builders make
-    it), and each other set's entries must be the writer's for that transport."""
+    """The family a file names: rebuilt from its scheme, space, param and
+    scale_cap by `build_eps_family` or `build_K_family`, and refused unless
+    the file's header and every set's entries are what the writer writes for
+    it, compared set by set in scan order, so that the first difference is
+    named and the writer's JSON is never held for the whole family."""
     space = obj["space"]
     if space not in (EPS_KIND, K_KIND):
         raise ConfigInvalidError(
             f"space must be {EPS_KIND!r} or {K_KIND!r}, got {space!r}")
-    scale_cap = obj.get("scale_cap", 0)
+    scale_cap = obj["scale_cap"]
     param = _parameter(space, obj["param"], scale_cap)
     scheme = scheme_from_json(obj["scheme"])
     entries = obj["families"]
@@ -390,53 +391,24 @@ def family_from_json(obj) -> NormingFamily:
     if odd:
         raise ConfigInvalidError(f"families keys differ from the scheme's sets at "
                                  f"{min(odd)!r}: each set needs one key, written 'k:i'")
-
-    powers = {}  # e -> the writer's string for K^-e
-
-    def is_k_power(e, text):
-        """Whether `text` is the writer's string for K^-e.  Its denominator has
-        more than e/4 digits, so a shorter text is refused without the power."""
-        if 4 * len(text) >= e and e not in powers:
-            powers[e] = format_rational(param ** -e)
-        return powers.get(e) == text
-
-    def read(first, *_):
-        """The checked family of `first`, the first set of its rank."""
-        key, elements = f"{first.rank}:0", set(first.elements)
-        fam = []
-        for entry in entries[key]:
-            origins = tuple(Origin.from_json(o, elements)
-                            for o in (entry["origin"], *entry.get("merged", ())))
-            if space == K_KIND:
-                e = origins[0].exponent
-                if any(o.exponent != e for o in origins) or not 0 <= e <= scale_cap:
-                    raise ConfigInvalidError(
-                        f"a functional of {key} has origin exponents "
-                        f"{sorted({o.exponent for o in origins})}, not one in 0..{scale_cap}")
-                texts = set(entry["vec"].values())
-                if len(texts) != 1 or not is_k_power(e, texts.pop()):
-                    raise ConfigInvalidError(f"a functional of {key} with exponent {e} "
-                                             f"is not K^-{e} on a nonempty support")
-            vec = SparseVector.from_json(entry["vec"])
-            if not elements.issuperset(vec.support):
-                raise ConfigInvalidError(f"a functional of {key} has position "
-                                         f"{min(set(vec.support) - elements)} outside {first}")
-            fam.append(Functional(vec, first, origins))
-        if space == EPS_KIND and (len(fam) != len(elements)
-                                  or {f.origin.alpha for f in fam} != elements):
+    # the writer's 0:0 holds K^-j e_0 for j <= scale_cap (eps writes 0), so a
+    # scale_cap far past the file is refused before the closure runs to it
+    units = len(entries["0:0"])
+    if units != scale_cap + 1:
+        raise ConfigInvalidError(f"0:0 is not the writer's for scale_cap {scale_cap}: "
+                                 f"it holds {units} functionals, not {scale_cap + 1}")
+    family = (build_eps_family(scheme, param) if space == EPS_KIND
+              else build_K_family(scheme, param, scale_cap))
+    for name, value in _header(family).items():
+        if type(obj[name]) is not type(value) or obj[name] != value:
+            raise ConfigInvalidError(f"{name} is not the writer's: "
+                                     f"{obj[name]!r} where it writes {value!r}")
+    for key, written in _set_entries(family):
+        if not _same_entries(entries[key], written):
             raise ConfigInvalidError(
-                f"the eps functionals of {key} are not one per position of {first}")
-        return fam
-
-    families = _build(scheme, read, read)
-    for k, level in enumerate(scheme.levels):
-        for i, s in enumerate(level[1:], 1):
-            if (json.dumps(entries[f"{k}:{i}"], sort_keys=True)
-                    != json.dumps([_entry(f) for f in families[s]], sort_keys=True)):
-                raise ConfigInvalidError(
-                    f"the family of {k}:{i} is not the transport of the family of {k}:0")
-    return NormingFamily(scheme=scheme, space_kind=space, parameter=param,
-                         families=families, scale_cap=scale_cap)
+                f"{key} is not the writer's for the family rebuilt from this "
+                "file's scheme, space, param and scale_cap")
+    return family
 
 
 def family_dumps(family: NormingFamily) -> str:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 from .errors import (
@@ -122,6 +123,11 @@ class SchemeSet:
     def root(self) -> tuple:
         return self.elements[: self.root_size]
 
+    @cached_property
+    def element_set(self) -> frozenset:
+        """The elements as a frozenset, built on first use."""
+        return frozenset(self.elements)
+
     def __len__(self):
         return len(self.elements)
 
@@ -184,7 +190,7 @@ class Scheme:
     def _covering(self, positions):
         """Every set covering `positions`, by rank then lexicographically."""
         needed = set(positions)
-        return (s for s in self.sets() if needed <= set(s.elements))
+        return (s for s in self.sets() if needed <= s.element_set)
 
     def piece_maps(self, F: SchemeSet) -> list:
         """phi_0 .. phi_{n-1}: the increasing bijections from F's first piece

@@ -57,8 +57,7 @@ def _position(text) -> int:
 
 
 def format_rational(value) -> str:
-    """Render a Fraction as "p/q", or "p" for integers."""
-    value = Fraction(value)
+    """Render a Fraction or an int as "p/q", or "p" for integers."""
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -178,13 +177,6 @@ class SparseVector:
 
     def to_json(self) -> dict:
         return {str(p): format_rational(v) for p, v in self.items()}
-
-    @classmethod
-    def from_json(cls, obj) -> "SparseVector":
-        entries = {_position(p): parse_rational(v) for p, v in obj.items()}
-        if len(entries) != len(obj):
-            raise ValueError(f"two entries of the vector {obj!r} name the same position")
-        return cls._of({p: v for p, v in entries.items() if v})
 
     def __repr__(self):
         body = ", ".join(f"{p}: {format_rational(v)}" for p, v in self.items())

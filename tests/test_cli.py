@@ -283,9 +283,9 @@ def test_scheme_with_bad_decomposition_key_is_config_error(tmp_path, capsys, edi
 # set without exactly one functional per position, a scheme set without a
 # family, a set key not in its canonical spelling, a vector value outside the
 # "p/q" grammar (an exponent, a non-ASCII digit), a vector position that is
-# not ASCII digits; a set other than the first of its rank whose entries are
-# not the writer's for the transport of that first set's family (a vector
-# value, origin alphas, a rank-0 vector, the order of two functionals); an
+# not ASCII digits; a set whose entries are not the writer's for the family
+# rebuilt from the file (a vector value, origin alphas, a rank-0 vector, the
+# order of two functionals); an
 # embedded scheme whose rank-1 sets differ in size or whose first rank-1 set
 # has no decomposition
 @pytest.mark.parametrize("edit", [
@@ -371,7 +371,7 @@ def test_family_with_bad_origin_is_config_error(tmp_path, capsys, edit, command)
 
 
 # edits of a built 1,2;2;0 K=2 cap1 family file that loading must refuse: the
-# parameters, and a first-set functional that is not K^-e on a nonempty support
+# parameters, and a functional that is not the writer's K^-e on a nonempty support
 # for one exponent e in 0..scale_cap (a wrong value, a merged origin of another
 # exponent, an exponent above the cap, a value not written as format_rational
 # writes it, an empty vector)
@@ -396,6 +396,53 @@ def test_k_family_parameters_are_checked_at_load(k_family_file, capsys, edit):
                          "--vec", "0:1,1:1")
     assert code == 2
     assert out == "" and str(k_family_file) in err
+
+
+def _move_unit(payload):
+    unit = next(e for e in payload["families"]["2:0"] if e["vec"] == {"3": "1"})
+    unit["vec"] = {"0": "1", "2": "1"}
+
+
+def _change_eps_value(payload):
+    entry = next(e for e in payload["families"]["2:0"] if e["origin"].get("alpha") == 1)
+    entry["vec"]["3"] = "5"
+
+
+# edits of built 1,2,4;2,3;0,1 family files that loading refuses because the
+# writer writes something else for the family rebuilt from the file, each
+# naming the first field or set that differs: the K=2 unit at 3 moved onto
+# {0, 2} (norm 2 instead of 1 when only the first set of a rank was parsed),
+# an eps value 1/2 changed to 5 (norm 6 instead of 3/2 then), an origin rank
+# written as `true` or `1.0` where the writer writes `1`, a parameter not in
+# the writer's spelling, an eps file with a nonzero scale_cap, and a
+# scale_cap far past the file's 0:0, refused before anything is built
+@pytest.mark.parametrize("space, param, edit, vec, where", [
+    ("k", "2", _move_unit, "0:1,1:-1,2:1,3:-1", "2:0 is not the writer's"),
+    ("eps", "1/2", _change_eps_value, "1:1,3:1", "2:0 is not the writer's"),
+    ("k", "2", lambda p: p["families"]["1:0"][0]["origin"].update(rank=True), "0:1",
+     "1:0 is not the writer's"),
+    ("eps", "1/2", lambda p: p["families"]["1:1"][0]["origin"].update(rank=1.0), "0:1",
+     "1:1 is not the writer's"),
+    ("k", "2", lambda p: p.update(param="4/2"), "0:1", "param is not the writer's"),
+    ("eps", "1/2", lambda p: p.update(scale_cap=1), "0:1", "for scale_cap 1"),
+    ("k", "2", lambda p: p.update(scale_cap=100000), "0:1", "for scale_cap 100000"),
+], ids=["k_unit_moved", "eps_value_changed", "boolean_rank", "float_rank",
+        "param_not_canonical",
+        "eps_scale_cap", "k_scale_cap_past_its_units"])
+def test_family_file_must_be_the_writers(tmp_path, capsys, space, param, edit, vec,
+                                         where):
+    scheme_file = tmp_path / "s.json"
+    family_file = tmp_path / "H.json"
+    run(capsys, "scheme", "build", "--type", "1,2,4;2,3;0,1", "--out", str(scheme_file))
+    run(capsys, "norming", "build", "--scheme", str(scheme_file),
+        "--space", space, "--param", param, "--out", str(family_file))
+    payload = json.loads(family_file.read_text())
+    edit(payload)
+    family_file.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "norm", "eval", "--family", str(family_file),
+                         "--vec", vec)
+    assert code == 2
+    assert out == "" and str(family_file) in err and where in err
 
 
 # a family file whose embedded scheme lists a set twice, with a family for

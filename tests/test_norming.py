@@ -434,21 +434,6 @@ def test_family_bytes_are_pinned(type_triple, space, param, cap, digest):
     assert family_dumps(family_loads(text)) == text
 
 
-def test_loading_parses_only_the_first_set_of_each_rank(k2_depth3, monkeypatch):
-    text = family_dumps(k2_depth3)
-    parsed = []
-    from_json = SparseVector.from_json
-
-    def counted(obj):
-        parsed.append(obj)
-        return from_json(obj)
-
-    monkeypatch.setattr(SparseVector, "from_json", counted)
-    family = family_loads(text)
-    assert len(parsed) == sum(len(family.functionals_for(level[0]))
-                              for level in family.scheme.levels) == 72
-
-
 @pytest.mark.parametrize("build", [
     lambda scheme: build_eps_family(scheme, HALF),
     lambda scheme: build_K_family(scheme, 2),

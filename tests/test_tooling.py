@@ -92,3 +92,39 @@ def test_no_option_is_read_with_int():
     found = [" ".join(path) + " " + "/".join(action.option_strings or [action.dest])
              for path, action in _actions(build_parser()) if action.type is int]
     assert found == []
+
+
+def _definitions(tree):
+    """(name, node) for every module-level private function or class and
+    every method of a module-level class, dunder methods aside."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    yield f"{node.name}.{item.name}", item
+
+
+# public methods that only callers outside the package (tests, demos) use
+USED_OUTSIDE = {"AxiomReport.failures", "ExperimentReport.claim"}
+
+
+def test_every_private_name_and_method_is_used():
+    # a helper or method that nothing in the package names is dead code
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "csw").glob("*.py"))}
+    uses = [(file, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+            for file, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    unused = {name: f"{file}:{node.lineno}"
+              for file, tree in trees.items() for name, node in _definitions(tree)
+              if not any(used == name.rpartition(".")[2]
+                         and (other != file or not node.lineno <= line <= node.end_lineno)
+                         for other, line, used in uses)}
+    assert {name: where for name, where in unused.items()
+            if name not in USED_OUTSIDE} == {}
+    assert set(unused) >= USED_OUTSIDE, "drop the names the package now uses"
