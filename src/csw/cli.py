@@ -20,6 +20,7 @@ from . import analysis, norming, schemes
 from .errors import ConfigError, CswError
 from .vectors import (
     SparseVector,
+    canonical_json,
     format_rational,
     parse_entries,
     parse_int,
@@ -68,7 +69,7 @@ def _emit(args, text):
 
 
 def _json_text(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return canonical_json(obj) + "\n"
 
 
 def _csv_text(rows):

@@ -57,6 +57,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import (
     ConfigInvalidError,
@@ -68,7 +69,7 @@ from .errors import (
 )
 from .hull import norming_max
 from .schemes import Scheme, SchemeSet, scheme_from_json, scheme_to_json
-from .vectors import SparseVector, format_rational, parse_rational
+from .vectors import SparseVector, canonical_json, format_rational, parse_rational
 
 EPS_KIND = "eps"
 K_KIND = "k"
@@ -195,11 +196,12 @@ def _parameter(space_kind, param, scale_cap) -> Fraction:
 
 
 def _units(s, inv, scale_cap):
-    """The family of the singleton s = {a}: inv^j e_a for j <= scale_cap."""
+    """The family of the singleton s = {a}, made lazily: inv^j e_a for
+    j <= scale_cap."""
     a = s.elements[0]
-    return [Functional(SparseVector.unit(a).scale(inv ** j), s,
+    return (Functional(SparseVector.unit(a).scale(inv ** j), s,
                        (Origin(RULE_UNIT, 0, alpha=a, exponent=j),))
-            for j in range(scale_cap + 1)]
+            for j in range(scale_cap + 1))
 
 
 def _transported(fam, pm, target):
@@ -218,7 +220,7 @@ def _build(scheme, rank0, amalgamate) -> dict:
     families = {}
     for k, level in enumerate(scheme.levels):
         first = level[0]
-        fam = rank0(first) if k == 0 else amalgamate(
+        fam = list(rank0(first)) if k == 0 else amalgamate(
             first, scheme.piece_maps(first), families[scheme.decomposition[first][0]])
         families[first] = fam
         for F in level[1:]:
@@ -363,10 +365,11 @@ def family_to_json(family: NormingFamily) -> dict:
 
 
 def _same_entries(entries, written) -> bool:
-    """Whether a set's entries in a file are the writer's `written`.  Python's
-    `==` takes a JSON `true` or `1.0` for `1`, and the writer's only integers
-    are origin fields, so those must be JSON integers too."""
-    return entries == written and all(
+    """Whether a set's entries in a file are the writer's `written`, an
+    iterable read only up to the first difference.  Python's `==` takes a
+    JSON `true` or `1.0` for `1`, and the writer's only integers are origin
+    fields, so those must be JSON integers too."""
+    return all(a == b for a, b in zip_longest(entries, written)) and all(
         type(v) in (int, str)
         for entry in entries for o in (entry["origin"], *entry.get("merged", ()))
         for v in o.values())
@@ -377,7 +380,11 @@ def family_from_json(obj) -> NormingFamily:
     scale_cap by `build_eps_family` or `build_K_family`, and refused unless
     the file's header and every set's entries are what the writer writes for
     it, compared set by set in scan order, so that the first difference is
-    named and the writer's JSON is never held for the whole family."""
+    named and the writer's JSON is never held for the whole family.  Before
+    anything is built, `"0:0"` is compared entry by entry with the writer's
+    units K^-j e_0 for j <= scale_cap (e_0 alone for eps), up to the first
+    difference, so a `"0:0"` that passes is as large as the closure the
+    file asks for."""
     space = obj["space"]
     if space not in (EPS_KIND, K_KIND):
         raise ConfigInvalidError(
@@ -391,12 +398,15 @@ def family_from_json(obj) -> NormingFamily:
     if odd:
         raise ConfigInvalidError(f"families keys differ from the scheme's sets at "
                                  f"{min(odd)!r}: each set needs one key, written 'k:i'")
-    # the writer's 0:0 holds K^-j e_0 for j <= scale_cap (eps writes 0), so a
-    # scale_cap far past the file is refused before the closure runs to it
-    units = len(entries["0:0"])
-    if units != scale_cap + 1:
-        raise ConfigInvalidError(f"0:0 is not the writer's for scale_cap {scale_cap}: "
-                                 f"it holds {units} functionals, not {scale_cap + 1}")
+
+    def check(key, written):
+        if not _same_entries(entries[key], written):
+            raise ConfigInvalidError(
+                f"{key} is not the writer's for the family rebuilt from this "
+                "file's scheme, space, param and scale_cap")
+
+    inv, cap = (1, 0) if space == EPS_KIND else (1 / param, scale_cap)
+    check("0:0", map(_entry, _units(scheme.levels[0][0], inv, cap)))
     family = (build_eps_family(scheme, param) if space == EPS_KIND
               else build_K_family(scheme, param, scale_cap))
     for name, value in _header(family).items():
@@ -404,15 +414,12 @@ def family_from_json(obj) -> NormingFamily:
             raise ConfigInvalidError(f"{name} is not the writer's: "
                                      f"{obj[name]!r} where it writes {value!r}")
     for key, written in _set_entries(family):
-        if not _same_entries(entries[key], written):
-            raise ConfigInvalidError(
-                f"{key} is not the writer's for the family rebuilt from this "
-                "file's scheme, space, param and scale_cap")
+        check(key, written)
     return family
 
 
 def family_dumps(family: NormingFamily) -> str:
-    return json.dumps(family_to_json(family), sort_keys=True, indent=2)
+    return canonical_json(family_to_json(family))
 
 
 def family_loads(text: str) -> NormingFamily:

@@ -36,6 +36,7 @@ from .errors import (
     RankZeroError,
     TypeValidationError,
 )
+from .vectors import canonical_json
 
 
 @dataclass(frozen=True)
@@ -556,7 +557,7 @@ def scheme_from_json(obj) -> Scheme:
 
 
 def scheme_dumps(scheme: Scheme) -> str:
-    return json.dumps(scheme_to_json(scheme), sort_keys=True, indent=2)
+    return canonical_json(scheme_to_json(scheme))
 
 
 def scheme_loads(text: str) -> Scheme:

@@ -4,13 +4,16 @@ A vector is a finitely supported map from nonnegative integer positions to
 nonzero `fractions.Fraction` values.  Zero entries are never stored, so two
 vectors are equal iff their entry maps are equal.  All JSON rendering uses
 "p/q" strings ("p" when the denominator is 1); no floating point appears
-anywhere.
+anywhere.  `canonical_json` writes every JSON text csw writes: sorted keys,
+two-space indent.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 _INTEGER = re.compile(r"-?[0-9]+")
 _RATIONAL = re.compile(_INTEGER.pattern + r"(?:/[0-9]+)?")
@@ -176,7 +179,15 @@ class SparseVector:
         return SparseVector._of(data)
 
     def to_json(self) -> dict:
-        return {str(p): format_rational(v) for p, v in self.items()}
+        # a run of one value object (as the K builder shares one per exponent)
+        # is formatted once
+        out = {}
+        last = text = None
+        for p, v in self.items():
+            if v is not last:
+                last, text = v, format_rational(v)
+            out[str(p)] = text
+        return out
 
     def __repr__(self):
         body = ", ".join(f"{p}: {format_rational(v)}" for p, v in self.items())
@@ -193,6 +204,37 @@ def pair(f: SparseVector, x: SparseVector) -> Fraction:
         if other is not None:
             total += val * other
     return total
+
+
+def canonical_json(obj) -> str:
+    """The text `json.dumps(obj, sort_keys=True, indent=2)` writes for `obj`:
+    dicts with str keys, lists, tuples and JSON scalars.  json's indenting
+    encoder is pure Python and joins one small string per token; this joins
+    each container's parts once and quotes strings with json's C quoting."""
+    return _json(obj, "\n")
+
+
+def _json(obj, indent):
+    if isinstance(obj, str):
+        return _quote(obj)
+    if type(obj) is int:
+        return str(obj)
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return json.dumps(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        parts = ["{"]
+        for k, v in sorted(obj.items()):
+            # str and int values, nearly all of a family file's, are written in place
+            parts += (inner, _quote(k), ": ", _quote(v) if type(v) is str
+                      else str(v) if type(v) is int else _json(v, inner), ",")
+        parts[-1] = indent + "}"
+    else:
+        parts = ["["]
+        for v in obj:
+            parts += (inner, _json(v, inner), ",")
+        parts[-1] = indent + "]"
+    return "".join(parts)
 
 
 def parse_entries(text) -> dict:

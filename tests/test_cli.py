@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from csw import norming
 from csw.analysis import basis_constant
 from csw.cli import main
 from csw.norming import family_loads
@@ -424,8 +425,9 @@ def _change_eps_value(payload):
     ("eps", "1/2", lambda p: p["families"]["1:1"][0]["origin"].update(rank=1.0), "0:1",
      "1:1 is not the writer's"),
     ("k", "2", lambda p: p.update(param="4/2"), "0:1", "param is not the writer's"),
-    ("eps", "1/2", lambda p: p.update(scale_cap=1), "0:1", "for scale_cap 1"),
-    ("k", "2", lambda p: p.update(scale_cap=100000), "0:1", "for scale_cap 100000"),
+    ("eps", "1/2", lambda p: p.update(scale_cap=1), "0:1",
+     "scale_cap is not the writer's: 1 where it writes 0"),
+    ("k", "2", lambda p: p.update(scale_cap=100000), "0:1", "0:0 is not the writer's"),
 ], ids=["k_unit_moved", "eps_value_changed", "boolean_rank", "float_rank",
         "param_not_canonical",
         "eps_scale_cap", "k_scale_cap_past_its_units"])
@@ -443,6 +445,27 @@ def test_family_file_must_be_the_writers(tmp_path, capsys, space, param, edit, v
                          "--vec", vec)
     assert code == 2
     assert out == "" and str(family_file) in err and where in err
+
+
+# a 1,2,4;2,3;0,1 K=2 file with scale_cap 6400 whose 0:0 is 6,401 empty
+# objects (30 KB): 0:0 is compared with the writer's units before anything is
+# built, so the closure the file asks for is never run
+def test_zero_zero_is_refused_before_building(tmp_path, capsys, monkeypatch):
+    scheme_file = tmp_path / "s.json"
+    family_file = tmp_path / "H.json"
+    run(capsys, "scheme", "build", "--type", "1,2,4;2,3;0,1", "--out", str(scheme_file))
+    run(capsys, "norming", "build", "--scheme", str(scheme_file),
+        "--space", "k", "--param", "2", "--out", str(family_file))
+    payload = json.loads(family_file.read_text())
+    payload["scale_cap"] = 6400
+    payload["families"]["0:0"] = [{} for _ in range(6401)]
+    family_file.write_text(json.dumps(payload))
+    monkeypatch.setattr(norming, "build_K_family",
+                        lambda *args: pytest.fail("the family was built"))
+    code, out, err = run(capsys, "norm", "eval", "--family", str(family_file),
+                         "--vec", "0:1")
+    assert code == 2
+    assert out == "" and str(family_file) in err and "0:0 is not the writer's" in err
 
 
 # a family file whose embedded scheme lists a set twice, with a family for

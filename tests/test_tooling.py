@@ -76,6 +76,18 @@ def test_source_has_no_assert_or_floating_point(source):
     assert found == []
 
 
+def test_no_json_dumps_call_indents():
+    # json's indenting encoder is pure Python; csw writes indented JSON with
+    # vectors.canonical_json
+    found = [f"{source.name}:{node.lineno}"
+             for source in sorted((ROOT / "src" / "csw").glob("*.py"))
+             for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("dump", "dumps")
+             and any(kw.arg == "indent" for kw in node.keywords)]
+    assert found == []
+
+
 def _actions(parser, path=("csw",)):
     """(command path, action) for every action of `parser` and its subparsers."""
     for action in parser._actions:

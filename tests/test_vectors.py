@@ -1,12 +1,14 @@
+import json
 from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csw.vectors import (
     SparseVector,
+    canonical_json,
     format_rational,
     format_vector,
     pair,
@@ -94,3 +96,32 @@ def test_pairing_rationality(f, x):
 @given(vectors_st)
 def test_json_round_trip(v):
     assert parse_vector(format_vector(v)) == v
+
+
+HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize("vec", [
+    SparseVector(dict.fromkeys(range(12), HALF)),
+    SparseVector({0: Fraction(1, 2), 1: Fraction(2, 4), 5: Fraction(1, 2), 11: HALF}),
+    SparseVector({p: (HALF, Fraction(-3), HALF, Fraction(7, 3))[p % 4] for p in range(13)}),
+    SparseVector(),
+], ids=["one_shared_value", "equal_distinct_values", "alternating_values", "zero"])
+def test_to_json_formats_every_value(vec):
+    assert vec.to_json() == {str(p): format_rational(v) for p, v in vec.items()}
+
+
+# every code point, surrogates included, with the ones json escapes drawn often
+TEXT = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600'),
+                         st.characters(exclude_categories=())))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40) | TEXT,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(TEXT, inner)),
+    max_leaves=20)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(JSON_VALUES)
+def test_canonical_json_is_json_dumps(obj):
+    assert canonical_json(obj) == json.dumps(obj, sort_keys=True, indent=2)
