@@ -18,7 +18,6 @@ from .errors import (
     ConfigInvalidError,
     NotBiorthogonalError,
     NotInSpanError,
-    PatternOutOfRangeError,
     WrongSpaceKindError,
 )
 from .hull import (
@@ -272,24 +271,25 @@ def coherence_report(family: NormingFamily, lp_every=0) -> ExperimentReport:
     return report
 
 
-def _uncovered(scheme: Scheme, pairs):
-    """The pairs (E, F) with no scheme set P in F's decomposition such that
+def _covered(scheme: Scheme, listed, E, F) -> bool:
+    """Whether a scheme set P in `listed` and in F's decomposition has
     E < P < F as element sets; covering is tested, not assumed, since a
     loaded scheme need not satisfy the axioms."""
-    sets = set(scheme.sets())
-    return [(E, F) for E, F in pairs
-            if not any(P in sets and E.element_set < P.element_set < F.element_set
-                       for P in scheme.decomposition.get(F, ()))]
+    return any(P in listed and E.element_set < P.element_set < F.element_set
+               for P in scheme.decomposition.get(F, ()))
 
 
 def _scan(family: NormingFamily, lp_every, every) -> ExperimentReport:
-    """The coherence report from one pass over the nested pairs in order,
-    checking each instance of a pair directly when `every` is set or no
-    piece covers the pair.  A covered pair only adds its instance counts:
-    |H_F|, and the F-functionals whose alpha lies in E (alternating variant
-    only).  Every E and F family is looked up, so a missing one raises."""
-    pairs = list(nested_pairs(family.scheme))
-    direct = None if every else set(_uncovered(family.scheme, pairs))
+    """The coherence report from one walk over the nested pairs in order.
+
+    Every pair adds its instance counts: |H_F|, and the F-functionals whose
+    alpha lies in E (alternating variant only).  A pair's instances are then
+    checked when `every` is set or no piece covers the pair, each by the
+    reconstruction of its hull certificate, and every `lp_every`-th
+    instance, counted over all pairs, is also checked through the raw LP
+    path.  Every E and F family is looked up, so a missing one raises."""
+    scheme = family.scheme
+    listed = set(scheme.sets())
     eps = family.space_kind == EPS_KIND
     alphas = {}
     restriction_bad = None
@@ -297,35 +297,31 @@ def _scan(family: NormingFamily, lp_every, every) -> ExperimentReport:
     hull_bad = None
     hull_count = 0
     lp_checked = 0
-    for E, F in pairs:
+    for E, F in nested_pairs(scheme):
         elems = E.element_set
         fam_E = family.functionals_for(E)
         fam_F = family.functionals_for(F)
-        if direct is not None and (E, F) not in direct:
-            hull_count += len(fam_F)
-            if eps:
-                if F not in alphas:
-                    alphas[F] = Counter(f.origin.alpha for f in fam_F)
-                restriction_count += sum(alphas[F][a] for a in elems)
+        first = hull_count + 1
+        hull_count += len(fam_F)
+        if eps:
+            if F not in alphas:
+                alphas[F] = Counter(f.origin.alpha for f in fam_F)
+            restriction_count += sum(alphas[F][a] for a in elems)
+        if not every and _covered(scheme, listed, E, F):
             continue
         vectors_E = [g.vector for g in fam_E]
         by_alpha = {g.origin.alpha: g.vector for g in fam_E} if eps else None
-        for f in fam_F:
+        for index, f in enumerate(fam_F, first):
             restricted = f.vector.restrict_to(elems)
             a = f.origin.alpha
-            if eps and a in elems:
-                restriction_count += 1
-                if restricted != by_alpha.get(a) and restriction_bad is None:
-                    restriction_bad = {"E": str(E), "F": str(F), "alpha": a}
+            if eps and a in elems and restricted != by_alpha.get(a) and restriction_bad is None:
+                restriction_bad = {"E": str(E), "F": str(F), "alpha": a}
             cert = in_symmetric_hull(restricted, vectors_E)
-            hull_count += 1
-            ok = cert.member and verify_decomposition(restricted, vectors_E,
-                                                      cert.coefficients)
-            if ok and lp_every and hull_count % lp_every == 0 and cert.method == "direct":
+            ok = verify_decomposition(restricted, vectors_E, cert.coefficients)
+            if ok and lp_every and index % lp_every == 0 and cert.method == "direct":
                 lp_cert = in_symmetric_hull(restricted, vectors_E, try_direct=False)
                 lp_checked += 1
-                ok = lp_cert.member and verify_decomposition(restricted, vectors_E,
-                                                             lp_cert.coefficients)
+                ok = verify_decomposition(restricted, vectors_E, lp_cert.coefficients)
             if not ok and hull_bad is None:
                 hull_bad = {"E": str(E), "F": str(F), "functional": f.label()}
     report = ExperimentReport(meta={"kind": family.space_kind})
@@ -434,7 +430,8 @@ def _captured_copies(family: NormingFamily, count, pattern):
     """(site, pieces, z, members, xs): the first scheme set with `count`
     pieces, its pieces, the pattern (default: the first piece's first
     non-root unit vector) normalised to z, the captured delta-system of
-    z's support, and z moved onto each of the first `count` pieces."""
+    z's support (`make_captured_family` refuses a pattern outside the first
+    piece), and z moved onto each of the first `count` pieces."""
     scheme = family.scheme
     site = next((F for level in scheme.levels[1:] for F in level
                  if len(scheme.decomposition[F]) >= count), None)
@@ -442,16 +439,12 @@ def _captured_copies(family: NormingFamily, count, pattern):
         raise CaptureUnavailableError(
             f"no scheme set has {count} pieces; use a wider type")
     children = scheme.decomposition[site]
-    first = children[0]
     if pattern is None:
-        pattern = SparseVector.unit(next(p for p in first.elements if p not in site.root))
-    if not set(pattern.support) <= set(first.elements):
-        raise PatternOutOfRangeError(
-            f"pattern support {list(pattern.support)} not inside first piece {first}")
+        pattern = SparseVector.unit(next(p for p in children[0].elements if p not in site.root))
     if pattern.is_zero():
         raise ConfigInvalidError("pattern must be nonzero")
+    members = make_captured_family(scheme, site, pattern.support, count)
     z = pattern / norm(pattern, family)
-    members = make_captured_family(scheme, site, z.support, count)
     xs = [z.map_positions(pm) for pm in scheme.piece_maps(site)[:count]]
     return site, children, z, members, xs
 

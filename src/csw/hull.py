@@ -140,15 +140,18 @@ def in_symmetric_hull(f: SparseVector, H, try_direct=True) -> HullCertificate:
 
 
 def verify_decomposition(f: SparseVector, H, coefficients) -> bool:
-    """Exact check that sum c_i H[i] == f and sum |c_i| <= 1; False if None."""
+    """Exact check that sum c_i H[i] == f and sum |c_i| <= 1; False if None.
+    One pass sums c_i H[i] per position in a dict, zeros dropped: no vector
+    is built."""
     if coefficients is None:
         return False
-    total = SparseVector()
-    mass = Fraction(0)
+    total = {}
+    mass = 0
     for i, c in coefficients.items():
-        total = total + H[i].scale(c)
         mass += abs(c)
-    return total == f and mass <= 1
+        for p, v in H[i]._entries.items():
+            total[p] = total.get(p, 0) + c * v
+    return mass <= 1 and {p: v for p, v in total.items() if v != 0} == f._entries
 
 
 def polar_support(g: SparseVector, H):

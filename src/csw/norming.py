@@ -354,9 +354,8 @@ def _header(family: NormingFamily) -> dict:
 
 def _set_entries(family: NormingFamily):
     """("k:i", the writer's entries) for every scheme set, in scan order."""
-    for k, level in enumerate(family.scheme.levels):
-        for i, s in enumerate(level):
-            yield f"{k}:{i}", [_entry(f) for f in family.functionals_for(s)]
+    for key, s in family.scheme.keyed_sets():
+        yield key, [_entry(f) for f in family.functionals_for(s)]
 
 
 def family_to_json(family: NormingFamily) -> dict:
@@ -393,8 +392,7 @@ def family_from_json(obj) -> NormingFamily:
     param = _parameter(space, obj["param"], scale_cap)
     scheme = scheme_from_json(obj["scheme"])
     entries = obj["families"]
-    keys = {f"{k}:{i}" for k, level in enumerate(scheme.levels) for i in range(len(level))}
-    odd = set(entries).symmetric_difference(keys)
+    odd = set(entries).symmetric_difference(key for key, _ in scheme.keyed_sets())
     if odd:
         raise ConfigInvalidError(f"families keys differ from the scheme's sets at "
                                  f"{min(odd)!r}: each set needs one key, written 'k:i'")

@@ -162,6 +162,13 @@ class Scheme:
         for level in self.levels:
             yield from level
 
+    def keyed_sets(self):
+        """("k:i", the i-th rank-k set) for every set, in scan order: the one
+        spelling of set keys, which `set_by_id` parses."""
+        for k, level in enumerate(self.levels):
+            for i, s in enumerate(level):
+                yield f"{k}:{i}", s
+
     def has_set(self, s: SchemeSet) -> bool:
         return 0 <= s.rank < len(self.levels) and s in self.levels[s.rank]
 
@@ -307,7 +314,7 @@ def _root_sizes(scheme):
 def _same_rank_initial_segments(scheme):
     for level in scheme.levels:
         for e, f in combinations(level, 2):
-            common = sorted(set(e.elements) & set(f.elements))
+            common = sorted(e.element_set & f.element_set)
             if not (_is_initial_segment(common, e.elements)
                     and _is_initial_segment(common, f.elements)):
                 yield f"{e} and {f} intersect in {common}, not an initial segment of both"
@@ -326,11 +333,11 @@ def _decomposition_delta_system(scheme):
                 yield f"{parent} decomposes into {len(children)} pieces, type demands n_{k} = {ts.n_of(k)}"
             if any(c not in level_below for c in children):
                 yield f"{parent} has a child missing from level {k - 1}"
-            if set().union(*(c.elements for c in children)) != set(parent.elements):
+            if frozenset().union(*(c.element_set for c in children)) != parent.element_set:
                 yield f"children of {parent} do not union to it"
             root = parent.root
             for (a, ca), (b, cb) in combinations(enumerate(children), 2):
-                inter = tuple(sorted(set(ca.elements) & set(cb.elements)))
+                inter = tuple(sorted(ca.element_set & cb.element_set))
                 if inter != root:
                     yield f"children {a},{b} of {parent} intersect in {inter}, root is {root}"
             prev_max = max(root) if root else -1
@@ -504,19 +511,14 @@ def make_captured_family(scheme: Scheme, F: SchemeSet, pattern_positions, t: int
 # JSON serialization: canonical, integers only, arrays ascending.
 
 def scheme_to_json(scheme: Scheme) -> dict:
-    levels = [[list(s.elements) for s in level] for level in scheme.levels]
-    decomposition = {}
-    for k in range(1, len(scheme.levels)):
-        index_below = {s: i for i, s in enumerate(scheme.levels[k - 1])}
-        for i, parent in enumerate(scheme.levels[k]):
-            children = scheme.decomposition.get(parent)
-            if children is None:
-                continue
-            decomposition[f"{k}:{i}"] = [index_below[c] for c in children]
+    """Each set's elements by level, and each decomposition under its
+    parent's key as the children's indices into the level below."""
+    index = {s: i for level in scheme.levels for i, s in enumerate(level)}
     return {
         "type": scheme.type_spec.to_json(),
-        "levels": levels,
-        "decomposition": decomposition,
+        "levels": [[list(s.elements) for s in level] for level in scheme.levels],
+        "decomposition": {key: [index[c] for c in scheme.decomposition[s]]
+                          for key, s in scheme.keyed_sets() if s in scheme.decomposition},
     }
 
 

@@ -6,8 +6,9 @@ over Fractions plus exhaustive vertex enumeration.  The gauge of the
 symmetric hull conv(+-H) at g equals the support function of the polar
 polytope {y : |<h, y>| <= 1}, so enumerating the polar's vertices and
 maximizing <y, g> reproduces dual_norm by a completely different route.
-`norming_max_oracle` and `proportional_member_oracle` are the definitions
-of the two hull kernels, written with one Fraction per arithmetic step.
+`norming_max_oracle`, `proportional_member_oracle` and
+`verify_decomposition_oracle` are the definitions of three hull kernels,
+written with one Fraction or SparseVector per arithmetic step.
 """
 
 from fractions import Fraction
@@ -110,6 +111,19 @@ def proportional_member_oracle(f, H, bound):
         if abs(ratio) <= bound and f == h.scale(ratio):
             return i, ratio
     return None
+
+
+def verify_decomposition_oracle(f, H, coefficients):
+    """Whether sum c_i H[i] == f and sum |c_i| <= 1, False for None: the sum
+    built as a SparseVector, one scaled member at a time."""
+    if coefficients is None:
+        return False
+    total = SparseVector()
+    mass = Fraction(0)
+    for i, c in coefficients.items():
+        total = total + H[i].scale(c)
+        mass += abs(c)
+    return total == f and mass <= 1
 
 
 def random_fraction(rng, max_num=5, max_den=4, nonzero=False):

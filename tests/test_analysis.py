@@ -28,6 +28,7 @@ from csw.errors import (
     CaptureUnavailableError,
     ConfigInvalidError,
     NotBiorthogonalError,
+    PatternOutOfRangeError,
     WrongSpaceKindError,
 )
 from csw.hull import dual_norm, in_symmetric_hull, polar_support
@@ -184,6 +185,16 @@ def test_eps_experiment_root_only_pattern(eps_half_depth3):
     assert report.passed
     assert report.norms["w_local"] == 0
     assert all(v == 0 for v in report.pairings.values())
+
+
+# the first piece of either site is {0}; 99 lies outside the universe
+@pytest.mark.parametrize("vec", ["1:1", "0:1,2:1/2", "99:1"])
+def test_experiments_refuse_a_pattern_outside_the_first_piece(eps_half_depth1, k2_wide8, vec):
+    pattern = parse_vector(vec)
+    with pytest.raises(PatternOutOfRangeError, match="first piece"):
+        run_eps_experiment(eps_half_depth1, EpsExperimentConfig(n=1, pattern=pattern))
+    with pytest.raises(PatternOutOfRangeError, match="first piece"):
+        run_K_experiment(k2_wide8, KExperimentConfig(n=4, L=Fraction(5, 4), pattern=pattern))
 
 
 def test_eps_experiment_config_validation(scheme_depth1, eps_half_depth1, k2_wide8):
@@ -495,7 +506,9 @@ def _piece_instances(family):
 
 
 def _uncovered_pairs(scheme):
-    return analysis._uncovered(scheme, list(analysis.nested_pairs(scheme)))
+    listed = set(scheme.sets())
+    return [(E, F) for E, F in analysis.nested_pairs(scheme)
+            if not analysis._covered(scheme, listed, E, F)]
 
 
 @pytest.mark.parametrize("name", PINNED_FAMILIES)

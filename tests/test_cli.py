@@ -206,6 +206,16 @@ def test_experiment_rejects_bad_slack(capsys, n, L, message):
 
 
 @pytest.mark.parametrize("argv", [
+    ["eps", "--eps", "1/2", "--n", "1", "--type", "1,6;6;0"],
+    ["kbasis", "--k", "2", "--n", "4", "--L", "5/4", "--type", "1,8;8;0"],
+], ids=["eps", "kbasis"])
+def test_experiment_pattern_outside_the_first_piece_is_config_error(capsys, argv):
+    code, out, err = run(capsys, "experiment", *argv, "--pattern", "0:1,3:1")
+    assert code == 2
+    assert out == "" and "first piece" in err
+
+
+@pytest.mark.parametrize("argv", [
     ["--eps", "1/3", "--n", "2"],
     ["--eps", "1/2", "--n", "0"],
 ], ids=["non_integer_m", "n0"])

@@ -23,6 +23,7 @@ from oracles import (
     random_fraction,
     random_norming_set,
     random_span_member,
+    verify_decomposition_oracle,
 )
 
 E0, E1 = SparseVector.unit(0), SparseVector.unit(1)
@@ -172,3 +173,52 @@ def test_proportional_member_takes_the_first_qualifying_index():
     assert proportional_member(f, H, 5) == (1, Fraction(5))
     assert proportional_member(f, H[:2] + H[4:], 1) == (2, Fraction(1))
     assert proportional_member(parse_vector("0:1/3,2:1"), H, 5) is None
+
+
+COEFFICIENTS = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
+                                Fraction(-1, 3), Fraction(2, 5), Fraction(-5, 2)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(VECTORS, min_size=1, max_size=4), st.data())
+def test_verify_decomposition_matches_its_oracle(H, data):
+    # H ends with a copy of H[0] and its negative, so coefficients can cancel
+    H = H + [H[0], -H[0]]
+    last = len(H) - 1
+    c = data.draw(COEFFICIENTS)
+    coefficients = data.draw(st.one_of(
+        st.none(), st.just({}),
+        st.just({0: c, last - 1: -c}),  # c and -c on two equal members
+        st.just({0: c, last: c}),        # members that cancel
+        st.dictionaries(st.integers(0, last), COEFFICIENTS, max_size=len(H))))
+    mass = sum(abs(v) for v in (coefficients or {}).values())
+    if mass and data.draw(st.booleans()):
+        # rescaled to mass exactly 1, just above it, or just below it
+        q = data.draw(st.integers(1, 9))
+        target = data.draw(st.sampled_from([1, 1 + Fraction(1, q), 1 - Fraction(1, q)]))
+        coefficients = {i: v * target / mass for i, v in coefficients.items()}
+    total = SparseVector()
+    for i, v in (coefficients or {}).items():
+        total = total + H[i].scale(v)
+    f = data.draw(st.one_of(st.just(total), st.just(total + E0), VECTORS))
+    assert (verify_decomposition(f, H, coefficients)
+            == verify_decomposition_oracle(f, H, coefficients))
+
+
+@pytest.mark.parametrize("f, coefficients, expected", [
+    (E0, None, False),
+    (SparseVector(), {}, True),
+    (E0, {}, False),
+    (E0, {0: Fraction(1), 3: Fraction(0)}, True),
+    (SparseVector(), {0: Fraction(1, 2), 1: Fraction(-1, 2)}, True),
+    (SparseVector(), {0: Fraction(1, 2), 2: Fraction(1, 2)}, True),
+    (SparseVector(), {0: Fraction(1), 1: Fraction(-1)}, False),
+    (parse_vector("0:1/2,1:1/2"), {0: Fraction(1, 2), 3: Fraction(1, 2)}, True),
+    (parse_vector("0:4/3"), {0: Fraction(1), 1: Fraction(1, 3)}, False),
+    (parse_vector("0:1/2"), {0: Fraction(1, 2), 3: Fraction(1, 2)}, False),
+], ids=["none", "empty", "empty_for_nonzero", "zero_coefficient", "equal_members",
+        "cancelling_members", "cancelling_mass_2", "mass_1", "mass_4/3", "wrong_sum"])
+def test_verify_decomposition_cases(f, coefficients, expected):
+    H = [E0, E0, -E0, E1]
+    assert verify_decomposition(f, H, coefficients) is expected
+    assert verify_decomposition_oracle(f, H, coefficients) is expected

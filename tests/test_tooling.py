@@ -88,6 +88,27 @@ def test_no_json_dumps_call_indents():
     assert found == []
 
 
+def _set_key_spellings(tree):
+    """Every f-string in `tree` that is exactly `{a}:{b}` for two names: the
+    spelling of a set key "k:i"."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr) and len(node.values) == 3:
+            left, colon, right = node.values
+            if (isinstance(colon, ast.Constant) and colon.value == ":"
+                    and all(isinstance(v, ast.FormattedValue) and isinstance(v.value, ast.Name)
+                            for v in (left, right))):
+                yield node
+
+
+def test_only_the_scheme_spells_set_keys():
+    # Scheme.keyed_sets writes "k:i" and Scheme.set_by_id reads it
+    found = [f"{source.name}:{node.lineno}"
+             for source in sorted((ROOT / "src" / "csw").glob("*.py"))
+             if source.name != "schemes.py"
+             for node in _set_key_spellings(ast.parse(source.read_text(encoding="utf-8")))]
+    assert found == []
+
+
 def _actions(parser, path=("csw",)):
     """(command path, action) for every action of `parser` and its subparsers."""
     for action in parser._actions:
