@@ -30,9 +30,13 @@ closure is finite.  Units and spreads have 0/1 entries times K^-e, and a
 scaled cut keeps a 0/1 pattern and adds 1 to e, so every functional is
 K^-e chi_S, with e the exponent of each of its origins.  As K > 1, the pair
 (S, e) names the vector, so the closure runs on (support, exponent) pairs: a
-scaled cut at d keeps the part of S below d and adds 1 to e.  It expands
-each pair once, collects the origins of the routes that reach it again, and
-builds each vector K^-e chi_S once, after the closure.
+scaled cut at d keeps the part of S below d and adds 1 to e.  Every cut in
+(S[i-1], S[i]] keeps the prefix S[:i], and every cut above S[-1], with the
+cut None, keeps S, so the closure expands each pair once per run of cuts
+that keep the same prefix: it looks the prefix up once and gives it one
+origin per cut of the run, in ascending cut order.  It collects the origins
+of the routes that reach a pair again, and builds each vector K^-e chi_S
+once, after the closure.
 
 Norms: |x| = max |<f, x>| over f in H_F, where F is the minimal-rank scheme
 set containing supp(x) ("local" mode; coherence makes the choice of F
@@ -54,10 +58,10 @@ to share.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import pairwise, zip_longest
+from typing import NamedTuple
 
 from .errors import (
     ConfigInvalidError,
@@ -90,8 +94,7 @@ EPS_FORM_OF_RULE = {
 }
 
 
-@dataclass(frozen=True)
-class Origin:
+class Origin(NamedTuple):
     rule: str
     rank: int
     alpha: int | None = None
@@ -178,7 +181,7 @@ def _spread_vector(vec: SparseVector, maps) -> SparseVector:
             q = pm[p]
             if q not in first:
                 total[q] = v
-    return SparseVector(total.items())
+    return SparseVector._of(total)
 
 
 def _parameter(space_kind, param, scale_cap) -> Fraction:
@@ -266,36 +269,41 @@ def build_K_family(scheme: Scheme, K, scale_cap=1) -> NormingFamily:
     inv = Fraction(1) / K
 
     def amalgamate(F, maps, first_family):
+        if list(F.elements) != sorted(set(F.elements)):  # the runs need it
+            raise ConfigInvalidError(f"the elements of {F} are not strictly increasing")
         k = F.rank
         origins = {}  # (support, e) -> {origin: None}, origins in discovery order
         queue = []
 
-        def register(key, origin):
-            """Enqueue a new key; give a known one the origin if it is new."""
+        def register(key, found):
+            """Enqueue a new key; give a known one the origins it lacks."""
             if key in origins:
-                origins[key][origin] = None
+                origins[key].update(dict.fromkeys(found))
             else:
-                origins[key] = {origin: None}
+                origins[key] = dict.fromkeys(found)
                 queue.append(key)
 
         for a in F.elements:
-            register(((a,), 0), Origin(RULE_UNIT, k, alpha=a))
+            register(((a,), 0), (Origin(RULE_UNIT, k, alpha=a),))
         for f in first_family:
             e = f.origin.exponent
             register((_spread_vector(f.vector, maps).support, e),
-                     Origin(RULE_SPREAD, k, alpha=f.origin.alpha, exponent=e))
-        cuts = list(F.elements) + [None]
+                     (Origin(RULE_SPREAD, k, alpha=f.origin.alpha, exponent=e),))
+        cuts = (*F.elements, None)
+        ends = {p: j + 1 for j, p in enumerate(F.elements)}  # the cuts at or below p
+        scaled = {e: [Origin(RULE_SCALED_CUT, k, cut=d, exponent=e) for d in cuts]
+                  for e in range(1, scale_cap + 1)}  # one origin per cut and exponent
         while queue:
             support, e = queue.pop()
             if e >= scale_cap:
                 continue
-            for cut in cuts:
-                below = support if cut is None else support[:bisect_left(support, cut)]
-                if below:
-                    register((below, e + 1),
-                             Origin(RULE_SCALED_CUT, k, cut=cut, exponent=e + 1))
+            # the cuts in (support[i-1], support[i]] keep support[:i]; those
+            # above support[-1], and None, keep all of it
+            bounds = [ends[p] for p in support] + [len(cuts)]
+            for i, (lo, hi) in enumerate(pairwise(bounds), 1):
+                register((support[:i], e + 1), scaled[e + 1][lo:hi])
         powers = [inv ** e for e in range(scale_cap + 1)]
-        return [Functional(SparseVector(dict.fromkeys(support, powers[e])), F,
+        return [Functional(SparseVector._of(dict.fromkeys(support, powers[e])), F,
                            tuple(origins[support, e]))
                 for e, support in sorted((e, s) for s, e in origins)]
 

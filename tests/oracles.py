@@ -9,11 +9,14 @@ maximizing <y, g> reproduces dual_norm by a completely different route.
 `norming_max_oracle`, `proportional_member_oracle` and
 `verify_decomposition_oracle` are the definitions of three hull kernels,
 written with one Fraction or SparseVector per arithmetic step.
+`k_family_vectors` and `k_scaled_cut_origins` close the scaled-cut family of
+each set from its definition, one vector and one cut at a time.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
+from csw.norming import Origin
 from csw.vectors import SparseVector, pair
 
 
@@ -156,33 +159,36 @@ def random_span_member(rng, H, dim):
     return g
 
 
-def k_family_vectors(scheme, K, cap):
-    """{set: the vectors of its scaled-cut family H_F}, from the definition.
+def _k_closure(scheme, K, cap):
+    """closure(F): {(g, e): the cuts whose scaled cuts reach (g, e)} for the
+    scaled-cut family H_F, from the definition.
 
     Each set is closed on its own, from its own pieces, with no transport:
     H_F is the closure of the unit vectors of F and the spreads of the first
-    piece's family under g -> (1/K)(g below d), d in F, and g -> (1/K) g, on
-    (vector, exponent) pairs whose exponent stays at most `cap`.  A singleton
-    {a} carries K^-j e_a for j <= cap.
+    piece's family under g -> (1/K)(g below d), d in F, and g -> (1/K) g
+    (written as the cut d = None), on (vector, exponent) pairs whose
+    exponent stays at most `cap`.  A singleton {a} carries K^-j e_a for
+    j <= cap.  Every pair of exponent below `cap` is expanded once, at every
+    cut, and each nonzero image records the cut that reached it.
     """
     inv = Fraction(1) / Fraction(K)
-    pairs = {}
+    closures = {}
 
     def closure(F):
-        if F in pairs:
-            return pairs[F]
+        if F in closures:
+            return closures[F]
         if F.rank == 0:
-            found = {(SparseVector.unit(F.elements[0]).scale(inv ** j), j)
+            found = {(SparseVector.unit(F.elements[0]).scale(inv ** j), j): set()
                      for j in range(cap + 1)}
         else:
             first, *others = scheme.decomposition[F]
-            found = {(SparseVector.unit(a), 0) for a in F.elements}
+            found = {(SparseVector.unit(a), 0): set() for a in F.elements}
             for g, e in closure(first):
                 spread = g
                 for piece in others:
                     moved = g.map_positions(dict(zip(first.elements, piece.elements)))
                     spread = spread + moved.restrict_to(set(piece.elements) - set(first.elements))
-                found.add((spread, e))
+                found.setdefault((spread, e), set())
             todo = list(found)
             while todo:
                 g, e = todo.pop()
@@ -190,10 +196,33 @@ def k_family_vectors(scheme, K, cap):
                     continue
                 for d in (*F.elements, None):
                     h = (g if d is None else g.restrict_below(d)).scale(inv)
-                    if h and (h, e + 1) not in found:
-                        found.add((h, e + 1))
+                    if not h:
+                        continue
+                    if (h, e + 1) not in found:
+                        found[h, e + 1] = set()
                         todo.append((h, e + 1))
-        pairs[F] = found
+                    found[h, e + 1].add(d)
+        closures[F] = found
         return found
 
+    return closure
+
+
+def k_family_vectors(scheme, K, cap):
+    """{set: the vectors of its scaled-cut family H_F}, from the definition
+    (see `_k_closure`)."""
+    closure = _k_closure(scheme, K, cap)
     return {F: {g for g, _ in closure(F)} for F in scheme.sets()}
+
+
+def k_scaled_cut_origins(scheme, K, cap):
+    """{first set F of each rank >= 1: {h in H_F: the scaled-cut origins h
+    must carry}}, from the definition: for every (g, e) in the closure with
+    e < cap and every cut d in F or None with g below d nonzero,
+    K^-1 (g below d) carries Origin("scaled_cut", rank of F, cut=d,
+    exponent=e + 1).  A unit or spread that no cut reaches maps to the
+    empty set."""
+    closure = _k_closure(scheme, K, cap)
+    return {F: {h: {Origin("scaled_cut", F.rank, cut=d, exponent=e) for d in cuts}
+                for (h, e), cuts in closure(F).items()}
+            for F in (level[0] for level in scheme.levels[1:])}

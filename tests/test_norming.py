@@ -33,7 +33,7 @@ from csw.schemes import (
 from csw.vectors import SparseVector, pair, parse_vector
 
 from conftest import TYPE_DEPTH2, TYPE_DEPTH3, TYPE_DEPTH4, TYPE_DEPTH5, TYPE_WIDE8
-from oracles import k_family_vectors, norming_max_oracle
+from oracles import k_family_vectors, k_scaled_cut_origins, norming_max_oracle
 
 HALF = Fraction(1, 2)
 
@@ -44,6 +44,27 @@ def v(text):
 
 def vectors_of(family, scheme_set):
     return {f.vector for f in family.functionals_for(scheme_set)}
+
+
+# ---------------------------------------------------------------------------
+# Origin
+
+def test_origin_keeps_its_public_construction_and_behaviour(scheme_depth2):
+    import csw
+    o = csw.Origin("unit", 1, alpha=0)
+    assert (o.rule, o.rank, o.alpha, o.cut, o.exponent) == ("unit", 1, 0, None, 0)
+    assert o == csw.Origin(rule="unit", rank=1, alpha=0, cut=None, exponent=0)
+    assert o != csw.Origin("unit", 1, alpha=1)
+    assert {o: "first"}[csw.Origin("unit", 1, alpha=0)] == "first"
+    assert len({o, csw.Origin("unit", 1, alpha=0), csw.Origin("unit", 2, alpha=0)}) == 2
+    with pytest.raises(AttributeError):
+        o.alpha = 1
+    cut = csw.Origin("scaled_cut", 2, cut=5, exponent=2)
+    assert o.to_json() == {"rule": "unit", "rank": 1, "alpha": 0}
+    assert cut.to_json() == {"rule": "scaled_cut", "rank": 2, "cut": 5, "exponent": 2}
+    top = scheme_depth2.top
+    assert csw.Functional(SparseVector.unit(0), top, (o, cut)).label() == "unit/a0"
+    assert csw.Functional(SparseVector.unit(0), top, (cut, o)).label() == "scaled_cut/cut5/exp2"
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +258,21 @@ def test_k_family_matches_the_closure_oracle(type_triple, K, cap):
         assert set(vectors) == expected[s], s
 
 
+# the builder walks each key's cuts in runs that keep one prefix; the oracle
+# expands every vector at every cut and records the cut that reached each image
+@pytest.mark.parametrize("type_triple, K, cap", [c[1:] for c in ORACLE_CASES],
+                         ids=[f"{n}-K{K}-cap{cap}" for n, _, K, cap in ORACLE_CASES])
+def test_k_scaled_cut_origins_match_the_route_oracle(type_triple, K, cap):
+    scheme = build_scheme(validate_type(*type_triple))
+    family = build_K_family(scheme, Fraction(K), scale_cap=cap)
+    for F, expected in k_scaled_cut_origins(scheme, K, cap).items():
+        functionals = family.functionals_for(F)
+        assert {f.vector for f in functionals} == set(expected), F
+        for f in functionals:
+            assert {o for o in f.origins if o.rule == "scaled_cut"} == expected[f.vector], \
+                (F, f.label())
+
+
 def test_scale_cap_stability(scheme_depth3, k2_depth3):
     deeper = build_K_family(scheme_depth3, 2, scale_cap=3)
     rng = random.Random(5)
@@ -391,7 +427,8 @@ def test_family_round_trip(eps_half_depth2, k2_depth2):
 
 # sha256 of family_dumps for (type, space, parameter, scale_cap), recorded
 # when every set's family was still built separately; the two d5 digests were
-# recorded when the K closure still ran on Fraction vectors
+# recorded when the K closure still ran on Fraction vectors, and the w16 K=2
+# cap2 and d4 K=3/2 cap3 digests when it still walked every cut of every key
 FAMILY_DIGESTS = [
     (TYPE_DEPTH2, "k", "5/2", 2,
      "6b8811d606d8e5627da6034af45893cb1f4876b230b58a2d44ad9d88630c1e98"),
@@ -415,6 +452,10 @@ FAMILY_DIGESTS = [
      "44c58aa958f536d64b7f401ec1bfcaea14c530b3071a40db8c66ce6313a903ad"),
     (TYPE_DEPTH5, "k", "2", 1,
      "c6aa94a6e985c190a8d6f956f3f2839d341bc03ea425f80a467f3d8d35abbde7"),
+    (([1, 16], [16], [0]), "k", "2", 2,
+     "1d20d846168e43ed9c8ad91edea91fe96848bc62dc41188fe1f4889f2ead8698"),
+    (TYPE_DEPTH4, "k", "3/2", 3,
+     "c229ad9ce199e64b88b080e2d504778789b1356f4563333f473109a3145c4d37"),
 ]
 
 
@@ -422,7 +463,8 @@ FAMILY_DIGESTS = [
                          ids=["d2-k-5/2-cap2", "d3-eps-1/3", "d3-k-2-cap2",
                               "d4-eps-1/2", "d4-k-2-cap1", "w16-k-3/2-cap1",
                               "d3-k-3/2-cap3", "w8-k-5/2-cap3", "d4-k-2-cap2",
-                              "d5-eps-1/2", "d5-k-2-cap1"])
+                              "d5-eps-1/2", "d5-k-2-cap1", "w16-k-2-cap2",
+                              "d4-k-3/2-cap3"])
 def test_family_bytes_are_pinned(type_triple, space, param, cap, digest):
     scheme = build_scheme(validate_type(*type_triple))
     if space == "eps":
@@ -443,3 +485,10 @@ def test_builders_refuse_a_decomposition_that_is_not_a_transport(build):
     payload["decomposition"]["1:1"].reverse()
     with pytest.raises(ConfigInvalidError):
         build(scheme_from_json(payload))
+
+
+def test_K_builder_refuses_a_set_that_is_not_increasing():
+    payload = scheme_to_json(build_scheme(validate_type(*TYPE_DEPTH2)))
+    payload["levels"][2][0].reverse()
+    with pytest.raises(ConfigInvalidError, match="not strictly increasing"):
+        build_K_family(scheme_from_json(payload), 2)
