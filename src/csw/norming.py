@@ -44,23 +44,26 @@ irrelevant).  "all" mode maxes over every functional of every set instead;
 the two genuinely differ and both are exposed.
 
 Construction runs bottom-up with one amalgamation per rank, at the first
-rank-k set; every other rank-k set gets that family's transport through the
-increasing bijection `Scheme.transport`.  The transport is exact because the
-bijection carries the first set's decomposition onto the set's own; the
-scheme refuses to give a bijection that does not.  A family is a function of
-(scheme, space, param, scale_cap), and a family file holds all four, so
-loading one rebuilds the family and refuses the file unless its header and
-every set's entries are what the writer writes for it.  Families are
-immutable afterwards and norm evaluation is pure, so built values are safe
-to share.
+rank-k set, and only those families are stored: every other rank-k set gets
+that family's transport through the increasing bijection `Scheme.transport`
+when first read, with each distinct origin moved once.  The transport is
+exact because the bijection carries the first set's decomposition onto the
+set's own; the scheme refuses to give a bijection that does not.  A family
+is a function of (scheme, space, param, scale_cap), and a family file holds
+all four, so loading one rebuilds the family and refuses the file unless
+its header and every set's entries are what the writer writes for it.  The
+writer moves each rank's first-set entries the same way, so writing or
+loading a family transports no functional.  Families are immutable
+afterwards and norm evaluation is pure, so built values are safe to share.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import pairwise, zip_longest
+from itertools import chain, pairwise, zip_longest
 from typing import NamedTuple
 
 from .errors import (
@@ -139,7 +142,7 @@ class NormingFamily:
     scheme: Scheme
     space_kind: str
     parameter: Fraction
-    families: dict  # SchemeSet -> list[Functional]
+    families: Mapping  # SchemeSet -> list[Functional], in scan order
     scale_cap: int = 1
 
     @property
@@ -207,29 +210,59 @@ def _units(s, inv, scale_cap):
             for j in range(scale_cap + 1))
 
 
-def _transported(fam, pm, target):
+def _origin_map(fam, pm) -> dict:
+    """Each distinct origin of a family carried through the increasing
+    bijection `pm`: alpha and cut move, None ("no index", "no cut") stays."""
+    at = {None: None, **pm}
+    return {o: Origin(o.rule, o.rank, at[o.alpha], at[o.cut], o.exponent)
+            for o in dict.fromkeys(chain.from_iterable(f.origins for f in fam))}
+
+
+def _moved(fam, pm, target) -> list:
     """A family carried through the increasing bijection `pm` onto `target`."""
-    at = {None: None, **pm}  # origins store None for "no index" and "no cut"
-    return [Functional(f.vector.map_positions(pm), target,
-                       tuple(Origin(o.rule, o.rank, at[o.alpha], at[o.cut], o.exponent)
-                             for o in f.origins))
+    moved = _origin_map(fam, pm)
+    return [Functional(f.vector.map_positions(pm), target, tuple(map(moved.get, f.origins)))
             for f in fam]
 
 
-def _build(scheme, rank0, amalgamate) -> dict:
+class _Lazy(Mapping):
+    """key -> its value, in the order of the dict `of`: the value kept in the
+    dict `kept`, else make(of[key]), made when read."""
+
+    def __init__(self, of: dict, make, kept: dict):
+        self.of, self.make, self.kept = of, make, kept
+
+    def __getitem__(self, key):
+        value = self.kept.get(key)
+        return self.make(self.of[key]) if value is None else value
+
+    def __iter__(self):
+        return iter(self.of)
+
+    def __len__(self):
+        return len(self.of)
+
+
+def _build(scheme, rank0, amalgamate) -> Mapping:
     """Families of every scheme set: `rank0(set)` or `amalgamate(F, piece maps,
     first piece's family)` builds the first set of each rank, and every other
-    set of that rank gets the transport of its family."""
-    families = {}
+    set of that rank gets the transport of its family, made when first read."""
+    built, sets = {}, {}
+
+    def family(s):
+        built[s] = _moved(built[scheme.levels[s.rank][0]], scheme.transport(s), s)
+        return built[s]
+
+    families = _Lazy(sets, family, built)
     for k, level in enumerate(scheme.levels):
         first = level[0]
-        fam = list(rank0(first)) if k == 0 else amalgamate(
+        built[first] = list(rank0(first)) if k == 0 else amalgamate(
             first, scheme.piece_maps(first), families[scheme.decomposition[first][0]])
-        families[first] = fam
-        for F in level[1:]:
-            if F in families:
+        for F in level:
+            if F in sets:
                 raise ConfigInvalidError(f"{F} is listed twice at level {k}")
-            families[F] = _transported(fam, scheme.transport(F), F)
+            scheme.transport(F)  # refuses a scheme where a transport would be wrong
+            sets[F] = F
     return families
 
 
@@ -258,9 +291,8 @@ def build_eps_family(scheme: Scheme, eps) -> NormingFamily:
                 fam.append(Functional(vec, F, (Origin(rule, F.rank, alpha=pm[b]),)))
         return sorted(fam, key=lambda g: g.origin.alpha)
 
-    families = _build(scheme, lambda s: _units(s, 1, 0), amalgamate)
-    return NormingFamily(scheme=scheme, space_kind=EPS_KIND, parameter=eps,
-                         families=families, scale_cap=0)
+    return NormingFamily(scheme=scheme, space_kind=EPS_KIND, parameter=eps, scale_cap=0,
+                         families=_build(scheme, lambda s: _units(s, 1, 0), amalgamate))
 
 
 def build_K_family(scheme: Scheme, K, scale_cap=1) -> NormingFamily:
@@ -307,9 +339,8 @@ def build_K_family(scheme: Scheme, K, scale_cap=1) -> NormingFamily:
                            tuple(origins[support, e]))
                 for e, support in sorted((e, s) for s, e in origins)]
 
-    families = _build(scheme, lambda s: _units(s, inv, scale_cap), amalgamate)
-    return NormingFamily(scheme=scheme, space_kind=K_KIND, parameter=K,
-                         families=families, scale_cap=scale_cap)
+    return NormingFamily(scheme=scheme, space_kind=K_KIND, parameter=K, scale_cap=scale_cap,
+                         families=_build(scheme, lambda s: _units(s, inv, scale_cap), amalgamate))
 
 
 def norm(x: SparseVector, family: NormingFamily, mode="local") -> Fraction:
@@ -346,11 +377,11 @@ def global_dual(family: NormingFamily, alpha: int) -> SparseVector:
 # ---------------------------------------------------------------------------
 # JSON serialization
 
-def _entry(f: Functional) -> dict:
-    """The JSON entry the writer emits for one functional."""
-    entry = {"vec": f.vector.to_json(), "origin": f.origin.to_json()}
-    if len(f.origins) > 1:
-        entry["merged"] = [o.to_json() for o in f.origins[1:]]
+def _entry(vec, origins) -> dict:
+    """The writer's JSON entry for a functional from its vector's and origins' JSON."""
+    entry = {"vec": vec, "origin": origins[0]}
+    if len(origins) > 1:
+        entry["merged"] = origins[1:]
     return entry
 
 
@@ -360,26 +391,46 @@ def _header(family: NormingFamily) -> dict:
             "scale_cap": family.scale_cap}
 
 
-def _set_entries(family: NormingFamily):
-    """("k:i", the writer's entries) for every scheme set, in scan order."""
-    for key, s in family.scheme.keyed_sets():
-        yield key, [_entry(f) for f in family.functionals_for(s)]
+def _entries(family: NormingFamily) -> Mapping:
+    """"k:i" -> the writer's entries for that set, in scan order, made when
+    read: each rank's first-set vector JSON is made once and moved onto the
+    rank's other sets, and each set's distinct origins are moved once."""
+    scheme, ranks = family.scheme, {}
+
+    def entries(s):
+        first = scheme.levels[s.rank][0]
+        if s.rank not in ranks:
+            fam = family.functionals_for(first)
+            ranks[s.rank] = fam, [f.vector.to_json() for f in fam]
+        fam, vecs = ranks[s.rank]
+        pm = scheme.transport(s)
+        moved = {o: m.to_json() for o, m in _origin_map(fam, pm).items()}
+        if s != first:  # the first set's vectors stay where they are
+            at = {str(p): str(q) for p, q in pm.items()}
+            vecs = [{at[p]: t for p, t in vec.items()} for vec in vecs]
+        return [_entry(vec, list(map(moved.get, f.origins))) for f, vec in zip(fam, vecs)]
+
+    return _Lazy(dict(scheme.keyed_sets()), entries, {})
 
 
 def family_to_json(family: NormingFamily) -> dict:
+    """The writer's JSON for a family, each set's entries made from its functionals."""
     return {**_header(family), "scheme": scheme_to_json(family.scheme),
-            "families": dict(_set_entries(family))}
+            "families": {key: [_entry(f.vector.to_json(), [o.to_json() for o in f.origins])
+                               for f in family.functionals_for(s)]
+                         for key, s in family.scheme.keyed_sets()}}
 
 
 def _same_entries(entries, written) -> bool:
     """Whether a set's entries in a file are the writer's `written`, an
     iterable read only up to the first difference.  Python's `==` takes a
     JSON `true` or `1.0` for `1`, and the writer's only integers are origin
-    fields, so those must be JSON integers too."""
-    return all(a == b for a, b in zip_longest(entries, written)) and all(
-        type(v) in (int, str)
-        for entry in entries for o in (entry["origin"], *entry.get("merged", ()))
-        for v in o.values())
+    fields, so each origin value must be a JSON int or str too."""
+    if not all(a == b for a, b in zip_longest(entries, written)):
+        return False
+    origins = chain([e["origin"] for e in entries],
+                    chain.from_iterable(e.get("merged", ()) for e in entries))
+    return {*map(type, chain.from_iterable(map(dict.values, origins)))} <= {int, str}
 
 
 def family_from_json(obj) -> NormingFamily:
@@ -412,20 +463,23 @@ def family_from_json(obj) -> NormingFamily:
                 "file's scheme, space, param and scale_cap")
 
     inv, cap = (1, 0) if space == EPS_KIND else (1 / param, scale_cap)
-    check("0:0", map(_entry, _units(scheme.levels[0][0], inv, cap)))
+    check("0:0", (_entry(f.vector.to_json(), [f.origin.to_json()])
+                  for f in _units(scheme.levels[0][0], inv, cap)))
     family = (build_eps_family(scheme, param) if space == EPS_KIND
               else build_K_family(scheme, param, scale_cap))
     for name, value in _header(family).items():
         if type(obj[name]) is not type(value) or obj[name] != value:
             raise ConfigInvalidError(f"{name} is not the writer's: "
                                      f"{obj[name]!r} where it writes {value!r}")
-    for key, written in _set_entries(family):
+    for key, written in _entries(family).items():
         check(key, written)
     return family
 
 
 def family_dumps(family: NormingFamily) -> str:
-    return canonical_json(family_to_json(family))
+    """`family_to_json`'s text, each set's entries made, written and dropped in turn."""
+    return canonical_json({**_header(family), "scheme": scheme_to_json(family.scheme),
+                           "families": _entries(family)})
 
 
 def family_loads(text: str) -> NormingFamily:

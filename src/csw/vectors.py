@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -208,9 +209,10 @@ def pair(f: SparseVector, x: SparseVector) -> Fraction:
 
 def canonical_json(obj) -> str:
     """The text `json.dumps(obj, sort_keys=True, indent=2)` writes for `obj`:
-    dicts with str keys, lists, tuples and JSON scalars.  json's indenting
+    mappings with str keys, lists, tuples and JSON scalars.  json's indenting
     encoder is pure Python and joins one small string per token; this joins
-    each container's parts once and quotes strings with json's C quoting."""
+    each container's parts once and quotes strings with json's C quoting.  A
+    mapping's values are read one at a time, in key order."""
     return _json(obj, "\n")
 
 
@@ -219,21 +221,22 @@ def _json(obj, indent):
         return _quote(obj)
     if type(obj) is int:
         return str(obj)
-    if not isinstance(obj, (dict, list, tuple)) or not obj:
+    if not isinstance(obj, (dict, list, tuple, Mapping)) or not obj:
         return json.dumps(obj)
     inner = indent + "  "
-    if isinstance(obj, dict):
-        parts = ["{"]
-        for k, v in sorted(obj.items()):
-            # str and int values, nearly all of a family file's, are written in place
-            parts += (inner, _quote(k), ": ", _quote(v) if type(v) is str
-                      else str(v) if type(v) is int else _json(v, inner), ",")
-        parts[-1] = indent + "}"
-    else:
+    if isinstance(obj, (list, tuple)):
         parts = ["["]
         for v in obj:
             parts += (inner, _json(v, inner), ",")
         parts[-1] = indent + "]"
+    else:
+        parts = ["{"]
+        for k in sorted(obj):
+            v = obj[k]
+            # str and int values, nearly all of a family file's, are written in place
+            parts += (inner, _quote(k), ": ", _quote(v) if type(v) is str
+                      else str(v) if type(v) is int else _json(v, inner), ",")
+        parts[-1] = indent + "}"
     return "".join(parts)
 
 

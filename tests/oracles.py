@@ -11,12 +11,14 @@ maximizing <y, g> reproduces dual_norm by a completely different route.
 written with one Fraction or SparseVector per arithmetic step.
 `k_family_vectors` and `k_scaled_cut_origins` close the scaled-cut family of
 each set from its definition, one vector and one cut at a time.
+`transported` carries a family through an increasing bijection with one new
+`Origin` per origin of every functional.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from csw.norming import Origin
+from csw.norming import Functional, Origin
 from csw.vectors import SparseVector, pair
 
 
@@ -226,3 +228,14 @@ def k_scaled_cut_origins(scheme, K, cap):
     return {F: {h: {Origin("scaled_cut", F.rank, cut=d, exponent=e) for d in cuts}
                 for (h, e), cuts in closure(F).items()}
             for F in (level[0] for level in scheme.levels[1:])}
+
+
+def transported(fam, pm, target):
+    """A family carried through the increasing bijection `pm` onto `target`:
+    each vector moved, `home` set to `target`, and every origin of every
+    functional rebuilt on its own with its alpha and cut moved."""
+    at = {None: None, **pm}  # origins store None for "no index" and "no cut"
+    return [Functional(f.vector.map_positions(pm), target,
+                       tuple(Origin(o.rule, o.rank, at[o.alpha], at[o.cut], o.exponent)
+                             for o in f.origins))
+            for f in fam]

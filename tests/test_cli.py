@@ -419,6 +419,11 @@ def _change_eps_value(payload):
     entry["vec"]["3"] = "5"
 
 
+def _edit_1_2_and_2_0(payload):
+    payload["families"]["1:2"][2]["vec"].update({"3": "2"})
+    _move_unit(payload)
+
+
 # edits of built 1,2,4;2,3;0,1 family files that loading refuses because the
 # writer writes something else for the family rebuilt from the file, each
 # naming the first field or set that differs: the K=2 unit at 3 moved onto
@@ -426,7 +431,11 @@ def _change_eps_value(payload):
 # an eps value 1/2 changed to 5 (norm 6 instead of 3/2 then), an origin rank
 # written as `true` or `1.0` where the writer writes `1`, a parameter not in
 # the writer's spelling, an eps file with a nonzero scale_cap, and a
-# scale_cap far past the file's 0:0, refused before anything is built
+# scale_cap far past the file's 0:0, refused before anything is built; and
+# at 1:2, a set whose entries the writer moves from 1:0's: a vec key, an
+# alpha or a cut left at 1:0's value, a merged origin's rank written as
+# `true`, an alpha written as a float, and an edit there named before one at
+# 2:0
 @pytest.mark.parametrize("space, param, edit, vec, where", [
     ("k", "2", _move_unit, "0:1,1:-1,2:1,3:-1", "2:0 is not the writer's"),
     ("eps", "1/2", _change_eps_value, "1:1,3:1", "2:0 is not the writer's"),
@@ -438,9 +447,22 @@ def _change_eps_value(payload):
     ("eps", "1/2", lambda p: p.update(scale_cap=1), "0:1",
      "scale_cap is not the writer's: 1 where it writes 0"),
     ("k", "2", lambda p: p.update(scale_cap=100000), "0:1", "0:0 is not the writer's"),
+    ("eps", "1/2", lambda p: _rename(p["families"]["1:2"][1]["vec"], "3", "1"), "0:1",
+     "1:2 is not the writer's"),
+    ("eps", "1/2", lambda p: p["families"]["1:2"][1]["origin"].update(alpha=1), "0:1",
+     "1:2 is not the writer's"),
+    ("k", "2", lambda p: p["families"]["1:2"][3]["origin"].update(cut=1), "0:1",
+     "1:2 is not the writer's"),
+    ("k", "2", lambda p: p["families"]["1:2"][3]["merged"][0].update(rank=True), "0:1",
+     "1:2 is not the writer's"),
+    ("eps", "1/2", lambda p: p["families"]["1:2"][1]["origin"].update(alpha=3.0), "0:1",
+     "1:2 is not the writer's"),
+    ("k", "2", _edit_1_2_and_2_0, "0:1", "1:2 is not the writer's"),
 ], ids=["k_unit_moved", "eps_value_changed", "boolean_rank", "float_rank",
         "param_not_canonical",
-        "eps_scale_cap", "k_scale_cap_past_its_units"])
+        "eps_scale_cap", "k_scale_cap_past_its_units", "derived_vec_key_moved",
+        "derived_alpha_unmoved", "derived_cut_unmoved", "derived_boolean_merged_rank",
+        "derived_float_alpha", "derived_set_named_before_2_0"])
 def test_family_file_must_be_the_writers(tmp_path, capsys, space, param, edit, vec,
                                          where):
     scheme_file = tmp_path / "s.json"

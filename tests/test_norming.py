@@ -4,7 +4,10 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from csw import norming
 from csw.errors import (
     ConfigInvalidError,
     HomeMismatchError,
@@ -18,22 +21,29 @@ from csw.norming import (
     build_eps_family,
     family_dumps,
     family_loads,
+    family_to_json,
     global_dual,
     norm,
     spread,
 )
 from csw.analysis import random_rational_vector
 from csw.schemes import (
+    SchemeSet,
     build_scheme,
     position_map,
     scheme_from_json,
     scheme_to_json,
     validate_type,
 )
-from csw.vectors import SparseVector, pair, parse_vector
+from csw.vectors import SparseVector, canonical_json, pair, parse_vector
 
 from conftest import TYPE_DEPTH2, TYPE_DEPTH3, TYPE_DEPTH4, TYPE_DEPTH5, TYPE_WIDE8
-from oracles import k_family_vectors, k_scaled_cut_origins, norming_max_oracle
+from oracles import (
+    k_family_vectors,
+    k_scaled_cut_origins,
+    norming_max_oracle,
+    transported,
+)
 
 HALF = Fraction(1, 2)
 
@@ -459,21 +469,87 @@ FAMILY_DIGESTS = [
 ]
 
 
-@pytest.mark.parametrize("type_triple, space, param, cap, digest", FAMILY_DIGESTS,
-                         ids=["d2-k-5/2-cap2", "d3-eps-1/3", "d3-k-2-cap2",
-                              "d4-eps-1/2", "d4-k-2-cap1", "w16-k-3/2-cap1",
-                              "d3-k-3/2-cap3", "w8-k-5/2-cap3", "d4-k-2-cap2",
-                              "d5-eps-1/2", "d5-k-2-cap1", "w16-k-2-cap2",
-                              "d4-k-3/2-cap3"])
-def test_family_bytes_are_pinned(type_triple, space, param, cap, digest):
+FAMILY_IDS = ["d2-k-5/2-cap2", "d3-eps-1/3", "d3-k-2-cap2", "d4-eps-1/2", "d4-k-2-cap1",
+              "w16-k-3/2-cap1", "d3-k-3/2-cap3", "w8-k-5/2-cap3", "d4-k-2-cap2",
+              "d5-eps-1/2", "d5-k-2-cap1", "w16-k-2-cap2", "d4-k-3/2-cap3"]
+
+
+def _digest_family(type_triple, space, param, cap):
     scheme = build_scheme(validate_type(*type_triple))
     if space == "eps":
-        family = build_eps_family(scheme, Fraction(param))
-    else:
-        family = build_K_family(scheme, Fraction(param), scale_cap=cap)
+        return build_eps_family(scheme, Fraction(param))
+    return build_K_family(scheme, Fraction(param), scale_cap=cap)
+
+
+@pytest.mark.parametrize("type_triple, space, param, cap, digest", FAMILY_DIGESTS,
+                         ids=FAMILY_IDS)
+def test_family_bytes_are_pinned(type_triple, space, param, cap, digest):
+    family = _digest_family(type_triple, space, param, cap)
     text = family_dumps(family)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert family_dumps(family_loads(text)) == text
+
+
+# family_dumps moves each rank's first-set entries onto the rank's other
+# sets; family_to_json makes every set's entries from its own functionals
+@pytest.mark.parametrize("type_triple, space, param, cap, digest", FAMILY_DIGESTS,
+                         ids=FAMILY_IDS)
+def test_family_dumps_writes_family_to_json(type_triple, space, param, cap, digest):
+    family = _digest_family(type_triple, space, param, cap)
+    assert family_dumps(family) == canonical_json(family_to_json(family))
+
+
+ORACLE_SCHEMES = [build_scheme(validate_type(*t)) for t in (TYPE_DEPTH2, TYPE_DEPTH3, TYPE_WIDE8)]
+
+
+def _eager(family):
+    """`family` with every set's family made at once, by the oracle's
+    transport of its rank's first family."""
+    scheme = family.scheme
+    return replace(family, families={
+        F: transported(family.families[level[0]], scheme.transport(F), F)
+        for level in scheme.levels for F in level})
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_each_set_holds_the_transport_of_its_ranks_first_family(data):
+    scheme = data.draw(st.sampled_from(ORACLE_SCHEMES))
+    if data.draw(st.booleans()):
+        family = build_eps_family(scheme, data.draw(st.sampled_from(["1/3", "1/2", "2/3"])))
+    else:
+        family = build_K_family(scheme, data.draw(st.sampled_from(["3/2", "2", "5/2"])),
+                                scale_cap=data.draw(st.integers(1, 3)))
+    eager = _eager(family)
+    sets = list(scheme.sets())
+    assert list(family.families) == sets and len(family.families) == len(sets)
+    for F in sets:
+        fam = family.families[F]
+        assert type(fam) is list and fam == eager.families[F]
+    foreign = SchemeSet(rank=1, elements=(0, scheme.universe_size), root_size=0)
+    assert foreign not in family.families
+    with pytest.raises(NotInSchemeError, match="no family attached"):
+        family.functionals_for(foreign)
+    loaded = family_loads(family_dumps(family))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    for _ in range(10):
+        x = random_rational_vector(rng, scheme.universe_size)
+        for mode in ("local", "all"):
+            assert norm(x, loaded, mode=mode) == norm(x, eager, mode=mode)
+
+
+def test_local_norm_on_a_loaded_family_transports_one_set(monkeypatch, k2_depth3):
+    x = v(f"{k2_depth3.scheme.universe_size - 1}:1")
+    expected = norm(x, k2_depth3)
+    moved = []
+    move = norming._moved
+    monkeypatch.setattr(norming, "_moved",
+                        lambda fam, pm, target: moved.append(target) or move(fam, pm, target))
+    loaded = family_loads(family_dumps(k2_depth3))
+    assert moved == []
+    assert norm(x, loaded) == norm(x, loaded) == expected
+    assert moved == [loaded.scheme.minimal_containing(x.support)]
+    assert moved[0] != loaded.scheme.levels[0][0]
 
 
 @pytest.mark.parametrize("build", [
