@@ -141,17 +141,42 @@ def in_symmetric_hull(f: SparseVector, H, try_direct=True) -> HullCertificate:
 
 def verify_decomposition(f: SparseVector, H, coefficients) -> bool:
     """Exact check that sum c_i H[i] == f and sum |c_i| <= 1; False if None.
-    One pass sums c_i H[i] per position in a dict, zeros dropped: no vector
-    is built."""
+
+    Integers throughout: the coefficients are brought to one denominator C,
+    their lcm, as a_i = c_i C, so the mass test is sum |a_i| <= C.  V is the
+    lcm of the denominators of the used members' values, grown only when a
+    new one appears, so v V is an int for every member value v.  One pass
+    sums a_i (v V) per position in a dict, the int C V (sum c_i H[i])[p].
+    The check holds when the nonzero totals are as many as f's entries and
+    each entry f[p] = n/d has n C V == d total[p].  No Fraction and no
+    vector is built, so the result equals the Fraction sum's comparison.
+    """
     if coefficients is None:
         return False
-    total = {}
+    C = lcm(*(c.denominator for c in coefficients.values()))
+    V = 1
     mass = 0
+    terms = []
     for i, c in coefficients.items():
-        mass += abs(c)
-        for p, v in H[i]._entries.items():
-            total[p] = total.get(p, 0) + c * v
-    return mass <= 1 and {p: v for p, v in total.items() if v != 0} == f._entries
+        a = c.numerator * (C // c.denominator)
+        mass += abs(a)
+        values = H[i]._entries
+        terms.append((values, a))
+        for v in values.values():
+            b = v.denominator
+            if V % b:
+                V *= b // gcd(V, b)
+    if mass > C:
+        return False
+    total = {}
+    for values, a in terms:
+        for p, v in values.items():
+            total[p] = total.get(p, 0) + a * v.numerator * (V // v.denominator)
+    entries = f._entries
+    CV = C * V
+    return (len(total) - [*total.values()].count(0) == len(entries)
+            and all(v.numerator * CV == v.denominator * total.get(p, 0)
+                    for p, v in entries.items()))
 
 
 def polar_support(g: SparseVector, H):

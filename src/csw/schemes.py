@@ -25,6 +25,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
+from operator import lt
 
 from .errors import (
     ArityMismatchError,
@@ -311,8 +312,27 @@ def _root_sizes(scheme):
                 yield f"{s} has root size {s.root_size}, type demands r_{k} = {want}"
 
 
+def _predecessors_agree(level):
+    """Whether every set of the level is strictly increasing and all sets
+    that contain x agree on the element just before x (None when x comes
+    first).  For such a level this is the same-rank axiom: every common
+    element then brings all smaller elements of both sets with it, so each
+    pairwise intersection is an initial segment of both."""
+    links = set()
+    for s in level:
+        elements = s.elements
+        if not all(map(lt, elements, elements[1:])):
+            return False
+        links.update(zip(elements, (None, *elements)))
+    return len(links) == len({x for x, _ in links})
+
+
 def _same_rank_initial_segments(scheme):
+    # one pass per level; the pairwise scan, in scan order, only where that
+    # pass fails, so the counterexamples are the pairwise definition's
     for level in scheme.levels:
+        if _predecessors_agree(level):
+            continue
         for e, f in combinations(level, 2):
             common = sorted(e.element_set & f.element_set)
             if not (_is_initial_segment(common, e.elements)

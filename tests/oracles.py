@@ -12,7 +12,8 @@ written with one Fraction or SparseVector per arithmetic step.
 `k_family_vectors` and `k_scaled_cut_origins` close the scaled-cut family of
 each set from its definition, one vector and one cut at a time.
 `transported` carries a family through an increasing bijection with one new
-`Origin` per origin of every functional.
+`Origin` per origin of every functional.  `same_rank_initial_segments_oracle`
+is the same-rank axiom of `csw.schemes`, pair by pair.
 """
 
 from fractions import Fraction
@@ -129,6 +130,18 @@ def verify_decomposition_oracle(f, H, coefficients):
         total = total + H[i].scale(c)
         mass += abs(c)
     return total == f and mass <= 1
+
+
+def same_rank_initial_segments_oracle(scheme):
+    """The same-rank axiom's counterexamples in scan order: every pair of
+    sets in a level, in level order, whose common elements, sorted, are not
+    an initial segment of both."""
+    for level in scheme.levels:
+        for e, f in combinations(level, 2):
+            common = sorted(e.element_set & f.element_set)
+            if not (tuple(e.elements[:len(common)]) == tuple(common)
+                    == tuple(f.elements[:len(common)])):
+                yield f"{e} and {f} intersect in {common}, not an initial segment of both"
 
 
 def random_fraction(rng, max_num=5, max_den=4, nonzero=False):

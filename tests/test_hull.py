@@ -175,27 +175,39 @@ def test_proportional_member_takes_the_first_qualifying_index():
     assert proportional_member(parse_vector("0:1/3,2:1"), H, 5) is None
 
 
-COEFFICIENTS = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
-                                Fraction(-1, 3), Fraction(2, 5), Fraction(-5, 2)])
+COEFFICIENTS = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
+                     Fraction(-1, 3), Fraction(2, 5), Fraction(-5, 2)]),
+    st.integers(-2, 2))
+# rescaled mass targets: 1 and its near neighbours over small and large
+# denominators
+TARGETS = st.builds(lambda q, sign: 1 + sign * Fraction(1, q),
+                    st.sampled_from([2, 9, 3 ** 12, 2 ** 7 * 5 ** 9]),
+                    st.sampled_from([0, 1, -1]))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(VECTORS, min_size=1, max_size=4), st.data())
-def test_verify_decomposition_matches_its_oracle(H, data):
-    # H ends with a copy of H[0] and its negative, so coefficients can cancel
-    H = H + [H[0], -H[0]]
+@settings(max_examples=400, deadline=None)
+@given(st.lists(VECTORS, min_size=1, max_size=4), VECTORS, st.data())
+def test_verify_decomposition_matches_its_oracle(H, x, data):
+    # H ends with a copy of H[0], its negative and H[0] + x, so coefficients
+    # can cancel everywhere, or everywhere but on x: there the total is zero
+    # at positions f lacks
+    H = H + [H[0], -H[0], H[0] + x]
     last = len(H) - 1
     c = data.draw(COEFFICIENTS)
     coefficients = data.draw(st.one_of(
         st.none(), st.just({}),
-        st.just({0: c, last - 1: -c}),  # c and -c on two equal members
-        st.just({0: c, last: c}),        # members that cancel
-        st.dictionaries(st.integers(0, last), COEFFICIENTS, max_size=len(H))))
+        st.just({0: c, last - 2: -c}),  # c and -c on two equal members
+        st.just({0: c, last - 1: c}),    # members that cancel
+        st.just({0: c, last: -c}),       # -c x, zero on the rest of H[0]
+        st.dictionaries(st.integers(0, last), COEFFICIENTS, max_size=len(H)),
+        # mass exactly 1 over the large denominators of VALUES
+        st.lists(VALUES, min_size=1, max_size=len(H)).map(
+            lambda ws: {i: w / sum(map(abs, ws)) for i, w in enumerate(ws)})))
     mass = sum(abs(v) for v in (coefficients or {}).values())
     if mass and data.draw(st.booleans()):
         # rescaled to mass exactly 1, just above it, or just below it
-        q = data.draw(st.integers(1, 9))
-        target = data.draw(st.sampled_from([1, 1 + Fraction(1, q), 1 - Fraction(1, q)]))
+        target = data.draw(TARGETS)
         coefficients = {i: v * target / mass for i, v in coefficients.items()}
     total = SparseVector()
     for i, v in (coefficients or {}).items():

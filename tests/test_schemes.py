@@ -1,7 +1,7 @@
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csw.errors import (
@@ -15,6 +15,7 @@ from csw.errors import (
     TypeValidationError,
 )
 from csw.schemes import (
+    Scheme,
     SchemeSet,
     TypeSpec,
     build_scheme,
@@ -30,9 +31,11 @@ from csw.schemes import (
     scheme_to_json,
     type_violations,
     validate_type,
+    _same_rank_initial_segments,
 )
 
 from conftest import TYPE_DEPTH2, TYPE_DEPTH3, TYPE_DEPTH4
+from oracles import same_rank_initial_segments_oracle
 
 
 def elements(level):
@@ -213,6 +216,38 @@ def test_axiom_counterexamples_are_pinned(scheme_depth2, mutate, failures):
     report = check_axioms(scheme)
     assert [(c.name, c.counterexample) for c in report.failures()] == failures
     assert all(c.counterexample is None for c in report.checks if c.passed)
+
+
+ELEMENTS = st.integers(-1, 6)
+SETS = st.one_of(
+    st.lists(ELEMENTS, max_size=4).map(tuple),            # any order, repeats
+    st.sets(ELEMENTS, max_size=4).map(sorted).map(tuple))  # strictly increasing
+
+
+@st.composite
+def levels(draw):
+    """A level mixing sets that pass the same-rank axiom (prefixes of one
+    chain, each with a tail of its own) with arbitrary sets, and copies."""
+    chain = draw(st.sets(ELEMENTS, max_size=4).map(sorted))
+    level = [tuple(chain[:draw(st.integers(0, len(chain)))]) + (10 + 2 * i, 11 + 2 * i)
+             for i in range(draw(st.integers(0, 4)))]
+    level += draw(st.lists(SETS, max_size=3))
+    if level:
+        level += draw(st.lists(st.sampled_from(level), max_size=2))
+    return draw(st.permutations(level))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(levels(), min_size=1, max_size=3))
+# (1, 0) twice agrees on every predecessor, but the common elements [0, 1]
+# are not an initial segment of (1, 0)
+@example([[(1, 0), (1, 0)]])
+def test_same_rank_axiom_matches_its_oracle(elements_by_level):
+    scheme = Scheme(TypeSpec(*TYPE_DEPTH2), [
+        [SchemeSet(rank=k, elements=e, root_size=0) for e in level]
+        for k, level in enumerate(elements_by_level)])
+    assert (list(_same_rank_initial_segments(scheme))
+            == list(same_rank_initial_segments_oracle(scheme)))
 
 
 # ---------------------------------------------------------------------------
