@@ -38,7 +38,7 @@ from .norming import (
     spread,
 )
 from .schemes import Scheme, find_capture, make_captured_family
-from .vectors import SparseVector, format_rational, pair
+from .vectors import SparseVector, format_rational, pair, parse_rational
 
 _REL_CHECK = {
     "==": lambda a, b: a == b,
@@ -274,7 +274,7 @@ def coherence_report(family: NormingFamily, lp_every=0) -> ExperimentReport:
 def _covered(scheme: Scheme, listed, E, F) -> bool:
     """Whether a scheme set P in `listed` and in F's decomposition has
     E < P < F as element sets; covering is tested, not assumed, since a
-    loaded scheme need not satisfy the axioms."""
+    family made by hand, not a loaded file, may sit on an unchecked scheme."""
     return any(P in listed and E.element_set < P.element_set < F.element_set
                for P in scheme.decomposition.get(F, ()))
 
@@ -413,7 +413,7 @@ class KExperimentConfig:
 
     def validated(self, K):
         """(n, L, K') once n >= 1, 1 <= K' < L < K and 1/K + 1/n < 1/L hold."""
-        n, L, kprime = self.n, Fraction(self.L), Fraction(self.kprime)
+        n, L, kprime = self.n, parse_rational(self.L), parse_rational(self.kprime)
         if n < 1:
             raise ConfigInvalidError("n must be a positive integer")
         if not (1 <= kprime < L < K):
@@ -622,7 +622,7 @@ def verify_eps_separation(family: NormingFamily, ys, ystars,
     m = _alternating_m(n, family.parameter)
     if len(ys) < 2 * n + 2:
         raise ConfigInvalidError(f"need 2n+2 = {2 * n + 2} vectors, got {len(ys)}")
-    tau = Fraction(config.tau)
+    tau = parse_rational(config.tau)
     for i, (y, ystar) in enumerate(zip(ys, ystars)):
         d = pair(ystar, y)
         if d != 1:
@@ -660,8 +660,8 @@ def verify_K_separation(family: NormingFamily, ys,
     if family.space_kind != K_KIND:
         raise WrongSpaceKindError("separation bound needs the scaled-cut variant")
     n = config.n
-    L = Fraction(config.L)
-    kprime = Fraction(config.kprime)
+    L = parse_rational(config.L)
+    kprime = parse_rational(config.kprime)
     if n < 1:
         raise ConfigInvalidError(f"n must be >= 1, got {n}")
     if kprime < 1:

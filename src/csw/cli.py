@@ -163,9 +163,6 @@ def cmd_scheme_check(args):
 
 def cmd_norming_build(args):
     scheme = _load_scheme(args.scheme)
-    report = schemes.check_axioms(scheme)
-    if not report.passed:
-        raise ConfigError("scheme fails its axioms; refusing to build a family")
     if args.space == "eps":
         if args.scale_cap is not None:
             raise ConfigError("--scale-cap applies only to --space k")

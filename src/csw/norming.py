@@ -46,9 +46,11 @@ the two genuinely differ and both are exposed.
 Construction runs bottom-up with one amalgamation per rank, at the first
 rank-k set, and only those families are stored: every other rank-k set gets
 that family's transport through the increasing bijection `Scheme.transport`
-when first read, with each distinct origin moved once.  The transport is
-exact because the bijection carries the first set's decomposition onto the
-set's own; the scheme refuses to give a bijection that does not.  A family
+when first read, with each distinct origin moved once.  Both builders run
+`check_axioms` once, before any amalgamation, and refuse a scheme that fails
+it: under the axioms each piece of F is F's root and one consecutive block
+of F's other elements, in order, so the bijection carries the first set's
+decomposition onto every other set's and the transport is exact.  A family
 is a function of (scheme, space, param, scale_cap), and a family file holds
 all four, so loading one rebuilds the family and refuses the file unless
 its header and every set's entries are what the writer writes for it.  The
@@ -75,7 +77,7 @@ from .errors import (
     WrongSpaceKindError,
 )
 from .hull import norming_max
-from .schemes import Scheme, SchemeSet, scheme_from_json, scheme_to_json
+from .schemes import Scheme, SchemeSet, check_axioms, scheme_from_json, scheme_to_json
 from .vectors import SparseVector, canonical_json, format_rational, parse_rational
 
 EPS_KIND = "eps"
@@ -203,11 +205,10 @@ def _parameter(space_kind, param, scale_cap) -> Fraction:
 
 def _units(s, inv, scale_cap):
     """The family of the singleton s = {a}, made lazily: inv^j e_a for
-    j <= scale_cap."""
-    a = s.elements[0]
+    j <= scale_cap (for each a in s, so a set of any size has one)."""
     return (Functional(SparseVector.unit(a).scale(inv ** j), s,
                        (Origin(RULE_UNIT, 0, alpha=a, exponent=j),))
-            for j in range(scale_cap + 1))
+            for a in s.elements for j in range(scale_cap + 1))
 
 
 def _origin_map(fam, pm) -> dict:
@@ -244,25 +245,26 @@ class _Lazy(Mapping):
 
 
 def _build(scheme, rank0, amalgamate) -> Mapping:
-    """Families of every scheme set: `rank0(set)` or `amalgamate(F, piece maps,
-    first piece's family)` builds the first set of each rank, and every other
-    set of that rank gets the transport of its family, made when first read."""
-    built, sets = {}, {}
+    """Families of every set of a scheme that passes `check_axioms`, else
+    ConfigInvalidError naming the first failing axiom: `rank0(set)` or
+    `amalgamate(F, piece maps, first piece's family)` builds the first set of
+    each rank, and every other set of that rank gets the transport of its
+    family, made when first read."""
+    failures = check_axioms(scheme).failures()
+    if failures:
+        raise ConfigInvalidError(f"the scheme fails its axioms, first {failures[0].name}: "
+                                 f"{failures[0].counterexample}")
+    built = {}
 
     def family(s):
         built[s] = _moved(built[scheme.levels[s.rank][0]], scheme.transport(s), s)
         return built[s]
 
-    families = _Lazy(sets, family, built)
+    families = _Lazy({F: F for F in scheme.sets()}, family, built)
     for k, level in enumerate(scheme.levels):
         first = level[0]
         built[first] = list(rank0(first)) if k == 0 else amalgamate(
             first, scheme.piece_maps(first), families[scheme.decomposition[first][0]])
-        for F in level:
-            if F in sets:
-                raise ConfigInvalidError(f"{F} is listed twice at level {k}")
-            scheme.transport(F)  # refuses a scheme where a transport would be wrong
-            sets[F] = F
     return families
 
 
@@ -301,8 +303,6 @@ def build_K_family(scheme: Scheme, K, scale_cap=1) -> NormingFamily:
     inv = Fraction(1) / K
 
     def amalgamate(F, maps, first_family):
-        if list(F.elements) != sorted(set(F.elements)):  # the runs need it
-            raise ConfigInvalidError(f"the elements of {F} are not strictly increasing")
         k = F.rank
         origins = {}  # (support, e) -> {origin: None}, origins in discovery order
         queue = []
@@ -440,9 +440,9 @@ def family_from_json(obj) -> NormingFamily:
     it, compared set by set in scan order, so that the first difference is
     named and the writer's JSON is never held for the whole family.  Before
     anything is built, `"0:0"` is compared entry by entry with the writer's
-    units K^-j e_0 for j <= scale_cap (e_0 alone for eps), up to the first
-    difference, so a `"0:0"` that passes is as large as the closure the
-    file asks for."""
+    units K^-j e_a of its set {a} for j <= scale_cap (e_a alone for eps), up
+    to the first difference, so a `"0:0"` that passes is as large as the
+    closure the file asks for."""
     space = obj["space"]
     if space not in (EPS_KIND, K_KIND):
         raise ConfigInvalidError(

@@ -12,7 +12,7 @@ elements as the root and cuts the remainder into n_k consecutive blocks.  The
 scheme is the one source of the increasing bijections that transport along it:
 `Scheme.piece_maps` and `Scheme.transport`.  `check_axioms` re-verifies every
 defining property by exhaustive enumeration, so corrupted or hand-altered
-schemes are diagnosed rather than trusted.
+schemes are diagnosed rather than trusted: the family builders refuse them.
 
 Schemes are not mutated after building; every query here is pure, so scheme
 values can be shared freely (the axiom checker tolerates hand-tampered input
@@ -144,7 +144,7 @@ class SchemeSet:
 @dataclass
 class Scheme:
     type_spec: TypeSpec
-    levels: list  # levels[k] = sorted list of SchemeSet of rank k
+    levels: list  # levels[k] = the SchemeSets of rank k; build_scheme sorts them
     decomposition: dict = field(default_factory=dict)  # SchemeSet -> tuple of children
 
     @property
@@ -188,7 +188,7 @@ class Scheme:
         return needed
 
     def minimal_containing(self, positions) -> SchemeSet:
-        """Lexicographically first scheme set of minimal rank covering `positions`."""
+        """The first set, in level order, of minimal rank covering `positions`."""
         for s in self._covering(self.in_universe(positions)):
             return s
         raise NotInSchemeError("no scheme set covers the given positions")
@@ -197,7 +197,7 @@ class Scheme:
         return list(self._covering(positions))
 
     def _covering(self, positions):
-        """Every set covering `positions`, by rank then lexicographically."""
+        """Every set covering `positions`, by rank then in level order."""
         needed = set(positions)
         return (s for s in self.sets() if needed <= s.element_set)
 
@@ -210,16 +210,10 @@ class Scheme:
         return [position_map(children[0], c) for c in children]
 
     def transport(self, F: SchemeSet) -> dict:
-        """The increasing bijection onto F from the first set of F's rank;
-        refuses a scheme where it does not carry that set's decomposition
-        onto F's."""
-        first = self.levels[F.rank][0]
-        pm = position_map(first, F)
-        if ([tuple(pm[p] for p in c.elements) for c in self.decomposition.get(first, ())]
-                != [c.elements for c in self.decomposition.get(F, ())]):
-            raise ConfigInvalidError(
-                f"the decomposition of {F} is not the transport of {first}'s")
-        return pm
+        """The increasing bijection onto F from the first set of F's rank.  On
+        a scheme that passes `check_axioms` it carries that set's
+        decomposition onto F's."""
+        return position_map(self.levels[F.rank][0], F)
 
 
 def build_scheme(type_spec: TypeSpec) -> Scheme:
@@ -281,11 +275,15 @@ def _is_initial_segment(prefix, whole):
 # Each axiom is a generator of its counterexamples in scan order; the report
 # keeps the first one.
 
+def _increasing(elements):
+    return all(map(lt, elements, elements[1:]))
+
+
 def _well_formed(scheme):
     for k, level in enumerate(scheme.levels):
         seen = set()
         for s in level:
-            if list(s.elements) != sorted(set(s.elements)) or (s.elements and s.elements[0] < 0):
+            if not _increasing(s.elements) or (s.elements and s.elements[0] < 0):
                 yield f"{s} is not a strictly increasing nonnegative sequence"
             if s.rank != k:
                 yield f"{s} stored at level {k}"
@@ -320,10 +318,9 @@ def _predecessors_agree(level):
     pairwise intersection is an initial segment of both."""
     links = set()
     for s in level:
-        elements = s.elements
-        if not all(map(lt, elements, elements[1:])):
+        if not _increasing(s.elements):
             return False
-        links.update(zip(elements, (None, *elements)))
+        links.update(zip(s.elements, (None, *s.elements)))
     return len(links) == len({x for x, _ in links})
 
 
@@ -417,12 +414,14 @@ def canonical_decomposition(scheme: Scheme, F: SchemeSet):
 
 
 def position_map(source, target) -> dict:
-    """The unique increasing bijection between two equal-sized position sets."""
+    """The unique increasing bijection between two equal-sized position sets;
+    a position repeated in either is refused."""
     src = tuple(source.elements) if isinstance(source, SchemeSet) else tuple(sorted(source))
     tgt = tuple(target.elements) if isinstance(target, SchemeSet) else tuple(sorted(target))
-    if len(src) != len(tgt):
-        raise LengthMismatchError(f"cannot map {len(src)} positions onto {len(tgt)}")
-    return dict(zip(src, tgt))
+    pm = dict(zip(src, tgt))
+    if not len(src) == len(tgt) == len(pm) == len(set(tgt)):
+        raise LengthMismatchError(f"cannot map {list(src)} one to one onto {list(tgt)}")
+    return pm
 
 
 @dataclass(frozen=True)
@@ -474,10 +473,10 @@ class Capture:
 def find_capture(scheme: Scheme, system, t: int):
     """First scheme set whose leading children capture t members, or None.
 
-    Search order is rank ascending, then lexicographic on the candidate set,
-    then lexicographic on the member subsequence, so results are
-    deterministic.  Absence of a capture is a legitimate outcome at finite
-    depth.
+    Search order is rank ascending, then level order (which the axioms do
+    not fix) on the candidate set, then lexicographic on the member
+    subsequence, so results are deterministic.  Absence of a capture is a
+    legitimate outcome at finite depth.
     """
     if not isinstance(system, DeltaSystem):
         system = is_delta_system(system)
@@ -558,10 +557,8 @@ def _int_elements(elems):
 
 
 def scheme_from_json(obj) -> Scheme:
-    """Rebuild a scheme from JSON without validating the axioms.
-
-    Checks the type and every index; run check_axioms to trust the result.
-    """
+    """Rebuild a scheme from JSON, checking the type and every index but not
+    the axioms: the family builders run `check_axioms` and refuse a failure."""
     ts = TypeSpec.from_json(obj["type"])
     if len(obj["levels"]) > ts.depth + 1:
         raise ConfigInvalidError(

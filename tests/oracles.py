@@ -13,13 +13,19 @@ written with one Fraction or SparseVector per arithmetic step.
 each set from its definition, one vector and one cut at a time.
 `transported` carries a family through an increasing bijection with one new
 `Origin` per origin of every functional.  `same_rank_initial_segments_oracle`
-is the same-rank axiom of `csw.schemes`, pair by pair.
+is the same-rank axiom of `csw.schemes`, pair by pair, and
+`transport_is_exact` asks of one set what the family builders rely on once a
+scheme passes `check_axioms`.  `mutate_scheme_json` makes the scheme edits
+that the tests of that reliance draw from.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
+from hypothesis import strategies as st
+
 from csw.norming import Functional, Origin
+from csw.schemes import position_map
 from csw.vectors import SparseVector, pair
 
 
@@ -142,6 +148,58 @@ def same_rank_initial_segments_oracle(scheme):
             if not (tuple(e.elements[:len(common)]) == tuple(common)
                     == tuple(f.elements[:len(common)])):
                 yield f"{e} and {f} intersect in {common}, not an initial segment of both"
+
+
+def transport_is_exact(scheme, F):
+    """Whether the increasing bijection from the first set of F's rank
+    carries that set's decomposition onto F's, piece by piece."""
+    first = scheme.levels[F.rank][0]
+    pm = position_map(first, F)
+    return ([tuple(pm[p] for p in c.elements) for c in scheme.decomposition.get(first, ())]
+            == [c.elements for c in scheme.decomposition.get(F, ())])
+
+
+SCHEME_EDITS = ("permute_level", "shuffle_children", "replace_child",
+                "replace_element", "reverse_set", "copy_set")
+
+
+def mutate_scheme_json(data, payload):
+    """One edit, drawn from hypothesis `data`, of the scheme JSON `payload`,
+    in place: permute a level and remap the decomposition keys and child
+    indices that name its sets; shuffle a decomposition or replace one of
+    its child indices; replace one element of a set or reverse the set; or
+    append a copy of a set to its level.  Every index stays in range, so
+    the result still loads."""
+    levels, dec = payload["levels"], payload["decomposition"]
+    edit = data.draw(st.sampled_from(SCHEME_EDITS))
+    k = data.draw(st.integers(0, len(levels) - 1))
+    level = levels[k]
+    i = data.draw(st.integers(0, len(level) - 1))
+    if edit == "permute_level":
+        order = data.draw(st.permutations(range(len(level))))  # order[new] = old
+        levels[k] = [level[old] for old in order]
+        at = {old: new for new, old in enumerate(order)}
+        moved = {f"{k}:{at[old]}": dec.pop(f"{k}:{old}") for old in order if f"{k}:{old}" in dec}
+        dec.update(moved)
+        for key, children in dec.items():
+            if key.startswith(f"{k + 1}:"):
+                dec[key] = [at[j] for j in children]
+    elif edit in ("shuffle_children", "replace_child"):
+        key = data.draw(st.sampled_from(sorted(dec)))
+        children = dec[key]
+        if edit == "shuffle_children":
+            dec[key] = data.draw(st.permutations(children))
+        else:
+            below = len(levels[int(key.split(":")[0]) - 1])
+            children[data.draw(st.integers(0, len(children) - 1))] = (
+                data.draw(st.integers(0, below - 1)))
+    elif edit == "replace_element":
+        level[i][data.draw(st.integers(0, len(level[i]) - 1))] = (
+            data.draw(st.integers(-1, payload["type"]["m"][-1])))
+    elif edit == "reverse_set":
+        level[i].reverse()
+    else:
+        level.append(list(level[i]))
 
 
 def random_fraction(rng, max_num=5, max_den=4, nonzero=False):

@@ -349,6 +349,38 @@ def test_k_separation_refuses_bad_n_and_kprime(k2_wide8, n, kprime, message):
         verify_K_separation(k2_wide8, ys, config)
 
 
+# a float or bool rational would run as its binary value (1.1 as
+# 2476979795053773/2251799813685248, True as 1); parse_rational refuses both
+def _k_experiment(families, **fields):
+    config = {"L": Fraction(5, 4), "kprime": Fraction(1), **fields}
+    return run_K_experiment(families[1], KExperimentConfig(n=4, **config))
+
+
+def _k_separation(families, **fields):
+    config = {"L": Fraction(5, 4), "kprime": Fraction(1), **fields}
+    return verify_K_separation(families[1], [SparseVector.unit(0), SparseVector.unit(1)],
+                               KSeparationConfig(n=1, **config))
+
+
+def _eps_separation(families, **fields):
+    units = _unit_system(6)
+    return verify_eps_separation(families[0], units, units, SeparationConfig(n=2, **fields))
+
+
+@pytest.mark.parametrize("run, field, value", [
+    (_k_experiment, "L", 1.1),
+    (_k_experiment, "kprime", True),
+    (_k_separation, "L", 1.1),
+    (_k_separation, "kprime", True),
+    (_eps_separation, "tau", 0.6),
+    (_eps_separation, "tau", False),
+], ids=["experiment-L", "experiment-kprime", "separation-L", "separation-kprime",
+        "separation-tau", "separation-tau-bool"])
+def test_config_rationals_refuse_floats_and_bools(eps_half_depth1, k2_wide8, run, field, value):
+    with pytest.raises(ValueError, match=f"refusing {type(value).__name__} input"):
+        run((eps_half_depth1, k2_wide8), **{field: value})
+
+
 def test_separation_checks_refuse_the_other_kind(eps_half_depth1, k2_wide8):
     ys = [SparseVector.unit(0), SparseVector.unit(1)]
     with pytest.raises(WrongSpaceKindError):

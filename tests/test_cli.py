@@ -7,6 +7,7 @@ from csw import norming
 from csw.analysis import basis_constant
 from csw.cli import main
 from csw.norming import family_loads
+from csw.schemes import AxiomReport
 
 
 def run(capsys, *argv):
@@ -248,6 +249,38 @@ def test_scheme_listing_a_set_twice_is_refused(tmp_path, capsys, rank, index):
     code, _, err = run(capsys, "norming", "build", "--scheme", str(scheme_file),
                        "--space", "k", "--param", "2")
     assert code == 2 and "fails its axioms" in err
+
+
+# the 1,2,4;2,3;0,1 scheme with its top set cut into {0,1}, {0,3}, {0,3},
+# which leave out position 2, and the family file that a build without the
+# axiom check writes for it: on the k file the top set's family took
+# |e_0 - e_1 + e_2 - e_3| to 2 where the valid file gives 1
+@pytest.mark.parametrize("space, param, unchecked_norm", [("eps", "1/2", "3/2"),
+                                                         ("k", "2", "2")])
+def test_family_on_pieces_that_leave_out_a_position_is_refused(
+        tmp_path, capsys, monkeypatch, space, param, unchecked_norm):
+    scheme_file = tmp_path / "s.json"
+    family_file = tmp_path / "H.json"
+    run(capsys, "scheme", "build", "--type", "1,2,4;2,3;0,1", "--out", str(scheme_file))
+    payload = json.loads(scheme_file.read_text())
+    payload["decomposition"]["2:0"] = [0, 2, 2]
+    scheme_file.write_text(json.dumps(payload))
+    code, out, _ = run(capsys, "scheme", "check", str(scheme_file))
+    assert code == 1 and "do not union to it" in out
+    code, _, err = run(capsys, "norming", "build", "--scheme", str(scheme_file),
+                       "--space", space, "--param", param, "--out", str(family_file))
+    assert code == 2 and "fails its axioms, first decomposition-delta-system" in err
+    with monkeypatch.context() as patch:
+        patch.setattr(norming, "check_axioms", lambda scheme: AxiomReport([]))
+        assert run(capsys, "norming", "build", "--scheme", str(scheme_file), "--space",
+                   space, "--param", param, "--out", str(family_file))[0] == 0
+        assert run(capsys, "norm", "eval", "--vec", "0:1,1:-1,2:1,3:-1", "--family",
+                   str(family_file))[:2] == (0, unchecked_norm + "\n")
+    for argv in (["norm", "eval", "--vec", "0:1,1:-1,2:1,3:-1"], ["analyze", "coherence"],
+                 ["analyze", "basis-constant"]):
+        code, out, err = run(capsys, *argv, "--family", str(family_file))
+        assert code == 2 and out == "", argv
+        assert str(family_file) in err and "fails its axioms" in err
 
 
 def _rename(mapping, old, new):

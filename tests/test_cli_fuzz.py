@@ -18,13 +18,17 @@ from csw import (
     build_K_family,
     build_eps_family,
     build_scheme,
+    check_axioms,
     family_from_json,
     family_to_json,
+    scheme_from_json,
     scheme_to_json,
     validate_type,
 )
 from csw.cli import main
 from csw.errors import ConfigError
+
+from oracles import mutate_scheme_json
 
 SCHEME = build_scheme(validate_type([1, 2, 4], [2, 3], [0, 1]))
 BASES = {
@@ -120,6 +124,29 @@ def test_an_edit_past_the_first_set_of_a_rank_is_refused(kind, data):
     else:
         with pytest.raises(ConfigError, match=f"^{key} is not the writer's"):
             family_from_json(doc)
+
+
+@pytest.mark.parametrize("kind", ["eps", "k"])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_family_file_on_a_scheme_that_fails_its_axioms_is_refused(workdir, kind, data):
+    # only the embedded scheme changes: by scheme edits, or by any edits
+    doc = json.loads(BASES[kind])
+    edit = mutate_scheme_json if data.draw(st.booleans()) else mutate
+    for _ in range(data.draw(st.integers(1, 3))):
+        edit(data, doc["scheme"])
+    try:
+        scheme = scheme_from_json(doc["scheme"])
+    except (KeyError, IndexError, TypeError, AttributeError, ValueError, ConfigError):
+        return  # no scheme to check; the tests above cover what the CLI does
+    if check_axioms(scheme).passed:
+        return
+    with pytest.raises(ConfigError):
+        family_from_json(doc)
+    path = workdir / f"{kind}-scheme.json"
+    path.write_text(json.dumps(doc))
+    code, err = run(["norm", "eval", "--vec", "", "--family", str(path)])
+    assert code == 2 and str(path) in err, (code, err)
 
 
 @pytest.mark.parametrize("kind", sorted(BASES))

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from csw.norming import (
     build_K_family,
     build_eps_family,
     family_dumps,
+    family_from_json,
     family_loads,
     family_to_json,
     global_dual,
@@ -30,6 +32,7 @@ from csw.analysis import random_rational_vector
 from csw.schemes import (
     SchemeSet,
     build_scheme,
+    check_axioms,
     position_map,
     scheme_from_json,
     scheme_to_json,
@@ -41,7 +44,9 @@ from conftest import TYPE_DEPTH2, TYPE_DEPTH3, TYPE_DEPTH4, TYPE_DEPTH5, TYPE_WI
 from oracles import (
     k_family_vectors,
     k_scaled_cut_origins,
+    mutate_scheme_json,
     norming_max_oracle,
+    transport_is_exact,
     transported,
 )
 
@@ -563,8 +568,68 @@ def test_builders_refuse_a_decomposition_that_is_not_a_transport(build):
         build(scheme_from_json(payload))
 
 
+@pytest.mark.parametrize("build", [
+    lambda scheme: build_eps_family(scheme, HALF),
+    lambda scheme: build_K_family(scheme, 2),
+], ids=["eps", "k"])
+def test_builders_refuse_pieces_that_leave_out_a_position(build):
+    # the top set cut into {0,1}, {0,3}, {0,3}: the first (here the only)
+    # set of a rank is compared with nothing but the axioms
+    payload = scheme_to_json(build_scheme(validate_type(*TYPE_DEPTH2)))
+    payload["decomposition"]["2:0"] = [0, 2, 2]
+    scheme = scheme_from_json(payload)
+    with pytest.raises(ConfigInvalidError, match=re.escape(
+            "fails its axioms, first decomposition-delta-system: "
+            f"children of {scheme.top} do not union to it")):
+        build(scheme)
+
+
+def test_loader_refuses_a_first_singleton_without_elements(k2_depth2):
+    doc = family_to_json(k2_depth2)
+    doc["scheme"]["levels"][0][0] = []
+    with pytest.raises(ConfigInvalidError, match="^0:0 is not the writer's"):
+        family_from_json(doc)
+
+
+def test_each_build_checks_the_axioms_once(monkeypatch, scheme_depth3):
+    calls = []
+    check = norming.check_axioms
+    monkeypatch.setattr(norming, "check_axioms",
+                        lambda scheme: calls.append(scheme) or check(scheme))
+    build_eps_family(scheme_depth3, HALF)
+    build_K_family(scheme_depth3, 2, scale_cap=2)
+    assert calls == [scheme_depth3, scheme_depth3]
+
+
+MUTATED_TYPES = [TYPE_DEPTH2, TYPE_DEPTH3, TYPE_WIDE8, ([1, 3, 7], [3, 3], [0, 1])]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_builders_accept_exactly_the_schemes_that_pass_check_axioms(data):
+    # under the axioms every transport from a rank's first set is exact;
+    # otherwise both builders name the first failing axiom's counterexample
+    payload = scheme_to_json(build_scheme(validate_type(*data.draw(
+        st.sampled_from(MUTATED_TYPES)))))
+    for _ in range(data.draw(st.integers(1, 3))):
+        mutate_scheme_json(data, payload)
+    scheme = scheme_from_json(payload)
+    failures = check_axioms(scheme).failures()
+    builds = (lambda: build_eps_family(scheme, HALF), lambda: build_K_family(scheme, 2))
+    if not failures:
+        assert all(transport_is_exact(scheme, F) for F in scheme.sets())
+        for build in builds:
+            build()
+        return
+    for build in builds:
+        with pytest.raises(ConfigInvalidError,
+                           match=re.escape(failures[0].counterexample)):
+            build()
+
+
 def test_K_builder_refuses_a_set_that_is_not_increasing():
     payload = scheme_to_json(build_scheme(validate_type(*TYPE_DEPTH2)))
     payload["levels"][2][0].reverse()
-    with pytest.raises(ConfigInvalidError, match="not strictly increasing"):
+    with pytest.raises(ConfigInvalidError,
+                       match="is not a strictly increasing nonnegative sequence"):
         build_K_family(scheme_from_json(payload), 2)

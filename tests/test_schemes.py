@@ -33,6 +33,7 @@ from csw.schemes import (
     validate_type,
     _same_rank_initial_segments,
 )
+from csw.norming import build_K_family, build_eps_family
 
 from conftest import TYPE_DEPTH2, TYPE_DEPTH3, TYPE_DEPTH4
 from oracles import same_rank_initial_segments_oracle
@@ -277,6 +278,17 @@ def test_position_map_examples():
         position_map((0, 1), (0,))
 
 
+@pytest.mark.parametrize("source, target", [
+    ([0, 0, 1], [2, 3, 4]),
+    ([2, 3, 4], [0, 0, 1]),
+    ([5, 5], [7, 7]),
+])
+def test_position_map_refuses_a_repeated_position(source, target):
+    # a repeat would leave a map on fewer positions than it was given
+    with pytest.raises(LengthMismatchError, match="one to one"):
+        position_map(source, target)
+
+
 def test_piece_maps_and_transport_are_the_increasing_bijections(scheme_depth2):
     top = scheme_depth2.top
     assert scheme_depth2.piece_maps(top) == [{0: 0, 1: 1}, {0: 0, 1: 2}, {0: 0, 1: 3}]
@@ -287,9 +299,11 @@ def test_piece_maps_and_transport_are_the_increasing_bijections(scheme_depth2):
         scheme_depth2.piece_maps(scheme_depth2.levels[0][0])
     payload = scheme_to_json(scheme_depth2)
     payload["decomposition"]["1:1"].reverse()
-    tampered = scheme_from_json(payload)
-    with pytest.raises(ConfigInvalidError):  # {0,2} would not be cut like {0,1}
-        tampered.transport(tampered.levels[1][1])
+    tampered = scheme_from_json(payload)  # {0,2} would not be cut like {0,1}
+    assert not check_axioms(tampered).passed
+    for build in (lambda s: build_eps_family(s, "1/2"), lambda s: build_K_family(s, 2)):
+        with pytest.raises(ConfigInvalidError, match="fails its axioms"):
+            build(tampered)
 
 
 def test_sibling_maps_fix_the_root(scheme_depth3):

@@ -143,7 +143,7 @@ def _definitions(tree):
 
 
 # public methods that only callers outside the package (tests, demos) use
-USED_OUTSIDE = {"AxiomReport.failures", "ExperimentReport.claim"}
+USED_OUTSIDE = {"ExperimentReport.claim"}
 
 
 def test_every_private_name_and_method_is_used():
