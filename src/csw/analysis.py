@@ -49,6 +49,13 @@ _REL_CHECK = {
 }
 
 
+def _integer(name, value) -> int:
+    """`value`, refused unless its type is int: a bool or a float is not."""
+    if type(value) is not int:
+        raise ConfigInvalidError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass
 class Claim:
     name: str
@@ -141,8 +148,11 @@ def check_biorthogonality(family: NormingFamily) -> ExperimentReport:
     vanish_bad = None
     off_max = Fraction(0)
     witness = None
+    duals = {}  # alpha -> the top set's first functional at alpha
+    for f in family.functionals_for(family.scheme.top):
+        duals.setdefault(f.origin.alpha, f.vector)
     for a in universe:
-        h = global_dual(family, a)
+        h = duals[a] if a in duals else global_dual(family, a)  # which refuses a missing alpha
         if h[a] != 1 and diag_bad is None:
             diag_bad = {"alpha": a, "value": format_rational(h[a])}
         for b, v in h.items():
@@ -256,14 +266,21 @@ def coherence_report(family: NormingFamily, lp_every=0) -> ExperimentReport:
     conv(+-H_E), so does f|E; and f|E = (f|P)|E = g|E for the P-functional g
     at a.  So a pair (E, F) with such a P in F's decomposition follows from
     (E, P) and (P, F), and by induction on |F - E| every pair follows from
-    the pairs that no piece covers.  With `lp_every` = 0 one scan checks
-    only those pairs directly; if it finds a failure, a second scan checks
-    every pair, so the first-failure witnesses are those of scan order.
-    With `lp_every` > 0 one scan checks every pair, and the cross-check
-    schedule indexes it.  The instance counts are always those of every
-    nested pair.
+    the pairs that no piece covers.  Both properties also move through an
+    increasing bijection t: on a rank-canonical family
+    (`NormingFamily.rank_canonical`), if F is not the first set F0 of its
+    rank and E0 = t^-1(E), for t = `Scheme.transport(F)`, is a scheme set
+    of E's rank, then H_F = t(H_F0) and H_E = t(H_E0), since increasing
+    bijections compose uniquely, and restriction and hull membership
+    commute with t; so (E, F) follows from (E0, F0), which is checked or
+    covered.  With `lp_every` = 0 one scan checks directly only the pairs
+    that neither rule reaches (on a built family, the (piece, parent) pairs
+    at first sets); if it finds a failure, a second scan checks every pair,
+    so the first-failure witnesses are those of scan order.  With
+    `lp_every` > 0 one scan checks every pair, and the cross-check schedule
+    indexes it.  The instance counts are always those of every nested pair.
     """
-    if lp_every < 0:
+    if _integer("lp_every", lp_every) < 0:
         raise ConfigInvalidError(f"lp_every must be >= 0, got {lp_every}")
     report = _scan(family, lp_every, every=lp_every > 0)
     if not (report.passed or lp_every):
@@ -279,17 +296,43 @@ def _covered(scheme: Scheme, listed, E, F) -> bool:
                for P in scheme.decomposition.get(F, ()))
 
 
+def _transported(family: NormingFamily, listed):
+    """A test of whether a nested pair (E, F) is the transport of a pair at
+    the first set of F's rank, with F not that set: false for every pair
+    unless `family.rank_canonical`, else whether the inverse of
+    `Scheme.transport(F)`, made once per F, carries E onto the elements of
+    a listed set of E's rank."""
+    if not family.rank_canonical:
+        return lambda E, F: False
+    scheme = family.scheme
+    firsts = {level[0] for level in scheme.levels if level}
+    keys = {(s.rank, s.elements) for s in listed}
+    inverses = {}
+
+    def moved(E, F):
+        if F in firsts:
+            return False
+        if F not in inverses:
+            inverses[F] = {q: p for p, q in scheme.transport(F).items()}
+        return (E.rank, tuple(map(inverses[F].get, E.elements))) in keys
+
+    return moved
+
+
 def _scan(family: NormingFamily, lp_every, every) -> ExperimentReport:
     """The coherence report from one walk over the nested pairs in order.
 
     Every pair adds its instance counts: |H_F|, and the F-functionals whose
     alpha lies in E (alternating variant only).  A pair's instances are then
-    checked when `every` is set or no piece covers the pair, each by the
-    reconstruction of its hull certificate, and every `lp_every`-th
-    instance, counted over all pairs, is also checked through the raw LP
-    path.  Every E and F family is looked up, so a missing one raises."""
+    checked when `every` is set, or when no piece covers the pair and it is
+    not the transport of a pair at the first set of F's rank (tested only on
+    a rank-canonical family), each by the reconstruction of its hull
+    certificate, and every `lp_every`-th instance, counted over all pairs,
+    is also checked through the raw LP path.  Every E and F family is looked
+    up, so a missing one raises."""
     scheme = family.scheme
     listed = set(scheme.sets())
+    moved = _transported(family, listed)
     eps = family.space_kind == EPS_KIND
     alphas = {}
     restriction_bad = None
@@ -307,7 +350,7 @@ def _scan(family: NormingFamily, lp_every, every) -> ExperimentReport:
             if F not in alphas:
                 alphas[F] = Counter(f.origin.alpha for f in fam_F)
             restriction_count += sum(alphas[F][a] for a in elems)
-        if not every and _covered(scheme, listed, E, F):
+        if not every and (_covered(scheme, listed, E, F) or moved(E, F)):
             continue
         vectors_E = [g.vector for g in fam_E]
         by_alpha = {g.origin.alpha: g.vector for g in fam_E} if eps else None
@@ -363,7 +406,7 @@ def random_rational_vector(rng, universe):
 def well_definedness_report(family: NormingFamily, samples=200, seed=0) -> ExperimentReport:
     """For seeded random vectors, the max over every covering set's family is
     the same exact value."""
-    if samples < 1:
+    if _integer("samples", samples) < 1:
         raise ConfigInvalidError(f"samples must be >= 1, got {samples}")
     rng = random.Random(seed)
     scheme = family.scheme
@@ -399,7 +442,7 @@ class EpsExperimentConfig:
 
     def validated(self, eps):
         """(n, m) once n >= 1 and m = 2 n eps is an integer."""
-        if self.n < 1:
+        if _integer("n", self.n) < 1:
             raise ConfigInvalidError("n must be a positive integer")
         return self.n, _alternating_m(self.n, eps)
 
@@ -413,7 +456,7 @@ class KExperimentConfig:
 
     def validated(self, K):
         """(n, L, K') once n >= 1, 1 <= K' < L < K and 1/K + 1/n < 1/L hold."""
-        n, L, kprime = self.n, parse_rational(self.L), parse_rational(self.kprime)
+        n, L, kprime = _integer("n", self.n), parse_rational(self.L), parse_rational(self.kprime)
         if n < 1:
             raise ConfigInvalidError("n must be a positive integer")
         if not (1 <= kprime < L < K):
@@ -616,7 +659,7 @@ def verify_eps_separation(family: NormingFamily, ys, ystars,
         raise WrongSpaceKindError("separation bound needs the alternating variant")
     if len(ystars) != len(ys):
         raise ConfigInvalidError("need one dual per vector")
-    n = config.n
+    n = _integer("n", config.n)
     if n < 0:
         raise ConfigInvalidError(f"n must be >= 0, got {n}")
     m = _alternating_m(n, family.parameter)
@@ -659,7 +702,7 @@ def verify_K_separation(family: NormingFamily, ys,
     """
     if family.space_kind != K_KIND:
         raise WrongSpaceKindError("separation bound needs the scaled-cut variant")
-    n = config.n
+    n = _integer("n", config.n)
     L = parse_rational(config.L)
     kprime = parse_rational(config.kprime)
     if n < 1:

@@ -46,17 +46,20 @@ the two genuinely differ and both are exposed.
 Construction runs bottom-up with one amalgamation per rank, at the first
 rank-k set, and only those families are stored: every other rank-k set gets
 that family's transport through the increasing bijection `Scheme.transport`
-when first read, with each distinct origin moved once.  Both builders run
-`check_axioms` once, before any amalgamation, and refuse a scheme that fails
-it: under the axioms each piece of F is F's root and one consecutive block
-of F's other elements, in order, so the bijection carries the first set's
-decomposition onto every other set's and the transport is exact.  A family
-is a function of (scheme, space, param, scale_cap), and a family file holds
-all four, so loading one rebuilds the family and refuses the file unless
-its header and every set's entries are what the writer writes for it.  The
-writer moves each rank's first-set entries the same way, so writing or
-loading a family transports no functional.  Families are immutable
-afterwards and norm evaluation is pure, so built values are safe to share.
+when first read, with each distinct origin moved once;
+`NormingFamily.rank_canonical` tells such a family from a families dict made
+or edited by hand, which the coherence sweep checks pair for pair.  Both
+builders run `check_axioms` once, before any amalgamation, and refuse a
+scheme that fails it: under the axioms each piece of F is F's root and one
+consecutive block of F's other elements, in order, so the bijection carries
+the first set's decomposition onto every other set's and the transport is
+exact.  A family is a function of (scheme, space, param, scale_cap), and a
+family file holds all four, so loading one rebuilds the family and refuses
+the file unless its header and every set's entries are what the writer
+writes for it.  The writer moves each rank's first-set entries the same way,
+so writing or loading a family transports no functional.  Families are
+immutable afterwards and norm evaluation is pure, so built values are safe
+to share.
 """
 
 from __future__ import annotations
@@ -162,6 +165,18 @@ class NormingFamily:
             for s in level:
                 yield from self.functionals_for(s)
 
+    @property
+    def rank_canonical(self) -> bool:
+        """Whether every set's family is the transport of the family of the
+        first set of its rank, through `Scheme.transport`: true of the
+        families the builders and the loader make, on any scheme whose level
+        k holds only rank-k sets they built families for, and false of a
+        families dict made or edited by hand.  Increasing bijections compose
+        uniquely, so the build's first set need not be the scheme's."""
+        return isinstance(self.families, _Transports) and all(
+            s.rank == k and s in self.families
+            for k, level in enumerate(self.scheme.levels) for s in level)
+
 
 def spread(scheme: Scheme, f: Functional, F: SchemeSet) -> Functional:
     """Extend a first-piece functional to all pieces of F via the increasing
@@ -237,11 +252,19 @@ class _Lazy(Mapping):
         value = self.kept.get(key)
         return self.make(self.of[key]) if value is None else value
 
+    def __contains__(self, key):
+        return key in self.of
+
     def __iter__(self):
         return iter(self.of)
 
     def __len__(self):
         return len(self.of)
+
+
+class _Transports(_Lazy):
+    """The families `_build` returns: each rank's first-set family is kept,
+    and every other set's is its transport."""
 
 
 def _build(scheme, rank0, amalgamate) -> Mapping:
@@ -260,7 +283,7 @@ def _build(scheme, rank0, amalgamate) -> Mapping:
         built[s] = _moved(built[scheme.levels[s.rank][0]], scheme.transport(s), s)
         return built[s]
 
-    families = _Lazy({F: F for F in scheme.sets()}, family, built)
+    families = _Transports({F: F for F in scheme.sets()}, family, built)
     for k, level in enumerate(scheme.levels):
         first = level[0]
         built[first] = list(rank0(first)) if k == 0 else amalgamate(

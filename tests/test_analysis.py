@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 from dataclasses import replace
@@ -27,13 +28,24 @@ from csw.analysis import (
 from csw.errors import (
     CaptureUnavailableError,
     ConfigInvalidError,
+    EmptyFamilyError,
     NotBiorthogonalError,
     PatternOutOfRangeError,
     WrongSpaceKindError,
 )
 from csw.hull import dual_norm, in_symmetric_hull, polar_support
-from csw.norming import Functional, NormingFamily, Origin, build_eps_family, global_dual, norm
-from csw.schemes import build_scheme, validate_type
+from csw.norming import (
+    Functional,
+    NormingFamily,
+    Origin,
+    build_K_family,
+    build_eps_family,
+    family_dumps,
+    family_loads,
+    global_dual,
+    norm,
+)
+from csw.schemes import build_scheme, check_axioms, validate_type
 from csw.vectors import SparseVector, format_rational, pair, parse_vector
 
 HALF = Fraction(1, 2)
@@ -381,6 +393,29 @@ def test_config_rationals_refuse_floats_and_bools(eps_half_depth1, k2_wide8, run
         run((eps_half_depth1, k2_wide8), **{field: value})
 
 
+# an integer field given a bool ran as 0 or 1, and one given a float failed
+# deep inside or ran on a float schedule; each is refused where it is read
+INT_FIELDS = {
+    "experiment-eps-n": lambda eps, k, v: run_eps_experiment(eps, EpsExperimentConfig(n=v)),
+    "experiment-K-n": lambda eps, k, v: run_K_experiment(
+        k, KExperimentConfig(n=v, L=Fraction(5, 4))),
+    "separation-eps-n": lambda eps, k, v: verify_eps_separation(
+        eps, _unit_system(6), _unit_system(6), SeparationConfig(tau=Fraction(0), n=v)),
+    "separation-K-n": lambda eps, k, v: verify_K_separation(
+        k, [SparseVector.unit(0), SparseVector.unit(1)],
+        KSeparationConfig(kprime=Fraction(1), L=Fraction(5, 4), n=v)),
+    "welldef-samples": lambda eps, k, v: well_definedness_report(eps, samples=v),
+    "coherence-lp-every": lambda eps, k, v: coherence_report(k, lp_every=v),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.0, 2.5], ids=["bool", "whole-float", "float"])
+@pytest.mark.parametrize("field", sorted(INT_FIELDS))
+def test_config_integers_refuse_bools_and_floats(eps_half_depth1, k2_wide8, field, value):
+    with pytest.raises(ConfigInvalidError, match=f"must be an integer, got {value!r}"):
+        INT_FIELDS[field](eps_half_depth1, k2_wide8, value)
+
+
 def test_separation_checks_refuse_the_other_kind(eps_half_depth1, k2_wide8):
     ys = [SparseVector.unit(0), SparseVector.unit(1)]
     with pytest.raises(WrongSpaceKindError):
@@ -452,6 +487,23 @@ def test_biorthogonality_reports_first_nonvanishing_entry(eps_half_depth2):
     assert found["vanishes_below_index"] == (
         False, {"alpha": 3, "beta": 1, "value": "1/4"})
     assert found["offdiagonal_bounded"][0]
+
+
+def test_biorthogonality_refuses_a_top_family_without_an_alpha(eps_half_depth2):
+    top = eps_half_depth2.scheme.top
+    fam = [f for f in eps_half_depth2.families[top] if f.origin.alpha != 2]
+    family = replace(eps_half_depth2, families={**eps_half_depth2.families, top: fam})
+    with pytest.raises(EmptyFamilyError, match="no functional indexed by 2 at the top set"):
+        check_biorthogonality(family)
+
+
+def test_biorthogonality_reads_the_first_functional_at_each_alpha(eps_half_depth2):
+    top = eps_half_depth2.scheme.top
+    fam = list(eps_half_depth2.families[top])
+    fam.append(replace(fam[2], vector=parse_vector("2:2,3:-1")))
+    family = replace(eps_half_depth2, families={**eps_half_depth2.families, top: fam})
+    assert (check_biorthogonality(family).to_json()
+            == check_biorthogonality(eps_half_depth2).to_json())
 
 
 def test_coherence_reports_first_restriction_failure(eps_half_depth2):
@@ -537,6 +589,15 @@ def _piece_instances(family):
                for F, pieces in family.scheme.decomposition.items())
 
 
+def _first_set_instances(family):
+    """Instances of the (piece, parent) pairs at the first set of each rank:
+    the only pairs of a built family that neither covering nor transport
+    reaches."""
+    scheme = family.scheme
+    return sum(len(set(scheme.decomposition[level[0]])) * len(family.functionals_for(level[0]))
+               for level in scheme.levels[1:])
+
+
 def _uncovered_pairs(scheme):
     listed = set(scheme.sets())
     return [(E, F) for E, F in analysis.nested_pairs(scheme)
@@ -603,9 +664,13 @@ def test_piece_scan_checks_only_the_piece_pairs(request, monkeypatch, name):
     calls = _count_hull_calls(monkeypatch)
     report = coherence_report(family)
     assert report.passed
-    assert len(calls) == _piece_instances(family)
+    assert len(calls) == _first_set_instances(family)
     if family.scheme.depth > 1:
         assert len(calls) < report.meta["hull_instances"]
+    calls.clear()  # a plain dict is not rank-canonical: every piece pair is checked
+    by_hand = replace(family, families=dict(family.families))
+    assert coherence_report(by_hand).to_json() == report.to_json()
+    assert len(calls) == _piece_instances(family)
 
 
 @pytest.mark.parametrize("lp_every", [0, 3])
@@ -618,3 +683,91 @@ def test_coherence_scans_a_failing_family_at_most_twice(k2_depth2, monkeypatch, 
         assert len(calls) == 141 + 47 and calls.count(False) == 47
     else:  # the piece scan, then one every-pair scan
         assert len(calls) == _piece_instances(family) + 141
+
+
+# ---------------------------------------------------------------------------
+# the first-set scan: on a rank-canonical family, a pair at a set that is not
+# the first of its rank is the transport of a pair at that first set
+
+SMALL_TYPES = [([1, 2], [2], [0]), ([1, 2, 4], [2, 3], [0, 1]),
+               ([1, 2, 4, 10], [2, 3, 4], [0, 1, 2]), ([1, 8], [8], [0])]
+
+
+@functools.cache
+def _small_family(index, kind, param, cap, loaded):
+    scheme = build_scheme(validate_type(*SMALL_TYPES[index]))
+    family = (build_eps_family(scheme, param) if kind == "eps"
+              else build_K_family(scheme, param, scale_cap=cap))
+    return family_loads(family_dumps(family)) if loaded else family
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(index=st.integers(0, len(SMALL_TYPES) - 1),
+       kind_param=st.sampled_from([("eps", Fraction(1, 3)), ("eps", HALF),
+                                   ("k", Fraction(3, 2)), ("k", Fraction(2))]),
+       cap=st.integers(1, 2), loaded=st.booleans())
+def test_first_set_scan_matches_full_scan_on_built_families(index, kind_param, cap, loaded):
+    kind, param = kind_param
+    family = _small_family(index, kind, param, cap if kind == "k" else 0, loaded)
+    assert family.rank_canonical
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_hull_calls(mp)
+        report = coherence_report(family)
+    assert report.passed
+    assert len(calls) == _first_set_instances(family)
+    full = analysis._scan(family, 0, every=True)
+    assert _json_text(report.to_json()) == _json_text(full.to_json())
+
+
+@pytest.mark.parametrize("name", ["eps_half_depth3", "k2_depth3"])
+def test_first_set_scan_follows_a_permuted_level(request, monkeypatch, name):
+    family = request.getfixturevalue(name)
+    scheme = family.scheme
+    levels = [*scheme.levels[:2], scheme.levels[2][::-1], *scheme.levels[3:]]
+    permuted = replace(family, scheme=replace(scheme, levels=levels))
+    assert permuted.scheme.levels[2][0] != scheme.levels[2][0]
+    assert check_axioms(permuted.scheme).passed and permuted.rank_canonical
+    calls = _count_hull_calls(monkeypatch)
+    report = coherence_report(permuted)
+    assert report.passed
+    assert len(calls) == _first_set_instances(permuted)
+    assert report.to_json() == analysis._scan(permuted, 0, every=True).to_json()
+
+
+def test_first_set_scan_checks_a_pair_whose_preimage_is_not_listed(k2_depth2, monkeypatch):
+    scheme = k2_depth2.scheme
+    dropped = scheme.levels[0][1]  # rank0{1}, a piece of the first rank-1 set
+    levels = [[s for s in scheme.levels[0] if s != dropped], *scheme.levels[1:]]
+    family = replace(k2_depth2, scheme=replace(scheme, levels=levels))
+    assert family.rank_canonical
+    calls = _count_hull_calls(monkeypatch)
+    report = coherence_report(family)
+    assert report.passed
+    # rank1{0,2} and rank1{0,3} move rank0{2} and rank0{3} onto the dropped
+    # set, so those two pairs are checked beside (rank0{0}, rank1{0,1}) and
+    # the top set's three pieces
+    assert len(calls) == 3 * 6 + 3 * len(family.functionals_for(scheme.top))
+    assert report.to_json() == analysis._scan(family, 0, every=True).to_json()
+
+
+# witnesses recorded before the first-set scan
+@pytest.mark.parametrize("name, index, vector, witnesses", [
+    ("k2_depth2", 1, "3:3", {"hull_coherence": (
+        False, {"E": "rank0{3}", "F": "rank1{0,3}", "functional": "spread/a0"})}),
+    ("eps_half_depth2", 1, "0:1/4,3:1", {
+        "restriction_coherence": (
+            False, {"E": "rank1{0,3}", "F": "rank2{0,1,2,3}", "alpha": 3}),
+        "hull_coherence": (
+            False, {"E": "rank1{0,3}", "F": "rank2{0,1,2,3}", "functional": "copy/a3"})}),
+], ids=["k", "eps"])
+def test_a_tampered_set_that_is_not_first_still_fails(
+        request, monkeypatch, name, index, vector, witnesses):
+    family = request.getfixturevalue(name)
+    s = family.scheme.levels[1][2]  # rank1{0,3}, the last rank-1 set
+    tampered = _tampered(family, s, index, parse_vector(vector))
+    assert not tampered.rank_canonical
+    calls = _count_hull_calls(monkeypatch)
+    report = coherence_report(tampered)
+    assert _witnesses(report) == witnesses
+    # the piece scan pair for pair, then one every-pair scan
+    assert len(calls) == _piece_instances(family) + report.meta["hull_instances"]

@@ -109,6 +109,26 @@ def test_only_the_scheme_spells_set_keys():
     assert found == []
 
 
+def _private_imports(tree):
+    """(line, name) for every `_`-prefixed name that `tree` imports from a
+    csw module: relatively, or from `csw` or `csw.*`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "csw"):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    yield node.lineno, alias.name
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # what one csw module needs of another is public, as the rank-canonical
+    # query NormingFamily.rank_canonical is for analysis
+    found = [f"{source.name}:{line}: {name}"
+             for source in sorted((ROOT / "src" / "csw").glob("*.py"))
+             for line, name in _private_imports(ast.parse(source.read_text(encoding="utf-8")))]
+    assert found == []
+
+
 def _actions(parser, path=("csw",)):
     """(command path, action) for every action of `parser` and its subparsers."""
     for action in parser._actions:
