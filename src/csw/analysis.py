@@ -12,6 +12,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 from .errors import (
     CaptureUnavailableError,
@@ -242,10 +243,21 @@ def basis_constant(family: NormingFamily) -> BasisConstantResult:
 # Coherence sweep
 
 def nested_pairs(scheme: Scheme):
-    """All ordered pairs (E, F) of scheme sets with E a proper subset of F."""
+    """All ordered pairs (E, F) of scheme sets with E a proper subset of F,
+    by F in scan order, then by E in scan order.
+
+    For any finite sets, E < F needs the largest element of E to lie in F,
+    so each F tests only the sets whose largest element is in F, and the
+    sets with no elements.  This assumes no axiom, and the candidates, in
+    scan order, go through the same subset test as every pair would: the
+    list is exactly the all-pairs walk's."""
     sets = [(s, s.element_set) for s in scheme.sets()]
+    ending = {}  # largest element, None for no elements -> scan indices
+    for i, (_, elems) in enumerate(sets):
+        ending.setdefault(max(elems, default=None), []).append(i)
     for F, big in sets:
-        for E, small in sets:
+        for i in sorted(chain.from_iterable(ending.get(p, ()) for p in (None, *big))):
+            E, small = sets[i]
             if small < big:
                 yield E, F
 
@@ -405,7 +417,12 @@ def random_rational_vector(rng, universe):
 
 def well_definedness_report(family: NormingFamily, samples=200, seed=0) -> ExperimentReport:
     """For seeded random vectors, the max over every covering set's family is
-    the same exact value."""
+    the same exact value.
+
+    Each sample looks up every covering set's family, in order, so a missing
+    one raises.  Norms are evaluated only when two or more sets cover the
+    sample: a lone value can only equal itself, so that sample passes as it
+    would if evaluated, and a sample no set covers fails with no values."""
     if _integer("samples", samples) < 1:
         raise ConfigInvalidError(f"samples must be >= 1, got {samples}")
     rng = random.Random(seed)
@@ -417,12 +434,15 @@ def well_definedness_report(family: NormingFamily, samples=200, seed=0) -> Exper
         x = random_rational_vector(rng, scheme.universe_size)
         if x.is_zero():
             continue
-        values = set()
+        covers = []
         for s in scheme.containing_sets(x.support):
             if s not in vectors:
                 vectors[s] = [f.vector for f in family.functionals_for(s)]
-            values.add(norming_max(x, vectors[s]))
+            covers.append(vectors[s])
         checked += 1
+        if len(covers) == 1:
+            continue
+        values = {norming_max(x, H) for H in covers}
         if len(values) != 1 and bad is None:
             bad = {"vector": x.to_json(),
                    "values": sorted(format_rational(v) for v in values)}

@@ -130,6 +130,14 @@ class SchemeSet:
         """The elements as a frozenset, built on first use."""
         return frozenset(self.elements)
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.rank, self.elements, self.root_size))
+
+    def __hash__(self):
+        """The dataclass field hash, computed once per set."""
+        return self._hash
+
     def __len__(self):
         return len(self.elements)
 

@@ -16,17 +16,21 @@ each set from its definition, one vector and one cut at a time.
 is the same-rank axiom of `csw.schemes`, pair by pair, and
 `transport_is_exact` asks of one set what the family builders rely on once a
 scheme passes `check_axioms`.  `mutate_scheme_json` makes the scheme edits
-that the tests of that reliance draw from.
+that the tests of that reliance draw from.  `nested_pairs_oracle` tests
+every pair of scheme sets, and `well_definedness_oracle` evaluates every
+covering set's norm on every sample with `norming_max_oracle`.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
 from hypothesis import strategies as st
 
+from csw.analysis import Claim, ExperimentReport, random_rational_vector
 from csw.norming import Functional, Origin
 from csw.schemes import position_map
-from csw.vectors import SparseVector, pair
+from csw.vectors import SparseVector, format_rational, pair
 
 
 def solve_square_system(rows, rhs):
@@ -110,6 +114,36 @@ def norming_max_oracle(x, H):
     return best
 
 
+def nested_pairs_oracle(scheme):
+    """Every (E, F) of scheme sets with E a proper subset of F: each F in
+    scan order, tested against every set in scan order."""
+    sets = [(s, s.element_set) for s in scheme.sets()]
+    return [(E, F) for F, big in sets for E, small in sets if small < big]
+
+
+def well_definedness_oracle(family, samples=200, seed=0):
+    """The well-definedness report from its definition: on each sample of
+    the report's stream, the norm over every covering set's family, by
+    `norming_max_oracle`; a sample fails unless exactly one value results."""
+    rng = random.Random(seed)
+    scheme = family.scheme
+    bad = None
+    checked = 0
+    while checked < samples:
+        x = random_rational_vector(rng, scheme.universe_size)
+        if x.is_zero():
+            continue
+        values = {norming_max_oracle(x, [f.vector for f in family.functionals_for(s)])
+                  for s in scheme.containing_sets(x.support)}
+        checked += 1
+        if len(values) != 1 and bad is None:
+            bad = {"vector": x.to_json(), "values": sorted(format_rational(v) for v in values)}
+    report = ExperimentReport(meta={"samples": checked, "seed": seed})
+    report.claims.append(Claim.first_failure(
+        "norm_independent_of_covering_set", checked, bad))
+    return report
+
+
 def proportional_member_oracle(f, H, bound):
     """The first (i, c) with f == c * H[i] and |c| <= bound, else None: the
     scan by sorted support, with the ratio read at f's least position and
@@ -163,15 +197,15 @@ SCHEME_EDITS = ("permute_level", "shuffle_children", "replace_child",
                 "replace_element", "reverse_set", "copy_set")
 
 
-def mutate_scheme_json(data, payload):
-    """One edit, drawn from hypothesis `data`, of the scheme JSON `payload`,
-    in place: permute a level and remap the decomposition keys and child
-    indices that name its sets; shuffle a decomposition or replace one of
-    its child indices; replace one element of a set or reverse the set; or
-    append a copy of a set to its level.  Every index stays in range, so
-    the result still loads."""
+def mutate_scheme_json(data, payload, edit=None):
+    """One edit, drawn from hypothesis `data` unless `edit` names its kind,
+    of the scheme JSON `payload`, in place: permute a level and remap the
+    decomposition keys and child indices that name its sets; shuffle a
+    decomposition or replace one of its child indices; replace one element
+    of a set or reverse the set; or append a copy of a set to its level.
+    Every index stays in range, so the result still loads."""
     levels, dec = payload["levels"], payload["decomposition"]
-    edit = data.draw(st.sampled_from(SCHEME_EDITS))
+    edit = edit or data.draw(st.sampled_from(SCHEME_EDITS))
     k = data.draw(st.integers(0, len(levels) - 1))
     level = levels[k]
     i = data.draw(st.integers(0, len(level) - 1))

@@ -30,10 +30,11 @@ from csw.errors import (
     ConfigInvalidError,
     EmptyFamilyError,
     NotBiorthogonalError,
+    NotInSchemeError,
     PatternOutOfRangeError,
     WrongSpaceKindError,
 )
-from csw.hull import dual_norm, in_symmetric_hull, polar_support
+from csw.hull import dual_norm, in_symmetric_hull, norming_max, polar_support
 from csw.norming import (
     Functional,
     NormingFamily,
@@ -45,8 +46,11 @@ from csw.norming import (
     global_dual,
     norm,
 )
-from csw.schemes import build_scheme, check_axioms, validate_type
+from csw.schemes import build_scheme, check_axioms, scheme_from_json, scheme_to_json, validate_type
 from csw.vectors import SparseVector, format_rational, pair, parse_vector
+
+from conftest import TYPE_DEPTH1, TYPE_DEPTH2, TYPE_DEPTH3, TYPE_WIDE8
+from oracles import SCHEME_EDITS, mutate_scheme_json, nested_pairs_oracle, well_definedness_oracle
 
 HALF = Fraction(1, 2)
 
@@ -771,3 +775,107 @@ def test_a_tampered_set_that_is_not_first_still_fails(
     assert _witnesses(report) == witnesses
     # the piece scan pair for pair, then one every-pair scan
     assert len(calls) == _piece_instances(family) + report.meta["hull_instances"]
+
+
+# ---------------------------------------------------------------------------
+# nested pairs by largest element, against the walk over every pair of sets
+
+NESTED_TYPES = [TYPE_DEPTH1, TYPE_DEPTH2, TYPE_DEPTH3, TYPE_WIDE8, ([1, 3, 7], [3, 3], [0, 1])]
+
+
+@pytest.mark.parametrize("triple", NESTED_TYPES, ids=["d1", "d2", "d3", "w8", "1,3,7"])
+def test_nested_pairs_match_their_oracle_on_built_schemes(triple):
+    scheme = build_scheme(validate_type(*triple))
+    assert list(analysis.nested_pairs(scheme)) == nested_pairs_oracle(scheme)
+
+
+@pytest.mark.parametrize("edit", SCHEME_EDITS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_nested_pairs_match_their_oracle_on_edited_schemes(edit, data):
+    payload = scheme_to_json(build_scheme(validate_type(*data.draw(st.sampled_from(NESTED_TYPES)))))
+    mutate_scheme_json(data, payload, edit)
+    for _ in range(data.draw(st.integers(0, 2))):
+        mutate_scheme_json(data, payload)
+    scheme = scheme_from_json(payload)
+    assert list(analysis.nested_pairs(scheme)) == nested_pairs_oracle(scheme)
+
+
+@pytest.mark.parametrize("edit", [
+    # -1 made the last element: the largest element of rank1{0,-1} is 0
+    lambda levels: levels[1][1].__setitem__(1, -1),
+    # ... and of the top set, which no longer holds 3
+    lambda levels: levels[2][0].__setitem__(3, -1),
+    # scheme_from_json accepts a set with no elements, twice: each is a
+    # proper subset of every set with elements, and not of the other
+    lambda levels: levels[0].extend([[], []]),
+], ids=["minus-one-in-a-piece", "minus-one-in-the-top", "empty-sets"])
+def test_nested_pairs_match_their_oracle_on_odd_elements(edit):
+    payload = scheme_to_json(build_scheme(validate_type(*TYPE_DEPTH2)))
+    edit(payload["levels"])
+    scheme = scheme_from_json(payload)
+    pairs = list(analysis.nested_pairs(scheme))
+    assert pairs == nested_pairs_oracle(scheme)
+    if not scheme.levels[0][-1].elements:
+        assert sum(not E.elements for E, _ in pairs) == 2 * (len(list(scheme.sets())) - 2)
+
+
+# ---------------------------------------------------------------------------
+# the well-definedness sweep against its definition
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_well_definedness_report_matches_its_oracle(data):
+    kind, param = data.draw(st.sampled_from([("eps", HALF), ("eps", Fraction(1, 3)),
+                                             ("k", Fraction(2)), ("k", Fraction(3, 2))]))
+    family = _small_family(data.draw(st.sampled_from([1, 2])), kind, param,
+                           data.draw(st.integers(1, 2)) if kind == "k" else 0, False)
+    if data.draw(st.booleans()):
+        s = data.draw(st.sampled_from(list(family.scheme.sets())))
+        index = data.draw(st.integers(0, len(family.functionals_for(s)) - 1))
+        support = data.draw(st.lists(st.sampled_from(s.elements), unique=True))
+        values = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+        family = _tampered(family, s, index, SparseVector({p: data.draw(values) for p in support}))
+    samples, seed = data.draw(st.integers(1, 60)), data.draw(st.integers(0, 9))
+    assert (_json_text(well_definedness_report(family, samples, seed).to_json())
+            == _json_text(well_definedness_oracle(family, samples, seed).to_json()))
+
+
+def _samples(family, samples, seed):
+    """(x, its covering sets) for each sample of the report's stream."""
+    rng = random.Random(seed)
+    drawn = []
+    while len(drawn) < samples:
+        x = random_rational_vector(rng, family.scheme.universe_size)
+        if not x.is_zero():
+            drawn.append((x, family.scheme.containing_sets(x.support)))
+    return drawn
+
+
+@pytest.mark.parametrize("name", ["eps_half_depth2", "eps_half_depth3", "k2_depth2", "k2_depth3"])
+def test_well_definedness_evaluates_norms_only_where_two_sets_cover(request, monkeypatch, name):
+    family = request.getfixturevalue(name)
+    calls = []
+    monkeypatch.setattr(analysis, "norming_max", lambda x, H: calls.append(x) or norming_max(x, H))
+    assert well_definedness_report(family, samples=200, seed=5).passed
+    drawn = _samples(family, 200, 5)
+    assert calls == [x for x, covers in drawn if len(covers) >= 2 for _ in covers]
+    assert 0 < sum(len(covers) == 1 for _, covers in drawn) < 200
+
+
+def test_well_definedness_fails_a_sample_no_set_covers(k2_depth2):
+    scheme = k2_depth2.scheme
+    family = replace(k2_depth2, scheme=replace(scheme, levels=scheme.levels[:-1]))  # no top set
+    report = well_definedness_report(family, samples=20, seed=0)
+    witness = report.claim("norm_independent_of_covering_set").witness
+    assert not report.passed and witness["values"] == []
+    assert family.scheme.containing_sets(map(int, witness["vector"])) == []
+    assert report.to_json() == well_definedness_oracle(family, 20, 0).to_json()
+
+
+def test_well_definedness_raises_on_a_missing_family(k2_depth2):
+    top = k2_depth2.scheme.top
+    family = replace(k2_depth2, families={s: fam for s, fam in k2_depth2.families.items()
+                                          if s != top})
+    with pytest.raises(NotInSchemeError, match=r"no family attached to rank2\{0,1,2,3\}"):
+        well_definedness_report(family, samples=20, seed=0)

@@ -380,6 +380,15 @@ def test_capture_roundtrip_finds_site_at_or_below(scheme_depth3):
         assert capture.site.rank <= site.rank
 
 
+def test_scheme_set_hash_is_the_field_hash(scheme_depth3):
+    for s in scheme_depth3.sets():
+        assert hash(s) == hash(s) == hash((s.rank, s.elements, s.root_size))
+    top = scheme_depth3.top
+    for copy in (dataclasses.replace(top), dataclasses.replace(top, elements=top.elements[1:])):
+        assert hash(copy) == hash((copy.rank, copy.elements, copy.root_size))
+        assert (copy == top) == (copy.elements == top.elements)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
