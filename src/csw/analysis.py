@@ -281,14 +281,32 @@ def coherence_report(family: NormingFamily, lp_every=0) -> ExperimentReport:
     the pairs that no piece covers.  Both properties also move through an
     increasing bijection t: on a rank-canonical family
     (`NormingFamily.rank_canonical`), if F is not the first set F0 of its
-    rank and E0 = t^-1(E), for t = `Scheme.transport(F)`, is a scheme set
-    of E's rank, then H_F = t(H_F0) and H_E = t(H_E0), since increasing
-    bijections compose uniquely, and restriction and hull membership
-    commute with t; so (E, F) follows from (E0, F0), which is checked or
-    covered.  With `lp_every` = 0 one scan checks directly only the pairs
-    that neither rule reaches (on a built family, the (piece, parent) pairs
-    at first sets); if it finds a failure, a second scan checks every pair,
-    so the first-failure witnesses are those of scan order.  With
+    rank and t = `Scheme.transport(F)`, then E0 = t^-1(E) is a listed set
+    of E's rank (the lemma below), H_F = t(H_F0) and H_E = t(H_E0), since
+    increasing bijections compose uniquely, and restriction and hull
+    membership commute with t; so (E, F) follows from (E0, F0), which is
+    checked or covered, and no pair at F is checked.
+
+    Lemma: on a scheme that passes `check_axioms`, every scheme set E < F
+    lies in F's decomposition tree.  Pieces are subsets of their parent
+    (union axiom) and each level has one size (set-sizes axiom), so sizes
+    never decrease with rank, and E < F puts E at a lower rank j.  Pieces
+    lie in the level below and cover their parent, so the rank-j sets of
+    F's tree cover F; for each such D, E & D is an initial segment of E
+    (same-rank axiom), and initial segments that cover E include E itself,
+    so E <= D for some D, and equal sizes give E = D.  A parent is its root
+    followed by its pieces' tails, in order, as consecutive blocks, so an
+    increasing bijection between two rank-k sets carries piece i onto piece
+    i, and by induction tree onto tree: t^-1(E) is a set of F0's tree, so
+    it is listed.  This is about the set system alone, which a
+    rank-canonical family's scheme shares with the build that checked it,
+    so it holds however a level is ordered, and a decomposition replaced
+    after the build is still read pair by pair by the covering test.
+
+    With `lp_every` = 0 one scan checks directly only the pairs that neither
+    rule reaches (on a built family, the (piece, parent) pairs at first
+    sets); if it finds a failure, a second scan checks every pair, so the
+    first-failure witnesses are those of scan order.  With
     `lp_every` > 0 one scan checks every pair, and the cross-check schedule
     indexes it.  The instance counts are always those of every nested pair.
     """
@@ -308,43 +326,21 @@ def _covered(scheme: Scheme, listed, E, F) -> bool:
                for P in scheme.decomposition.get(F, ()))
 
 
-def _transported(family: NormingFamily, listed):
-    """A test of whether a nested pair (E, F) is the transport of a pair at
-    the first set of F's rank, with F not that set: false for every pair
-    unless `family.rank_canonical`, else whether the inverse of
-    `Scheme.transport(F)`, made once per F, carries E onto the elements of
-    a listed set of E's rank."""
-    if not family.rank_canonical:
-        return lambda E, F: False
-    scheme = family.scheme
-    firsts = {level[0] for level in scheme.levels if level}
-    keys = {(s.rank, s.elements) for s in listed}
-    inverses = {}
-
-    def moved(E, F):
-        if F in firsts:
-            return False
-        if F not in inverses:
-            inverses[F] = {q: p for p, q in scheme.transport(F).items()}
-        return (E.rank, tuple(map(inverses[F].get, E.elements))) in keys
-
-    return moved
-
-
 def _scan(family: NormingFamily, lp_every, every) -> ExperimentReport:
     """The coherence report from one walk over the nested pairs in order.
 
     Every pair adds its instance counts: |H_F|, and the F-functionals whose
     alpha lies in E (alternating variant only).  A pair's instances are then
-    checked when `every` is set, or when no piece covers the pair and it is
-    not the transport of a pair at the first set of F's rank (tested only on
-    a rank-canonical family), each by the reconstruction of its hull
-    certificate, and every `lp_every`-th instance, counted over all pairs,
-    is also checked through the raw LP path.  Every E and F family is looked
-    up, so a missing one raises."""
+    checked when `every` is set, or when no piece covers the pair and, on a
+    rank-canonical family, F is the first set of its rank (every other
+    set's pairs are transports of that set's), each by the reconstruction
+    of its hull certificate, and every `lp_every`-th instance, counted over
+    all pairs, is also checked through the raw LP path.  Every E and F
+    family is looked up, so a missing one raises."""
     scheme = family.scheme
     listed = set(scheme.sets())
-    moved = _transported(family, listed)
+    moved = (listed.difference(level[0] for level in scheme.levels if level)
+             if family.rank_canonical else ())
     eps = family.space_kind == EPS_KIND
     alphas = {}
     restriction_bad = None
@@ -362,7 +358,7 @@ def _scan(family: NormingFamily, lp_every, every) -> ExperimentReport:
             if F not in alphas:
                 alphas[F] = Counter(f.origin.alpha for f in fam_F)
             restriction_count += sum(alphas[F][a] for a in elems)
-        if not every and (_covered(scheme, listed, E, F) or moved(E, F)):
+        if not every and (F in moved or _covered(scheme, listed, E, F)):
             continue
         vectors_E = [g.vector for g in fam_E]
         by_alpha = {g.origin.alpha: g.vector for g in fam_E} if eps else None

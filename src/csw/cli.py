@@ -35,8 +35,6 @@ EXIT_IO = 3
 
 
 def _out_path(path):
-    if path is None:
-        return None
     base = os.environ.get("CSW_OUT_DIR")
     if base and not os.path.isabs(path):
         return os.path.join(base, path)

@@ -48,7 +48,8 @@ rank-k set, and only those families are stored: every other rank-k set gets
 that family's transport through the increasing bijection `Scheme.transport`
 when first read, with each distinct origin moved once;
 `NormingFamily.rank_canonical` tells such a family from a families dict made
-or edited by hand, which the coherence sweep checks pair for pair.  Both
+or edited by hand, or one whose scheme no longer lists exactly the built
+sets at their ranks, which the coherence sweep checks pair for pair.  Both
 builders run `check_axioms` once, before any amalgamation, and refuse a
 scheme that fails it: under the axioms each piece of F is F's root and one
 consecutive block of F's other elements, in order, so the bijection carries
@@ -168,14 +169,16 @@ class NormingFamily:
     @property
     def rank_canonical(self) -> bool:
         """Whether every set's family is the transport of the family of the
-        first set of its rank, through `Scheme.transport`: true of the
-        families the builders and the loader make, on any scheme whose level
-        k holds only rank-k sets they built families for, and false of a
-        families dict made or edited by hand.  Increasing bijections compose
-        uniquely, so the build's first set need not be the scheme's."""
-        return isinstance(self.families, _Transports) and all(
-            s.rank == k and s in self.families
-            for k, level in enumerate(self.scheme.levels) for s in level)
+        first set of its rank, through `Scheme.transport`, and the scheme
+        lists exactly the sets the family was built on, each at the level of
+        its rank: true of the families the builders and the loader make,
+        which run `check_axioms` first, until the scheme gains, loses or
+        moves a set, and false of a families dict made or edited by hand.
+        Increasing bijections compose uniquely, so the build's first set
+        need not be the scheme's."""
+        return (isinstance(self.families, _Transports)
+                and set(self.families) == set(self.scheme.sets())
+                and all(s.rank == k for k, level in enumerate(self.scheme.levels) for s in level))
 
 
 def spread(scheme: Scheme, f: Functional, F: SchemeSet) -> Functional:
@@ -263,8 +266,9 @@ class _Lazy(Mapping):
 
 
 class _Transports(_Lazy):
-    """The families `_build` returns: each rank's first-set family is kept,
-    and every other set's is its transport."""
+    """The families `_build`, and nothing else, returns once `check_axioms`
+    passes: each rank's first-set family is kept, and every other set's is
+    its transport."""
 
 
 def _build(scheme, rank0, amalgamate) -> Mapping:

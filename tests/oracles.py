@@ -15,7 +15,10 @@ each set from its definition, one vector and one cut at a time.
 `Origin` per origin of every functional.  `same_rank_initial_segments_oracle`
 is the same-rank axiom of `csw.schemes`, pair by pair, and
 `transport_is_exact` asks of one set what the family builders rely on once a
-scheme passes `check_axioms`.  `mutate_scheme_json` makes the scheme edits
+scheme passes `check_axioms`.  `in_decomposition_tree` walks a set's tree
+piece by piece, and `transport_preimage_is_listed` is the per-pair search the
+coherence scan's first-set rule once made, which the decomposition-tree
+lemma of `csw.analysis.coherence_report` makes unnecessary.  `mutate_scheme_json` makes the scheme edits
 that the tests of that reliance draw from.  `nested_pairs_oracle` tests
 every pair of scheme sets, and `well_definedness_oracle` evaluates every
 covering set's norm on every sample with `norming_max_oracle`.
@@ -191,6 +194,27 @@ def transport_is_exact(scheme, F):
     pm = position_map(first, F)
     return ([tuple(pm[p] for p in c.elements) for c in scheme.decomposition.get(first, ())]
             == [c.elements for c in scheme.decomposition.get(F, ())])
+
+
+def in_decomposition_tree(scheme, E, F):
+    """Whether E is F, one of F's pieces, one of theirs, and so on down."""
+    seen, stack = set(), [F]
+    while stack:
+        D = stack.pop()
+        if D == E:
+            return True
+        if D not in seen:
+            seen.add(D)
+            stack.extend(scheme.decomposition.get(D, ()))
+    return False
+
+
+def transport_preimage_is_listed(scheme, E, F):
+    """Whether the inverse of `Scheme.transport(F)` carries E onto the
+    elements of a listed set of E's rank."""
+    inverse = {q: p for p, q in scheme.transport(F).items()}
+    preimage = tuple(map(inverse.get, E.elements))
+    return any(s.elements == preimage for s in scheme.levels[E.rank])
 
 
 SCHEME_EDITS = ("permute_level", "shuffle_children", "replace_child",

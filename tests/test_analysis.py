@@ -46,11 +46,25 @@ from csw.norming import (
     global_dual,
     norm,
 )
-from csw.schemes import build_scheme, check_axioms, scheme_from_json, scheme_to_json, validate_type
+from csw.schemes import (
+    build_scheme,
+    check_axioms,
+    scheme_dumps,
+    scheme_from_json,
+    scheme_loads,
+    scheme_to_json,
+    validate_type,
+)
 from csw.vectors import SparseVector, format_rational, pair, parse_vector
 
 from conftest import TYPE_DEPTH1, TYPE_DEPTH2, TYPE_DEPTH3, TYPE_WIDE8
-from oracles import SCHEME_EDITS, mutate_scheme_json, nested_pairs_oracle, well_definedness_oracle
+from oracles import (
+    SCHEME_EDITS,
+    mutate_scheme_json,
+    nested_pairs_oracle,
+    transport_preimage_is_listed,
+    well_definedness_oracle,
+)
 
 HALF = Fraction(1, 2)
 
@@ -739,19 +753,52 @@ def test_first_set_scan_follows_a_permuted_level(request, monkeypatch, name):
 
 
 def test_first_set_scan_checks_a_pair_whose_preimage_is_not_listed(k2_depth2, monkeypatch):
+    # a scheme that lost a set after the build no longer lists the sets the
+    # family was built on, so it is not rank-canonical and takes the piece scan
     scheme = k2_depth2.scheme
     dropped = scheme.levels[0][1]  # rank0{1}, a piece of the first rank-1 set
     levels = [[s for s in scheme.levels[0] if s != dropped], *scheme.levels[1:]]
     family = replace(k2_depth2, scheme=replace(scheme, levels=levels))
-    assert family.rank_canonical
+    # rank1{0,2} moves rank0{2} onto the dropped set
+    assert not transport_preimage_is_listed(family.scheme, scheme.levels[0][2],
+                                            scheme.levels[1][1])
+    assert not family.rank_canonical
     calls = _count_hull_calls(monkeypatch)
     report = coherence_report(family)
     assert report.passed
-    # rank1{0,2} and rank1{0,3} move rank0{2} and rank0{3} onto the dropped
-    # set, so those two pairs are checked beside (rank0{0}, rank1{0,1}) and
-    # the top set's three pieces
-    assert len(calls) == 3 * 6 + 3 * len(family.functionals_for(scheme.top))
+    assert len(calls) == sum(len(family.functionals_for(F))
+                             for _, F in _uncovered_pairs(family.scheme))
     assert report.to_json() == analysis._scan(family, 0, every=True).to_json()
+
+
+def test_a_set_added_to_a_level_is_not_rank_canonical(k2_depth2):
+    scheme = k2_depth2.scheme
+    added = replace(scheme.levels[1][0], elements=(1, 2))
+    levels = [scheme.levels[0], [*scheme.levels[1], added], *scheme.levels[2:]]
+    assert not replace(k2_depth2, scheme=replace(scheme, levels=levels)).rank_canonical
+
+
+def test_a_set_moved_to_another_level_is_not_rank_canonical(k2_depth2):
+    scheme = k2_depth2.scheme
+    moved = scheme.levels[0][1]
+    levels = [[s for s in scheme.levels[0] if s != moved],
+              [*scheme.levels[1], moved], *scheme.levels[2:]]
+    family = replace(k2_depth2, scheme=replace(scheme, levels=levels))
+    assert set(family.scheme.sets()) == set(scheme.sets())
+    assert not family.rank_canonical
+
+
+@pytest.mark.parametrize("name", ["eps_half_depth3", "k2_depth3"])
+def test_a_reloaded_scheme_keeps_the_family_rank_canonical(request, monkeypatch, name):
+    family = request.getfixturevalue(name)
+    reloaded = replace(family, scheme=scheme_loads(scheme_dumps(family.scheme)))
+    assert reloaded.scheme.top == family.scheme.top
+    assert reloaded.scheme.top is not family.scheme.top
+    assert reloaded.rank_canonical
+    calls = _count_hull_calls(monkeypatch)
+    report = coherence_report(reloaded)
+    assert len(calls) == _first_set_instances(family)
+    assert report.to_json() == coherence_report(family).to_json()
 
 
 # witnesses recorded before the first-set scan
@@ -879,3 +926,44 @@ def test_well_definedness_raises_on_a_missing_family(k2_depth2):
                                           if s != top})
     with pytest.raises(NotInSchemeError, match=r"no family attached to rank2\{0,1,2,3\}"):
         well_definedness_report(family, samples=20, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# refusals
+
+def test_report_claim_refuses_an_unknown_name(eps_half_depth1):
+    with pytest.raises(KeyError, match="^'no_such_claim'$"):
+        check_biorthogonality(eps_half_depth1).claim("no_such_claim")
+
+
+def test_k_experiment_refuses_kprime_at_least_L(k2_wide8):
+    with pytest.raises(ConfigInvalidError,
+                       match="^need 1 <= K' < L < K, got K'=5/4, L=5/4, K=2$"):
+        run_K_experiment(k2_wide8, KExperimentConfig(n=4, L=Fraction(5, 4),
+                                                     kprime=Fraction(5, 4)))
+
+
+def test_experiments_refuse_a_zero_pattern(eps_half_depth1, k2_wide8):
+    pattern = parse_vector("0:0")
+    with pytest.raises(ConfigInvalidError, match="^pattern must be nonzero$"):
+        run_eps_experiment(eps_half_depth1, EpsExperimentConfig(n=1, pattern=pattern))
+    with pytest.raises(ConfigInvalidError, match="^pattern must be nonzero$"):
+        run_K_experiment(k2_wide8, KExperimentConfig(n=4, L=Fraction(5, 4), pattern=pattern))
+
+
+def test_eps_separation_refuses_a_missing_dual_and_a_diagonal_other_than_one(eps_half_depth1):
+    ys = [SparseVector.unit(i) for i in range(4)]
+    config = SeparationConfig(tau=Fraction(0), n=1)
+    with pytest.raises(ConfigInvalidError, match="^need one dual per vector$"):
+        verify_eps_separation(eps_half_depth1, ys, ys[:3], config)
+    ystars = [y.scale(2) for y in ys]
+    with pytest.raises(NotBiorthogonalError, match="^<y\\*_0, y_0> = 2 != 1$") as err:
+        verify_eps_separation(eps_half_depth1, ys, ystars, config)
+    assert err.value.witness == (0, 0)
+
+
+def test_k_separation_refuses_a_vector_count_other_than_2n(k2_wide8):
+    ys = [SparseVector.unit(i) for i in range(3)]
+    config = KSeparationConfig(kprime=Fraction(1), L=Fraction(5, 4), n=2)
+    with pytest.raises(ConfigInvalidError, match="^need 2n = 4 vectors, got 3$"):
+        verify_K_separation(k2_wide8, ys, config)

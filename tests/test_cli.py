@@ -728,3 +728,26 @@ def test_out_file_honours_umask(tmp_path, capsys):
         os.umask(previous)
     assert code == 0
     assert out_file.stat().st_mode & 0o777 == 0o644
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eps", "--eps", "1/2", "--n", "1", "--type", "1,6;6;0", "--pattern", "0:0"],
+     "pattern must be nonzero"),
+    (["kbasis", "--k", "2", "--n", "4", "--L", "5/4", "--type", "1,8;8;0", "--pattern", "0:0"],
+     "pattern must be nonzero"),
+    (["kbasis", "--k", "2", "--n", "4", "--L", "5/4", "--kprime", "5/4", "--type", "1,8;8;0"],
+     "need 1 <= K' < L < K, got K'=5/4, L=5/4, K=2"),
+], ids=["eps-zero-pattern", "kbasis-zero-pattern", "kprime-at-L"])
+def test_experiment_refusals_are_config_errors(capsys, argv, message):
+    code, out, err = run(capsys, "experiment", *argv)
+    assert code == 2
+    assert out == "" and err == f"configuration error: {message}\n"
+
+
+def test_a_failed_write_leaves_no_temp_file_and_is_an_io_error(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.mkdir()  # replacing a directory with the written file fails
+    code, out, err = run(capsys, "scheme", "build", "--type", "1,2;2;0", "--out", str(target))
+    assert code == 3
+    assert out == "" and err.startswith("i/o error") and str(target) in err
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"] and not any(target.iterdir())

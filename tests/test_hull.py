@@ -234,3 +234,13 @@ def test_verify_decomposition_cases(f, coefficients, expected):
     H = [E0, E0, -E0, E1]
     assert verify_decomposition(f, H, coefficients) is expected
     assert verify_decomposition_oracle(f, H, coefficients) is expected
+
+
+def test_dual_norm_and_polar_support_refuse_a_vector_outside_the_span():
+    g = SparseVector.unit(0)
+    with pytest.raises(NotInSpanError,
+                       match="^empty norming set cannot express a nonzero vector$") as err:
+        dual_norm(g, [])
+    assert err.value.certificate == g
+    with pytest.raises(NotInSpanError, match="^polar program unbounded: vector outside span$"):
+        polar_support(SparseVector.unit(1), [g])

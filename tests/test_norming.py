@@ -633,3 +633,8 @@ def test_K_builder_refuses_a_set_that_is_not_increasing():
     with pytest.raises(ConfigInvalidError,
                        match="is not a strictly increasing nonnegative sequence"):
         build_K_family(scheme_from_json(payload), 2)
+
+
+def test_global_dual_refuses_an_alpha_outside_the_universe(eps_half_depth2):
+    with pytest.raises(NotInSchemeError, match="^4 is outside the universe$"):
+        global_dual(eps_half_depth2, 4)

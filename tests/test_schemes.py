@@ -31,12 +31,18 @@ from csw.schemes import (
     scheme_to_json,
     type_violations,
     validate_type,
+    _decomposition_delta_system,
     _same_rank_initial_segments,
 )
+from csw.analysis import nested_pairs
 from csw.norming import build_K_family, build_eps_family
 
-from conftest import TYPE_DEPTH2, TYPE_DEPTH3, TYPE_DEPTH4
-from oracles import same_rank_initial_segments_oracle
+from conftest import TYPE_DEPTH2, TYPE_DEPTH3, TYPE_DEPTH4, TYPE_DEPTH5
+from oracles import (
+    in_decomposition_tree,
+    same_rank_initial_segments_oracle,
+    transport_preimage_is_listed,
+)
 
 
 def elements(level):
@@ -422,3 +428,113 @@ def test_random_types_build_validate_and_round_trip(triple):
     assert check_axioms(scheme).passed
     clone = scheme_loads(scheme_dumps(scheme))
     assert clone.levels == scheme.levels and clone.decomposition == scheme.decomposition
+
+
+# ---------------------------------------------------------------------------
+# the decomposition-tree lemma of `csw.analysis.coherence_report`: on a scheme
+# that passes `check_axioms`, every scheme set E < F lies in F's decomposition
+# tree, so the transport onto F from the first set of F's rank pulls E back
+# onto a listed set
+
+def _lemma_pairs(scheme):
+    """(nested pairs, those at a set that is not the first of its rank),
+    once the lemma and its transport consequence hold at every one."""
+    assert check_axioms(scheme).passed
+    firsts = {level[0] for level in scheme.levels}
+    pairs = moved = 0
+    for E, F in nested_pairs(scheme):
+        assert in_decomposition_tree(scheme, E, F), (E, F)
+        pairs += 1
+        if F not in firsts:
+            assert transport_preimage_is_listed(scheme, E, F), (E, F)
+            moved += 1
+    return pairs, moved
+
+
+NAMED_TYPES = {
+    "d3": (TYPE_DEPTH3, 69, 37),
+    "d4": (TYPE_DEPTH4, 461, 313),
+    "d5": (TYPE_DEPTH5, 3463, 2618),
+    "w16": (([1, 16], [16], [0]), 16, 0),
+    "t17": (([1, 2, 5, 17], [2, 4, 4], [0, 1, 1]), 105, 57),
+    "u23": (([1, 2, 4, 7, 23], [2, 3, 4, 5], [0, 1, 3, 3]), 339, 243),
+    "1,3,7": (([1, 3, 7], [3, 3], [0, 1]), 19, 6),
+}
+
+
+@pytest.mark.parametrize("triple, pairs, moved", NAMED_TYPES.values(), ids=NAMED_TYPES)
+def test_decomposition_tree_lemma_on_named_types(triple, pairs, moved):
+    assert _lemma_pairs(build_scheme(validate_type(*triple))) == (pairs, moved)
+
+
+@st.composite
+def lemma_types(draw, depth=4, universe=120):
+    """A valid type of depth at most `depth`, universe at most `universe`,
+    and k < n_k <= k+3: m_k = n_k m_{k-1} - r_k (n_k - 1) falls as r_k
+    grows, so r_k is drawn from the roots that keep m_k in bounds, and the
+    type stops short when none does."""
+    m, n, r = [1], [], []
+    for k in range(1, draw(st.integers(1, depth)) + 1):
+        nk = draw(st.integers(k + 1, k + 3))
+        low = max(0, -(-(nk * m[-1] - universe) // (nk - 1)))
+        if low >= m[-1]:
+            break
+        rk = draw(st.integers(low, m[-1] - 1))
+        n.append(nk)
+        r.append(rk)
+        m.append(nk * (m[-1] - rk) + rk)
+    return m, n, r
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(triple=lemma_types(), data=st.data())
+def test_decomposition_tree_lemma_on_shuffled_levels(triple, data):
+    scheme = build_scheme(validate_type(*triple))
+    assert scheme.universe_size <= 120
+    levels = [data.draw(st.permutations(level)) for level in scheme.levels]
+    _lemma_pairs(dataclasses.replace(scheme, levels=levels))
+
+
+# ---------------------------------------------------------------------------
+# refusals
+
+def test_minimal_containing_refuses_positions_no_set_covers():
+    singletons = [SchemeSet(rank=0, elements=(p,), root_size=0) for p in (0, 1)]
+    scheme = Scheme(validate_type([1, 2], [2], [0]), [singletons])  # no top set
+    with pytest.raises(NotInSchemeError, match="^no scheme set covers the given positions$"):
+        scheme.minimal_containing({0, 1})
+
+
+def test_decomposition_axiom_goes_on_past_a_set_with_no_decomposition(scheme_depth2):
+    scheme = scheme_loads(scheme_dumps(scheme_depth2))
+    first, second = scheme.levels[1][:2]
+    del scheme.decomposition[first]
+    scheme.decomposition[second] = scheme.decomposition[second][:1]
+    assert list(_decomposition_delta_system(scheme)) == [
+        "rank1{0,1} has no decomposition",
+        "rank1{0,2} decomposes into 1 pieces, type demands n_1 = 2",
+        "children of rank1{0,2} do not union to it"]
+    assert check_axioms(scheme).failures()[0].counterexample == "rank1{0,1} has no decomposition"
+
+
+def test_delta_system_refuses_no_members_and_unequal_intersections():
+    with pytest.raises(NotDeltaError, match=r"^not a delta-system \(members 0, 0\): empty family$"):
+        is_delta_system([])
+    with pytest.raises(NotDeltaError, match=r"^not a delta-system \(members 0, 2\): "
+                                            r"pairwise intersections differ: \(1,\) vs \(0,\)$"):
+        is_delta_system([{0, 1}, {0, 2}, {1, 2}])
+
+
+def test_find_capture_refuses_t_zero(scheme_depth2):
+    with pytest.raises(ConfigInvalidError, match="^need 1 <= t <= 2, got 0$"):
+        find_capture(scheme_depth2, [{1}, {2}], 0)
+
+
+def test_make_captured_family_refuses_a_bad_site_or_an_empty_pattern(scheme_depth2):
+    unlisted = SchemeSet(rank=1, elements=(1, 2), root_size=0)
+    with pytest.raises(NotInSchemeError, match=r"^rank1\{1,2\} is not in the scheme$"):
+        make_captured_family(scheme_depth2, unlisted, {1}, 2)
+    with pytest.raises(RankZeroError, match="^capture sites need rank >= 1$"):
+        make_captured_family(scheme_depth2, scheme_depth2.levels[0][0], {0}, 1)
+    with pytest.raises(PatternOutOfRangeError, match="^pattern is empty$"):
+        make_captured_family(scheme_depth2, scheme_depth2.top, set(), 2)

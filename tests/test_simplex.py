@@ -223,3 +223,10 @@ def test_agrees_with_vertex_enumeration_on_large_denominators(data):
         value = sum(c * v for c, v in zip(con.coeffs, sol.primal))
         assert {"<=": value <= con.rhs, ">=": value >= con.rhs,
                 "==": value == con.rhs}[con.relation]
+
+
+def test_constraint_and_solver_refuse_unknown_relation_and_sense():
+    with pytest.raises(ValueError, match=r"^relation must be one of \('<=', '>=', '=='\)$"):
+        constraint([1], "=", 1)
+    with pytest.raises(ValueError, match="^sense must be 'max' or 'min'$"):
+        simplex_solve([1], [constraint([1], "<=", 3)], sense="maximize")

@@ -109,6 +109,35 @@ def test_only_the_scheme_spells_set_keys():
     assert found == []
 
 
+def _bijection_builds(tree):
+    """Every call to `position_map`, and every dict comprehension that swaps
+    the key and the value of a two-name `.items()` loop, as in
+    `{q: p for p, q in m.items()}`: building or inverting a position map."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and "position_map" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            yield node
+        elif isinstance(node, ast.DictComp) and len(node.generators) == 1:
+            loop = node.generators[0]
+            names = [getattr(e, "id", None) for e in getattr(loop.target, "elts", ())]
+            if (len(names) == 2 and None not in names
+                    and isinstance(loop.iter, ast.Call)
+                    and isinstance(loop.iter.func, ast.Attribute)
+                    and loop.iter.func.attr == "items"
+                    and [getattr(node.key, "id", None),
+                         getattr(node.value, "id", None)] == names[::-1]):
+                yield node
+
+
+def test_only_the_scheme_builds_increasing_bijections():
+    # Scheme.piece_maps and Scheme.transport make them, and no module inverts one
+    found = [f"{source.name}:{node.lineno}"
+             for source in sorted((ROOT / "src" / "csw").glob("*.py"))
+             if source.name != "schemes.py"
+             for node in _bijection_builds(ast.parse(source.read_text(encoding="utf-8")))]
+    assert found == []
+
+
 def _private_imports(tree):
     """(line, name) for every `_`-prefixed name that `tree` imports from a
     csw module: relatively, or from `csw` or `csw.*`."""

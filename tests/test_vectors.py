@@ -125,3 +125,16 @@ JSON_VALUES = st.recursive(
 @given(JSON_VALUES)
 def test_canonical_json_is_json_dumps(obj):
     assert canonical_json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_sparse_vector_refuses_a_negative_position():
+    with pytest.raises(ValueError, match="^negative position -1$"):
+        SparseVector({-1: 1})
+
+
+def test_map_positions_refuses_a_position_outside_its_domain_and_a_collision():
+    x = SparseVector({0: 1, 1: 2})
+    with pytest.raises(KeyError, match="position 1 outside transport domain"):
+        x.map_positions({0: 5})
+    with pytest.raises(ValueError, match="^transport not injective at 5$"):
+        x.map_positions({0: 5, 1: 5})
