@@ -277,15 +277,13 @@ def coherence_report(family: NormingFamily, lp_every=0) -> ExperimentReport:
     sum c_h h over H_P with sum |c_h| <= 1 and every h|E lies in
     conv(+-H_E), so does f|E; and f|E = (f|P)|E = g|E for the P-functional g
     at a.  So a pair (E, F) with such a P in F's decomposition follows from
-    (E, P) and (P, F), and by induction on |F - E| every pair follows from
-    the pairs that no piece covers.  Both properties also move through an
-    increasing bijection t: on a rank-canonical family
-    (`NormingFamily.rank_canonical`), if F is not the first set F0 of its
-    rank and t = `Scheme.transport(F)`, then E0 = t^-1(E) is a listed set
-    of E's rank (the lemma below), H_F = t(H_F0) and H_E = t(H_E0), since
-    increasing bijections compose uniquely, and restriction and hull
-    membership commute with t; so (E, F) follows from (E0, F0), which is
-    checked or covered, and no pair at F is checked.
+    (E, P) and (P, F).  Both properties also move through an increasing
+    bijection t: on a rank-canonical family (`NormingFamily.rank_canonical`),
+    if F is not the first set F0 of its rank and t = `Scheme.transport(F)`,
+    then E0 = t^-1(E) is a set of F0's tree (the lemma below), H_F = t(H_F0)
+    and H_E = t(H_E0), since increasing bijections compose uniquely, and
+    restriction and hull membership commute with t; so (E, F) follows from
+    (E0, F0).
 
     Lemma: on a scheme that passes `check_axioms`, every scheme set E < F
     lies in F's decomposition tree.  Pieces are subsets of their parent
@@ -297,33 +295,30 @@ def coherence_report(family: NormingFamily, lp_every=0) -> ExperimentReport:
     so E <= D for some D, and equal sizes give E = D.  A parent is its root
     followed by its pieces' tails, in order, as consecutive blocks, so an
     increasing bijection between two rank-k sets carries piece i onto piece
-    i, and by induction tree onto tree: t^-1(E) is a set of F0's tree, so
-    it is listed.  This is about the set system alone, which a
-    rank-canonical family's scheme shares with the build that checked it,
-    so it holds however a level is ordered, and a decomposition replaced
-    after the build is still read pair by pair by the covering test.
+    i, and by induction tree onto tree: t^-1(E) is a set of F0's tree.
 
-    With `lp_every` = 0 one scan checks directly only the pairs that neither
-    rule reaches (on a built family, the (piece, parent) pairs at first
-    sets); if it finds a failure, a second scan checks every pair, so the
-    first-failure witnesses are those of scan order.  With
-    `lp_every` > 0 one scan checks every pair, and the cross-check schedule
-    indexes it.  The instance counts are always those of every nested pair.
+    So, by induction on the rank of F, a rank-canonical family needs only
+    the pairs (P, F0) with F0 the first set of a rank k >= 1 and P one of
+    its pieces: any other E < F0 lies in F0's tree, so strictly inside a
+    piece P, and (E, F0) follows from (E, P) and (P, F0); a pair at any
+    other set is a transport.  The lemma is about the set system and the
+    decomposition alone, which a rank-canonical family's scheme shares with
+    the build that checked them, so it holds however a level is ordered.
+
+    With `lp_every` = 0 a rank-canonical family gets one scan that checks
+    only those pairs; if it finds a failure, a second scan checks every
+    pair, so the first-failure witnesses are those of scan order.  Every
+    other family, and any call with `lp_every` > 0, gets one scan that
+    checks every pair, and the cross-check schedule indexes it.  The
+    instance counts are always those of every nested pair.
     """
     if _integer("lp_every", lp_every) < 0:
         raise ConfigInvalidError(f"lp_every must be >= 0, got {lp_every}")
-    report = _scan(family, lp_every, every=lp_every > 0)
-    if not (report.passed or lp_every):
+    first_sets = family.rank_canonical and not lp_every
+    report = _scan(family, lp_every, every=not first_sets)
+    if first_sets and not report.passed:
         report = _scan(family, 0, every=True)
     return report
-
-
-def _covered(scheme: Scheme, listed, E, F) -> bool:
-    """Whether a scheme set P in `listed` and in F's decomposition has
-    E < P < F as element sets; covering is tested, not assumed, since a
-    family made by hand, not a loaded file, may sit on an unchecked scheme."""
-    return any(P in listed and E.element_set < P.element_set < F.element_set
-               for P in scheme.decomposition.get(F, ()))
 
 
 def _scan(family: NormingFamily, lp_every, every) -> ExperimentReport:
@@ -331,16 +326,14 @@ def _scan(family: NormingFamily, lp_every, every) -> ExperimentReport:
 
     Every pair adds its instance counts: |H_F|, and the F-functionals whose
     alpha lies in E (alternating variant only).  A pair's instances are then
-    checked when `every` is set, or when no piece covers the pair and, on a
-    rank-canonical family, F is the first set of its rank (every other
-    set's pairs are transports of that set's), each by the reconstruction
-    of its hull certificate, and every `lp_every`-th instance, counted over
-    all pairs, is also checked through the raw LP path.  Every E and F
+    checked when `every` is set, or when F is the first set of a rank k >= 1
+    and E is one of its pieces, each by the reconstruction of its hull
+    certificate, and every `lp_every`-th instance, counted over all pairs,
+    is also checked through the coefficients of `dual_norm`.  Every E and F
     family is looked up, so a missing one raises."""
     scheme = family.scheme
-    listed = set(scheme.sets())
-    moved = (listed.difference(level[0] for level in scheme.levels if level)
-             if family.rank_canonical else ())
+    pieces = {} if every else {level[0]: set(scheme.decomposition[level[0]])
+                               for level in scheme.levels[1:] if level}
     eps = family.space_kind == EPS_KIND
     alphas = {}
     restriction_bad = None
@@ -358,7 +351,7 @@ def _scan(family: NormingFamily, lp_every, every) -> ExperimentReport:
             if F not in alphas:
                 alphas[F] = Counter(f.origin.alpha for f in fam_F)
             restriction_count += sum(alphas[F][a] for a in elems)
-        if not every and (F in moved or _covered(scheme, listed, E, F)):
+        if not (every or E in pieces.get(F, ())):
             continue
         vectors_E = [g.vector for g in fam_E]
         by_alpha = {g.origin.alpha: g.vector for g in fam_E} if eps else None
@@ -370,9 +363,11 @@ def _scan(family: NormingFamily, lp_every, every) -> ExperimentReport:
             cert = in_symmetric_hull(restricted, vectors_E)
             ok = verify_decomposition(restricted, vectors_E, cert.coefficients)
             if ok and lp_every and index % lp_every == 0 and cert.method == "direct":
-                lp_cert = in_symmetric_hull(restricted, vectors_E, try_direct=False)
+                # a direct certificate's vector is zero or a multiple of a
+                # member, so the LP is optimal and cannot raise
+                _, coefficients = dual_norm(restricted, vectors_E)
                 lp_checked += 1
-                ok = verify_decomposition(restricted, vectors_E, lp_cert.coefficients)
+                ok = verify_decomposition(restricted, vectors_E, coefficients)
             if not ok and hull_bad is None:
                 hull_bad = {"E": str(E), "F": str(F), "functional": f.label()}
     report = ExperimentReport(meta={"kind": family.space_kind})
@@ -421,7 +416,7 @@ def well_definedness_report(family: NormingFamily, samples=200, seed=0) -> Exper
     would if evaluated, and a sample no set covers fails with no values."""
     if _integer("samples", samples) < 1:
         raise ConfigInvalidError(f"samples must be >= 1, got {samples}")
-    rng = random.Random(seed)
+    rng = random.Random(_integer("seed", seed))
     scheme = family.scheme
     vectors = {}  # each covering set's vector list, built at its first use
     bad = None

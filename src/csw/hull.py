@@ -117,7 +117,7 @@ class HullCertificate:
     method: str = "lp"
 
 
-def in_symmetric_hull(f: SparseVector, H, try_direct=True) -> HullCertificate:
+def in_symmetric_hull(f: SparseVector, H) -> HullCertificate:
     """Is f in conv(+-H)?  Always returns a checkable certificate.
 
     The direct path catches f proportional to a single member (the common
@@ -126,11 +126,10 @@ def in_symmetric_hull(f: SparseVector, H, try_direct=True) -> HullCertificate:
     H = list(H)
     if f.is_zero():
         return HullCertificate(True, Fraction(0), {}, method="direct")
-    if try_direct:
-        found = proportional_member(f, H, 1)
-        if found is not None:
-            i, ratio = found
-            return HullCertificate(True, abs(ratio), {i: ratio}, method="direct")
+    found = proportional_member(f, H, 1)
+    if found is not None:
+        i, ratio = found
+        return HullCertificate(True, abs(ratio), {i: ratio}, method="direct")
     try:
         value, coeffs = dual_norm(f, H)
     except NotInSpanError as err:

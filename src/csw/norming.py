@@ -49,7 +49,8 @@ that family's transport through the increasing bijection `Scheme.transport`
 when first read, with each distinct origin moved once;
 `NormingFamily.rank_canonical` tells such a family from a families dict made
 or edited by hand, or one whose scheme no longer lists exactly the built
-sets at their ranks, which the coherence sweep checks pair for pair.  Both
+sets at their ranks with the built decomposition, each of which the
+coherence sweep checks at every pair.  Both
 builders run `check_axioms` once, before any amalgamation, and refuse a
 scheme that fails it: under the axioms each piece of F is F's root and one
 consecutive block of F's other elements, in order, so the bijection carries
@@ -171,14 +172,16 @@ class NormingFamily:
         """Whether every set's family is the transport of the family of the
         first set of its rank, through `Scheme.transport`, and the scheme
         lists exactly the sets the family was built on, each at the level of
-        its rank: true of the families the builders and the loader make,
-        which run `check_axioms` first, until the scheme gains, loses or
-        moves a set, and false of a families dict made or edited by hand.
-        Increasing bijections compose uniquely, so the build's first set
-        need not be the scheme's."""
+        its rank, with the decomposition it was built on: true of the
+        families the builders and the loader make, which run `check_axioms`
+        first, until the scheme gains, loses or moves a set or its
+        decomposition changes, and false of a families dict made or edited
+        by hand.  Increasing bijections compose uniquely, so the build's
+        first set need not be the scheme's."""
         return (isinstance(self.families, _Transports)
                 and set(self.families) == set(self.scheme.sets())
-                and all(s.rank == k for k, level in enumerate(self.scheme.levels) for s in level))
+                and all(s.rank == k for k, level in enumerate(self.scheme.levels) for s in level)
+                and self.scheme.decomposition == self.families.decomposition)
 
 
 def spread(scheme: Scheme, f: Functional, F: SchemeSet) -> Functional:
@@ -267,8 +270,8 @@ class _Lazy(Mapping):
 
 class _Transports(_Lazy):
     """The families `_build`, and nothing else, returns once `check_axioms`
-    passes: each rank's first-set family is kept, and every other set's is
-    its transport."""
+    passes: each rank's first-set family is kept, every other set's is its
+    transport, and `decomposition` is a copy of the decomposition built on."""
 
 
 def _build(scheme, rank0, amalgamate) -> Mapping:
@@ -288,6 +291,7 @@ def _build(scheme, rank0, amalgamate) -> Mapping:
         return built[s]
 
     families = _Transports({F: F for F in scheme.sets()}, family, built)
+    families.decomposition = dict(scheme.decomposition)
     for k, level in enumerate(scheme.levels):
         first = level[0]
         built[first] = list(rank0(first)) if k == 0 else amalgamate(

@@ -138,9 +138,6 @@ class SchemeSet:
         """The dataclass field hash, computed once per set."""
         return self._hash
 
-    def __len__(self):
-        return len(self.elements)
-
     def __contains__(self, item):
         return item in self.elements
 

@@ -16,10 +16,11 @@ each set from its definition, one vector and one cut at a time.
 is the same-rank axiom of `csw.schemes`, pair by pair, and
 `transport_is_exact` asks of one set what the family builders rely on once a
 scheme passes `check_axioms`.  `in_decomposition_tree` walks a set's tree
-piece by piece, and `transport_preimage_is_listed` is the per-pair search the
-coherence scan's first-set rule once made, which the decomposition-tree
-lemma of `csw.analysis.coherence_report` makes unnecessary.  `mutate_scheme_json` makes the scheme edits
-that the tests of that reliance draw from.  `nested_pairs_oracle` tests
+piece by piece, and `transport_preimage_is_listed` and `covered_by_a_piece`
+are the per-pair search and the per-pair covering test the coherence scan
+once made, which the decomposition-tree lemma of
+`csw.analysis.coherence_report` makes unnecessary.  `mutate_scheme_json`
+makes the scheme edits that the tests of that reliance draw from.  `nested_pairs_oracle` tests
 every pair of scheme sets, and `well_definedness_oracle` evaluates every
 covering set's norm on every sample with `norming_max_oracle`.
 """
@@ -215,6 +216,14 @@ def transport_preimage_is_listed(scheme, E, F):
     inverse = {q: p for p, q in scheme.transport(F).items()}
     preimage = tuple(map(inverse.get, E.elements))
     return any(s.elements == preimage for s in scheme.levels[E.rank])
+
+
+def covered_by_a_piece(scheme, E, F):
+    """Whether a listed scheme set P in F's decomposition has E < P < F as
+    element sets."""
+    listed = set(scheme.sets())
+    return any(P in listed and E.element_set < P.element_set < F.element_set
+               for P in scheme.decomposition.get(F, ()))
 
 
 SCHEME_EDITS = ("permute_level", "shuffle_children", "replace_child",

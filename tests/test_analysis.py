@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -60,6 +61,7 @@ from csw.vectors import SparseVector, format_rational, pair, parse_vector
 from conftest import TYPE_DEPTH1, TYPE_DEPTH2, TYPE_DEPTH3, TYPE_WIDE8
 from oracles import (
     SCHEME_EDITS,
+    covered_by_a_piece,
     mutate_scheme_json,
     nested_pairs_oracle,
     transport_preimage_is_listed,
@@ -594,32 +596,23 @@ def test_report_bytes_are_pinned(request, what, name, digest):
 
 
 # ---------------------------------------------------------------------------
-# the piece scan against the full scan
+# coherence reports against the every-pair scan
 
 PINNED_FAMILIES = ["eps_half_depth1", "eps_half_depth2", "eps_half_depth3",
                    "k2_tiny", "k2_wide8", "k2_depth2", "k2_depth3"]
 
 
-def _piece_instances(family):
-    """Instances of the (piece, parent) pairs: the only pairs of a built
-    scheme that no piece covers."""
-    return sum(len(set(pieces)) * len(family.functionals_for(F))
-               for F, pieces in family.scheme.decomposition.items())
-
-
 def _first_set_instances(family):
     """Instances of the (piece, parent) pairs at the first set of each rank:
-    the only pairs of a built family that neither covering nor transport
-    reaches."""
+    the pairs the first-set scan checks."""
     scheme = family.scheme
     return sum(len(set(scheme.decomposition[level[0]])) * len(family.functionals_for(level[0]))
                for level in scheme.levels[1:])
 
 
 def _uncovered_pairs(scheme):
-    listed = set(scheme.sets())
     return [(E, F) for E, F in analysis.nested_pairs(scheme)
-            if not analysis._covered(scheme, listed, E, F)]
+            if not covered_by_a_piece(scheme, E, F)]
 
 
 @pytest.mark.parametrize("name", PINNED_FAMILIES)
@@ -668,9 +661,9 @@ def _count_hull_calls(monkeypatch):
     `analysis` makes from now on."""
     calls = []
 
-    def counted(f, H, try_direct=True):
-        calls.append(try_direct)
-        return in_symmetric_hull(f, H, try_direct)
+    def counted(f, H):
+        calls.append(f)
+        return in_symmetric_hull(f, H)
 
     monkeypatch.setattr(analysis, "in_symmetric_hull", counted)
     return calls
@@ -685,22 +678,23 @@ def test_piece_scan_checks_only_the_piece_pairs(request, monkeypatch, name):
     assert len(calls) == _first_set_instances(family)
     if family.scheme.depth > 1:
         assert len(calls) < report.meta["hull_instances"]
-    calls.clear()  # a plain dict is not rank-canonical: every piece pair is checked
+    calls.clear()  # a plain dict is not rank-canonical: every pair is checked
     by_hand = replace(family, families=dict(family.families))
     assert coherence_report(by_hand).to_json() == report.to_json()
-    assert len(calls) == _piece_instances(family)
+    assert len(calls) == report.meta["hull_instances"]
 
 
 @pytest.mark.parametrize("lp_every", [0, 3])
 def test_coherence_scans_a_failing_family_at_most_twice(k2_depth2, monkeypatch, lp_every):
     family = _tampered(k2_depth2, k2_depth2.scheme.top, 4, parse_vector("2:3"))
     calls = _count_hull_calls(monkeypatch)
+    lps = []
+    monkeypatch.setattr(analysis, "dual_norm", lambda f, H: lps.append(f) or dual_norm(f, H))
     report = coherence_report(family, lp_every=lp_every)
     assert not report.passed and report.meta["hull_instances"] == 141
-    if lp_every:  # one every-pair scan and its 47 LP cross-checks
-        assert len(calls) == 141 + 47 and calls.count(False) == 47
-    else:  # the piece scan, then one every-pair scan
-        assert len(calls) == _piece_instances(family) + 141
+    # a plain dict is not rank-canonical: one every-pair scan, with its 47
+    # LP cross-checks when lp_every is 3
+    assert len(calls) == 141 and len(lps) == (47 if lp_every else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +748,8 @@ def test_first_set_scan_follows_a_permuted_level(request, monkeypatch, name):
 
 def test_first_set_scan_checks_a_pair_whose_preimage_is_not_listed(k2_depth2, monkeypatch):
     # a scheme that lost a set after the build no longer lists the sets the
-    # family was built on, so it is not rank-canonical and takes the piece scan
+    # family was built on, so it is not rank-canonical and takes the
+    # every-pair scan
     scheme = k2_depth2.scheme
     dropped = scheme.levels[0][1]  # rank0{1}, a piece of the first rank-1 set
     levels = [[s for s in scheme.levels[0] if s != dropped], *scheme.levels[1:]]
@@ -766,8 +761,7 @@ def test_first_set_scan_checks_a_pair_whose_preimage_is_not_listed(k2_depth2, mo
     calls = _count_hull_calls(monkeypatch)
     report = coherence_report(family)
     assert report.passed
-    assert len(calls) == sum(len(family.functionals_for(F))
-                             for _, F in _uncovered_pairs(family.scheme))
+    assert len(calls) == report.meta["hull_instances"]
     assert report.to_json() == analysis._scan(family, 0, every=True).to_json()
 
 
@@ -786,6 +780,13 @@ def test_a_set_moved_to_another_level_is_not_rank_canonical(k2_depth2):
     family = replace(k2_depth2, scheme=replace(scheme, levels=levels))
     assert set(family.scheme.sets()) == set(scheme.sets())
     assert not family.rank_canonical
+
+
+def test_an_empty_level_added_after_the_build_keeps_the_report(k2_depth2):
+    scheme = k2_depth2.scheme
+    family = replace(k2_depth2, scheme=replace(scheme, levels=[*scheme.levels, []]))
+    assert family.rank_canonical
+    assert coherence_report(family).to_json() == coherence_report(k2_depth2).to_json()
 
 
 @pytest.mark.parametrize("name", ["eps_half_depth3", "k2_depth3"])
@@ -820,8 +821,48 @@ def test_a_tampered_set_that_is_not_first_still_fails(
     calls = _count_hull_calls(monkeypatch)
     report = coherence_report(tampered)
     assert _witnesses(report) == witnesses
-    # the piece scan pair for pair, then one every-pair scan
-    assert len(calls) == _piece_instances(family) + report.meta["hull_instances"]
+    # a plain dict is not rank-canonical: one every-pair scan
+    assert len(calls) == report.meta["hull_instances"]
+
+
+def _fresh_k2_depth2():
+    """A K=2 family on d2, built apart from the session fixture, so it can be
+    edited in place."""
+    return build_K_family(build_scheme(validate_type(*TYPE_DEPTH2)), 2)
+
+
+@pytest.mark.parametrize("in_place", [False, True], ids=["replaced", "edited-in-place"])
+def test_a_decomposition_changed_after_the_build_is_not_rank_canonical(monkeypatch, in_place):
+    family = _fresh_k2_depth2()
+    scheme = family.scheme
+    top = scheme.top
+    kept = scheme.decomposition[top][:-1]
+    if in_place:
+        scheme.decomposition[top] = kept
+    else:
+        family = replace(family, scheme=replace(
+            scheme, decomposition={**scheme.decomposition, top: kept}))
+    assert set(family.scheme.sets()) == set(_fresh_k2_depth2().scheme.sets())
+    assert not family.rank_canonical
+    calls = _count_hull_calls(monkeypatch)
+    report = coherence_report(family)
+    assert len(calls) == report.meta["hull_instances"]
+    assert report.to_json() == analysis._scan(family, 0, every=True).to_json()
+
+
+def test_a_tampered_first_set_family_fails_the_first_scan_and_is_rescanned(monkeypatch):
+    family = _fresh_k2_depth2()
+    stored = family.families[family.scheme.top]  # the kept list, edited in place
+    stored[4] = replace(stored[4], vector=parse_vector("2:3"))
+    assert family.rank_canonical
+    calls = _count_hull_calls(monkeypatch)
+    report = coherence_report(family)
+    assert not report.passed
+    assert len(calls) == _first_set_instances(family) + report.meta["hull_instances"]
+    full = analysis._scan(family, 0, every=True)
+    assert _witnesses(report) == _witnesses(full) == {"hull_coherence": (
+        False, {"E": "rank0{2}", "F": "rank2{0,1,2,3}", "functional": "unit/a2"})}
+    assert report.to_json() == full.to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -926,6 +967,13 @@ def test_well_definedness_raises_on_a_missing_family(k2_depth2):
                                           if s != top})
     with pytest.raises(NotInSchemeError, match=r"no family attached to rank2\{0,1,2,3\}"):
         well_definedness_report(family, samples=20, seed=0)
+
+
+@pytest.mark.parametrize("seed", [None, True, 1.5, "x"], ids=["none", "bool", "float", "str"])
+def test_well_definedness_refuses_a_seed_that_is_not_an_integer(k2_depth2, seed):
+    message = f"^seed must be an integer, got {re.escape(repr(seed))}$"
+    with pytest.raises(ConfigInvalidError, match=message):
+        well_definedness_report(k2_depth2, samples=20, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -57,9 +57,12 @@ def test_hull_membership_examples():
 def test_hull_certificates_reconstruct():
     H = [E0 + E1, E0 - E1, E0]
     target = parse_vector("0:1/2,1:1/2")
-    cert = in_symmetric_hull(target, H, try_direct=False)
-    assert cert.member
-    assert verify_decomposition(target, H, cert.coefficients)
+    _, coefficients = dual_norm(target, H)  # the LP's coefficients, not the direct path's
+    assert verify_decomposition(target, H, coefficients)
+    off_members = parse_vector("0:1/2,1:1/4")  # a multiple of no member
+    cert = in_symmetric_hull(off_members, H)
+    assert cert.member and cert.method == "lp"
+    assert verify_decomposition(off_members, H, cert.coefficients)
 
 
 def test_polar_support_matches_dual_norm():

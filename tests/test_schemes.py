@@ -39,6 +39,7 @@ from csw.norming import build_K_family, build_eps_family
 
 from conftest import TYPE_DEPTH2, TYPE_DEPTH3, TYPE_DEPTH4, TYPE_DEPTH5
 from oracles import (
+    covered_by_a_piece,
     in_decomposition_tree,
     same_rank_initial_segments_oracle,
     transport_preimage_is_listed,
@@ -493,6 +494,31 @@ def test_decomposition_tree_lemma_on_shuffled_levels(triple, data):
     assert scheme.universe_size <= 120
     levels = [data.draw(st.permutations(level)) for level in scheme.levels]
     _lemma_pairs(dataclasses.replace(scheme, levels=levels))
+
+
+def _first_set_pairs_no_piece_covers(scheme):
+    """The pairs at the first set of each rank k >= 1 that the per-pair
+    covering test leaves unchecked, and the (piece, first set) pairs: the
+    coherence scan's closed form says they are the same."""
+    firsts = {level[0] for level in scheme.levels[1:]}
+    uncovered = {(E, F) for E, F in nested_pairs(scheme)
+                 if F in firsts and not covered_by_a_piece(scheme, E, F)}
+    return uncovered, {(P, F) for F in firsts for P in scheme.decomposition[F]}
+
+
+@pytest.mark.parametrize("triple", [t for t, _, _ in NAMED_TYPES.values()], ids=NAMED_TYPES)
+def test_first_set_pairs_no_piece_covers_are_the_pieces_on_named_types(triple):
+    uncovered, pieces = _first_set_pairs_no_piece_covers(build_scheme(validate_type(*triple)))
+    assert uncovered == pieces
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(triple=lemma_types(), data=st.data())
+def test_first_set_pairs_no_piece_covers_are_the_pieces_on_shuffled_levels(triple, data):
+    scheme = build_scheme(validate_type(*triple))
+    levels = [data.draw(st.permutations(level)) for level in scheme.levels]
+    uncovered, pieces = _first_set_pairs_no_piece_covers(dataclasses.replace(scheme, levels=levels))
+    assert uncovered == pieces
 
 
 # ---------------------------------------------------------------------------
