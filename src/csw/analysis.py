@@ -12,7 +12,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from operator import eq, ge, gt, le, lt
 
 from .errors import (
     CaptureUnavailableError,
@@ -38,16 +38,10 @@ from .norming import (
     norm,
     spread,
 )
-from .schemes import Scheme, find_capture, make_captured_family
+from .schemes import find_capture, make_captured_family
 from .vectors import SparseVector, format_rational, pair, parse_rational
 
-_REL_CHECK = {
-    "==": lambda a, b: a == b,
-    "<=": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-}
+_REL_CHECK = {"==": eq, "<=": le, ">=": ge, "<": lt, ">": gt}
 
 
 def _integer(name, value) -> int:
@@ -220,10 +214,7 @@ def basis_constant(family: NormingFamily) -> BasisConstantResult:
                 best = value
                 best_at = (cut, label, coeffs, cut_vec)
     cut, label, coeffs, best_vec = best_at
-    if best > 0:
-        _, attaining = polar_support(best_vec, H)
-    else:
-        attaining = SparseVector()
+    attaining = polar_support(best_vec, H)[1] if best > 0 else SparseVector()
     report = ExperimentReport(meta={
         "constant": format_rational(best),
         "cut": cut,
@@ -241,26 +232,6 @@ def basis_constant(family: NormingFamily) -> BasisConstantResult:
 
 # ---------------------------------------------------------------------------
 # Coherence sweep
-
-def nested_pairs(scheme: Scheme):
-    """All ordered pairs (E, F) of scheme sets with E a proper subset of F,
-    by F in scan order, then by E in scan order.
-
-    For any finite sets, E < F needs the largest element of E to lie in F,
-    so each F tests only the sets whose largest element is in F, and the
-    sets with no elements.  This assumes no axiom, and the candidates, in
-    scan order, go through the same subset test as every pair would: the
-    list is exactly the all-pairs walk's."""
-    sets = [(s, s.element_set) for s in scheme.sets()]
-    ending = {}  # largest element, None for no elements -> scan indices
-    for i, (_, elems) in enumerate(sets):
-        ending.setdefault(max(elems, default=None), []).append(i)
-    for F, big in sets:
-        for i in sorted(chain.from_iterable(ending.get(p, ()) for p in (None, *big))):
-            E, small = sets[i]
-            if small < big:
-                yield E, F
-
 
 def coherence_report(family: NormingFamily, lp_every=0) -> ExperimentReport:
     """Exact restriction coherence and hull-membership coherence.
@@ -322,7 +293,7 @@ def coherence_report(family: NormingFamily, lp_every=0) -> ExperimentReport:
 
 
 def _scan(family: NormingFamily, lp_every, every) -> ExperimentReport:
-    """The coherence report from one walk over the nested pairs in order.
+    """The coherence report from one walk over `Scheme.nested_pairs()`.
 
     Every pair adds its instance counts: |H_F|, and the F-functionals whose
     alpha lies in E (alternating variant only).  A pair's instances are then
@@ -341,7 +312,7 @@ def _scan(family: NormingFamily, lp_every, every) -> ExperimentReport:
     hull_bad = None
     hull_count = 0
     lp_checked = 0
-    for E, F in nested_pairs(scheme):
+    for E, F in scheme.nested_pairs():
         elems = E.element_set
         fam_E = family.functionals_for(E)
         fam_F = family.functionals_for(F)

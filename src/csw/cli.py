@@ -182,14 +182,18 @@ def cmd_norm_eval(args):
 
 
 def cmd_analyze(args):
+    only = {"lp_every": "coherence", "samples": "welldef", "seed": "welldef"}
+    given = {k: v for k in only if (v := getattr(args, k)) is not None}
+    for name in given:
+        if only[name] != args.what:
+            raise ConfigError(f"--{name.replace('_', '-')} applies only to analyze {only[name]}")
     family = _load_family(args.family)
     if args.what == "biorth":
         report = analysis.check_biorthogonality(family)
     elif args.what == "coherence":
-        report = analysis.coherence_report(family, lp_every=args.lp_every)
+        report = analysis.coherence_report(family, **given)
     elif args.what == "welldef":
-        report = analysis.well_definedness_report(
-            family, samples=args.samples, seed=args.seed)
+        report = analysis.well_definedness_report(family, **given)
     else:  # basis-constant
         report = analysis.basis_constant(family).report
     return _emit_report(args, report)
@@ -271,10 +275,10 @@ def build_parser():
                                        "welldef"))
     p_an.add_argument("--family", required=True)
     p_an.add_argument("--format", choices=("json", "csv"), default="json")
-    p_an.add_argument("--lp-every", dest="lp_every", type=parse_int, default=0,
-                      help="cross-check every n-th hull certificate via the raw LP")
-    p_an.add_argument("--samples", type=parse_int, default=200)
-    p_an.add_argument("--seed", type=parse_int, default=0)
+    p_an.add_argument("--lp-every", dest="lp_every", type=parse_int,
+                      help="coherence only: cross-check every n-th hull certificate by LP")
+    p_an.add_argument("--samples", type=parse_int, help="welldef only; default 200")
+    p_an.add_argument("--seed", type=parse_int, help="welldef only; default 0")
     p_an.add_argument("--out")
     p_an.set_defaults(func=cmd_analyze)
 

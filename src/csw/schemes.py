@@ -14,9 +14,9 @@ scheme is the one source of the increasing bijections that transport along it:
 defining property by exhaustive enumeration, so corrupted or hand-altered
 schemes are diagnosed rather than trusted: the family builders refuse them.
 
-Schemes are not mutated after building; every query here is pure, so scheme
-values can be shared freely (the axiom checker tolerates hand-tampered input
-precisely because it assumes nothing).
+Schemes are not mutated after building: a scheme indexes its sets by position
+at its first containment query, so edit a `dataclasses.replace` copy, never a
+scheme already queried.  Every query is pure, so schemes can be shared freely.
 """
 
 from __future__ import annotations
@@ -188,7 +188,7 @@ class Scheme:
     def in_universe(self, positions) -> set:
         """`positions` as a set, refused unless each lies in the universe."""
         needed = set(positions)
-        if not needed <= set(range(self.universe_size)):
+        if needed and not 0 <= min(needed) <= max(needed) < self.universe_size:
             raise NotInSchemeError(f"positions {sorted(needed)} exceed the universe")
         return needed
 
@@ -199,12 +199,37 @@ class Scheme:
         raise NotInSchemeError("no scheme set covers the given positions")
 
     def containing_sets(self, positions):
+        """Every set covering `positions`, by rank then in level order."""
         return list(self._covering(positions))
 
+    def nested_pairs(self):
+        """Every (E, F) of sets with E a proper subset of F, by F then E in scan order: no axiom used."""
+        sets = self._index[0]
+        inside = [[] for _ in sets]  # inside[j]: the sets inside sets[j], in scan order
+        for E in sets:
+            for j in self._holding(E.element_set):
+                if E.element_set < sets[j].element_set:
+                    inside[j].append(E)
+        return [(E, F) for F, below in zip(sets, inside) for E in below]
+
+    @cached_property
+    def _index(self):
+        """(the sets in scan order, position -> scan indices of the sets holding it)."""
+        sets, holders = list(self.sets()), {}
+        for i, s in enumerate(sets):
+            for p in s.element_set:
+                holders.setdefault(p, []).append(i)
+        return sets, holders
+
+    def _holding(self, needed):
+        """Scan indices of the sets holding max(needed), or of all sets for no positions."""
+        sets, holders = self._index
+        return holders.get(max(needed), ()) if needed else range(len(sets))
+
     def _covering(self, positions):
-        """Every set covering `positions`, by rank then in level order."""
-        needed = set(positions)
-        return (s for s in self.sets() if needed <= s.element_set)
+        """Every set covering `positions`, in scan order: those `_holding` names that do."""
+        needed, sets = set(positions), self._index[0]
+        return (sets[i] for i in self._holding(needed) if needed <= sets[i].element_set)
 
     def piece_maps(self, F: SchemeSet) -> list:
         """phi_0 .. phi_{n-1}: the increasing bijections from F's first piece

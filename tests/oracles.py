@@ -20,9 +20,11 @@ piece by piece, and `transport_preimage_is_listed` and `covered_by_a_piece`
 are the per-pair search and the per-pair covering test the coherence scan
 once made, which the decomposition-tree lemma of
 `csw.analysis.coherence_report` makes unnecessary.  `mutate_scheme_json`
-makes the scheme edits that the tests of that reliance draw from.  `nested_pairs_oracle` tests
-every pair of scheme sets, and `well_definedness_oracle` evaluates every
-covering set's norm on every sample with `norming_max_oracle`.
+makes the scheme edits that the tests of that reliance draw from.
+`covering_sets_oracle` tests every scheme set for the positions it must
+hold, `nested_pairs_oracle` tests every pair of scheme sets, and
+`well_definedness_oracle` evaluates every covering set's norm on every
+sample with `norming_max_oracle`.
 """
 
 import random
@@ -118,6 +120,12 @@ def norming_max_oracle(x, H):
     return best
 
 
+def covering_sets_oracle(scheme, positions):
+    """Every scheme set, in scan order, whose elements include `positions`."""
+    needed = set(positions)
+    return [s for s in scheme.sets() if needed <= set(s.elements)]
+
+
 def nested_pairs_oracle(scheme):
     """Every (E, F) of scheme sets with E a proper subset of F: each F in
     scan order, tested against every set in scan order."""
@@ -138,7 +146,7 @@ def well_definedness_oracle(family, samples=200, seed=0):
         if x.is_zero():
             continue
         values = {norming_max_oracle(x, [f.vector for f in family.functionals_for(s)])
-                  for s in scheme.containing_sets(x.support)}
+                  for s in covering_sets_oracle(scheme, x.support)}
         checked += 1
         if len(values) != 1 and bad is None:
             bad = {"vector": x.to_json(), "values": sorted(format_rational(v) for v in values)}

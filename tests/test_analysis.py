@@ -611,7 +611,7 @@ def _first_set_instances(family):
 
 
 def _uncovered_pairs(scheme):
-    return [(E, F) for E, F in analysis.nested_pairs(scheme)
+    return [(E, F) for E, F in scheme.nested_pairs()
             if not covered_by_a_piece(scheme, E, F)]
 
 
@@ -874,7 +874,7 @@ NESTED_TYPES = [TYPE_DEPTH1, TYPE_DEPTH2, TYPE_DEPTH3, TYPE_WIDE8, ([1, 3, 7], [
 @pytest.mark.parametrize("triple", NESTED_TYPES, ids=["d1", "d2", "d3", "w8", "1,3,7"])
 def test_nested_pairs_match_their_oracle_on_built_schemes(triple):
     scheme = build_scheme(validate_type(*triple))
-    assert list(analysis.nested_pairs(scheme)) == nested_pairs_oracle(scheme)
+    assert scheme.nested_pairs() == nested_pairs_oracle(scheme)
 
 
 @pytest.mark.parametrize("edit", SCHEME_EDITS)
@@ -886,7 +886,7 @@ def test_nested_pairs_match_their_oracle_on_edited_schemes(edit, data):
     for _ in range(data.draw(st.integers(0, 2))):
         mutate_scheme_json(data, payload)
     scheme = scheme_from_json(payload)
-    assert list(analysis.nested_pairs(scheme)) == nested_pairs_oracle(scheme)
+    assert scheme.nested_pairs() == nested_pairs_oracle(scheme)
 
 
 @pytest.mark.parametrize("edit", [
@@ -902,7 +902,7 @@ def test_nested_pairs_match_their_oracle_on_odd_elements(edit):
     payload = scheme_to_json(build_scheme(validate_type(*TYPE_DEPTH2)))
     edit(payload["levels"])
     scheme = scheme_from_json(payload)
-    pairs = list(analysis.nested_pairs(scheme))
+    pairs = scheme.nested_pairs()
     assert pairs == nested_pairs_oracle(scheme)
     if not scheme.levels[0][-1].elements:
         assert sum(not E.elements for E, _ in pairs) == 2 * (len(list(scheme.sets())) - 2)

@@ -4,7 +4,7 @@ import os
 import pytest
 
 from csw import norming
-from csw.analysis import basis_constant
+from csw.analysis import basis_constant, coherence_report, well_definedness_report
 from csw.cli import main
 from csw.norming import family_loads
 from csw.schemes import AxiomReport
@@ -572,6 +572,49 @@ def test_sweep_arguments_are_checked(k_family_file, capsys, argv):
                          *argv[1:])
     assert code == 2
     assert out == "" and argv[1][2:].replace("-", "_") in err
+
+
+# an option of `analyze` that only one analysis reads is refused, naming it,
+# by every other analysis, before the family is read; 0 is refused too
+ANALYZE_OTHERS = {"coherence": ["biorth", "basis-constant", "welldef"],
+                  "welldef": ["biorth", "basis-constant", "coherence"]}
+
+
+def _refused_outside(k_family_file, capsys, option, value, reader):
+    for what in ANALYZE_OTHERS[reader]:
+        code, out, err = run(capsys, "analyze", what, "--family", str(k_family_file),
+                             option, value)
+        assert code == 2 and out == ""
+        assert f"configuration error: {option} applies only to analyze {reader}" in err
+
+
+@pytest.mark.parametrize("value", ["3", "0"])
+def test_lp_every_is_coherence_only(k_family_file, capsys, value):
+    _refused_outside(k_family_file, capsys, "--lp-every", value, "coherence")
+
+
+@pytest.mark.parametrize("value", ["10", "200"])
+def test_samples_is_welldef_only(k_family_file, capsys, value):
+    _refused_outside(k_family_file, capsys, "--samples", value, "welldef")
+
+
+@pytest.mark.parametrize("value", ["1", "0"])
+def test_seed_is_welldef_only(k_family_file, capsys, value):
+    _refused_outside(k_family_file, capsys, "--seed", value, "welldef")
+
+
+def test_analyze_options_are_read_by_their_analysis(k_family_file, capsys):
+    family = family_loads(k_family_file.read_text())
+    for argv, report in [
+            (["coherence"], coherence_report(family)),
+            (["coherence", "--lp-every", "1"], coherence_report(family, lp_every=1)),
+            (["welldef"], well_definedness_report(family)),
+            (["welldef", "--samples", "7", "--seed", "3"],
+             well_definedness_report(family, samples=7, seed=3))]:
+        code, out, _ = run(capsys, "analyze", argv[0], "--family", str(k_family_file),
+                           *argv[1:])
+        assert code == 0
+        assert out == json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
 
 
 def test_zero_denominator_vector_is_config_error(k_family_file, capsys):

@@ -187,8 +187,7 @@ def test_biorthogonality_bound_and_attainment(eps_half_depth3):
 
 
 def test_restriction_coherence_exhaustive(scheme_depth3, eps_half_depth3):
-    from csw.analysis import nested_pairs
-    for E, F in nested_pairs(scheme_depth3):
+    for E, F in scheme_depth3.nested_pairs():
         elems = set(E.elements)
         outer = {f.origin.alpha: f.vector
                  for f in eps_half_depth3.functionals_for(F)}

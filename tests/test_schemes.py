@@ -34,13 +34,23 @@ from csw.schemes import (
     _decomposition_delta_system,
     _same_rank_initial_segments,
 )
-from csw.analysis import nested_pairs
 from csw.norming import build_K_family, build_eps_family
 
-from conftest import TYPE_DEPTH2, TYPE_DEPTH3, TYPE_DEPTH4, TYPE_DEPTH5
+from conftest import (
+    TYPE_DEPTH1,
+    TYPE_DEPTH2,
+    TYPE_DEPTH3,
+    TYPE_DEPTH4,
+    TYPE_DEPTH5,
+    TYPE_WIDE8,
+)
 from oracles import (
+    SCHEME_EDITS,
     covered_by_a_piece,
+    covering_sets_oracle,
     in_decomposition_tree,
+    mutate_scheme_json,
+    nested_pairs_oracle,
     same_rank_initial_segments_oracle,
     transport_preimage_is_listed,
 )
@@ -443,7 +453,7 @@ def _lemma_pairs(scheme):
     assert check_axioms(scheme).passed
     firsts = {level[0] for level in scheme.levels}
     pairs = moved = 0
-    for E, F in nested_pairs(scheme):
+    for E, F in scheme.nested_pairs():
         assert in_decomposition_tree(scheme, E, F), (E, F)
         pairs += 1
         if F not in firsts:
@@ -501,7 +511,7 @@ def _first_set_pairs_no_piece_covers(scheme):
     covering test leaves unchecked, and the (piece, first set) pairs: the
     coherence scan's closed form says they are the same."""
     firsts = {level[0] for level in scheme.levels[1:]}
-    uncovered = {(E, F) for E, F in nested_pairs(scheme)
+    uncovered = {(E, F) for E, F in scheme.nested_pairs()
                  if F in firsts and not covered_by_a_piece(scheme, E, F)}
     return uncovered, {(P, F) for F in firsts for P in scheme.decomposition[F]}
 
@@ -519,6 +529,132 @@ def test_first_set_pairs_no_piece_covers_are_the_pieces_on_shuffled_levels(tripl
     levels = [data.draw(st.permutations(level)) for level in scheme.levels]
     uncovered, pieces = _first_set_pairs_no_piece_covers(dataclasses.replace(scheme, levels=levels))
     assert uncovered == pieces
+
+
+# ---------------------------------------------------------------------------
+# containment queries, answered from one position index, against every set
+
+COVER_TYPES = [TYPE_DEPTH1, TYPE_DEPTH2, TYPE_DEPTH3, TYPE_DEPTH4, TYPE_DEPTH5, TYPE_WIDE8]
+
+
+def _ids(sets):
+    return [id(s) for s in sets]
+
+
+def _covering_matches_its_oracle(scheme, positions):
+    """containing_sets and minimal_containing against covering_sets_oracle,
+    set object by set object, so a repeated set's copies are told apart."""
+    want = covering_sets_oracle(scheme, positions)
+    assert _ids(scheme.containing_sets(positions)) == _ids(want)
+    if want and all(0 <= p < scheme.universe_size for p in positions):
+        assert scheme.minimal_containing(positions) is want[0]
+    else:
+        with pytest.raises(NotInSchemeError):
+            scheme.minimal_containing(positions)
+
+
+@st.composite
+def position_sets(draw, scheme):
+    """Positions from -1 to one past the universe, which no set holds, or
+    part of a set's elements, perhaps with that position; either may be
+    empty."""
+    unheld = scheme.universe_size + 1
+    if draw(st.booleans()):
+        return draw(st.lists(st.integers(-1, unheld), max_size=4))
+    elems = draw(st.sampled_from(list(scheme.sets()))).elements
+    part = draw(st.lists(st.sampled_from(elems), max_size=4)) if elems else []
+    return part + [unheld] * draw(st.integers(0, 1))
+
+
+@pytest.mark.parametrize("edit", [None, *SCHEME_EDITS])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_covering_sets_match_their_oracle(edit, data):
+    payload = scheme_to_json(build_scheme(validate_type(*data.draw(st.sampled_from(COVER_TYPES)))))
+    levels = payload["levels"]
+    if edit:
+        mutate_scheme_json(data, payload, edit)
+        for _ in range(data.draw(st.integers(0, 2))):
+            mutate_scheme_json(data, payload)
+    if data.draw(st.booleans()):  # an element -1
+        elems = data.draw(st.sampled_from(data.draw(st.sampled_from(levels))))
+        elems[data.draw(st.integers(0, len(elems) - 1))] = -1
+    if data.draw(st.booleans()):  # a repeated set
+        level = data.draw(st.sampled_from(levels))
+        level.append(list(data.draw(st.sampled_from(level))))
+    if data.draw(st.booleans()):  # two sets with no elements
+        data.draw(st.sampled_from(levels)).extend([[], []])
+    scheme = scheme_from_json(payload)
+    for _ in range(6):
+        _covering_matches_its_oracle(scheme, data.draw(position_sets(scheme)))
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2])
+def test_a_replaced_copy_answers_from_its_own_levels(rank):
+    scheme = build_scheme(validate_type(*TYPE_DEPTH3))
+    queries = [(), (0,), (3,), (2, 3), (0, 1, 4), (9,), (10,)]
+    for positions in queries:  # index the scheme before the copy is made
+        _covering_matches_its_oracle(scheme, positions)
+    pairs = scheme.nested_pairs()
+    levels = [level[::-1] if k == rank else level for k, level in enumerate(scheme.levels)]
+    copy = dataclasses.replace(scheme, levels=levels)
+    for positions in queries:
+        _covering_matches_its_oracle(copy, positions)
+        _covering_matches_its_oracle(scheme, positions)
+    assert copy.minimal_containing(()) is levels[0][0]
+    assert copy.nested_pairs() == nested_pairs_oracle(copy) != pairs
+    assert scheme.nested_pairs() == pairs
+
+
+class _CountedElements(set):
+    """Elements that count the subset tests made on them: `E < F` between
+    two of them, and `needed <= elements` for a plain set `needed`, which
+    Python asks of a subclass of the left operand's type first."""
+
+    tests = 0
+
+    def __lt__(self, other):
+        _CountedElements.tests += 1
+        return set.__lt__(self, other)
+
+    def __ge__(self, other):
+        _CountedElements.tests += 1
+        return set.__ge__(self, other)
+
+
+def _count_subset_tests(scheme, query):
+    for s in scheme.sets():
+        s.__dict__["element_set"] = _CountedElements(s.elements)
+    scheme.containing_sets(())  # the index, made at the first lookup
+    _CountedElements.tests = 0
+    result = query()
+    return result, _CountedElements.tests
+
+
+@pytest.mark.parametrize("triple, tests", [(TYPE_DEPTH4, 682), (TYPE_DEPTH5, 4790)],
+                         ids=["d4", "d5"])
+def test_lookups_test_only_the_sets_holding_the_largest_position(triple, tests):
+    scheme = build_scheme(validate_type(*triple))
+    sets = list(scheme.sets())
+    holding = {p: sum(p in s.elements for s in sets) for p in range(scheme.universe_size)}
+    pairs, made = _count_subset_tests(scheme, scheme.nested_pairs)
+    assert made == sum(holding[max(E.elements)] for E in sets) == tests
+    assert pairs == nested_pairs_oracle(scheme)
+    for positions in [(0,), (0, 1), (1, 5, 9), (0, scheme.universe_size - 1)]:
+        covering, made = _count_subset_tests(scheme, lambda: scheme.containing_sets(positions))
+        assert made == holding[max(positions)]
+        assert covering == covering_sets_oracle(scheme, positions)
+
+
+def test_in_universe_checks_both_edges(scheme_depth3):
+    last = scheme_depth3.universe_size - 1
+    assert scheme_depth3.in_universe([last, 0, last]) == {0, last}
+    assert scheme_depth3.in_universe(iter(())) == set()
+    for positions in ([-1], [0, last + 1], [-1, last + 1]):
+        with pytest.raises(NotInSchemeError, match="exceed the universe"):
+            scheme_depth3.in_universe(positions)
+        with pytest.raises(NotInSchemeError, match="exceed the universe"):
+            scheme_depth3.minimal_containing(positions)
 
 
 # ---------------------------------------------------------------------------
