@@ -272,9 +272,8 @@ def coherence_report(family: NormingFamily, lp_every=0) -> ExperimentReport:
     the pairs (P, F0) with F0 the first set of a rank k >= 1 and P one of
     its pieces: any other E < F0 lies in F0's tree, so strictly inside a
     piece P, and (E, F0) follows from (E, P) and (P, F0); a pair at any
-    other set is a transport.  The lemma is about the set system and the
-    decomposition alone, which a rank-canonical family's scheme shares with
-    the build that checked them, so it holds however a level is ordered.
+    other set is a transport.  A rank-canonical family's scheme is equal to
+    the one its build checked, so the lemma holds on it.
 
     With `lp_every` = 0 a rank-canonical family gets one scan that checks
     only those pairs; if it finds a failure, a second scan checks every
@@ -304,7 +303,7 @@ def _scan(family: NormingFamily, lp_every, every) -> ExperimentReport:
     family is looked up, so a missing one raises."""
     scheme = family.scheme
     pieces = {} if every else {level[0]: set(scheme.decomposition[level[0]])
-                               for level in scheme.levels[1:] if level}
+                               for level in scheme.levels[1:]}
     eps = family.space_kind == EPS_KIND
     alphas = {}
     restriction_bad = None

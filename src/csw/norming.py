@@ -47,21 +47,21 @@ Construction runs bottom-up with one amalgamation per rank, at the first
 rank-k set, and only those families are stored: every other rank-k set gets
 that family's transport through the increasing bijection `Scheme.transport`
 when first read, with each distinct origin moved once;
-`NormingFamily.rank_canonical` tells such a family from a families dict made
-or edited by hand, or one whose scheme no longer lists exactly the built
-sets at their ranks with the built decomposition, each of which the
-coherence sweep checks at every pair.  Both
-builders run `check_axioms` once, before any amalgamation, and refuse a
-scheme that fails it: under the axioms each piece of F is F's root and one
-consecutive block of F's other elements, in order, so the bijection carries
-the first set's decomposition onto every other set's and the transport is
-exact.  A family is a function of (scheme, space, param, scale_cap), and a
-family file holds all four, so loading one rebuilds the family and refuses
-the file unless its header and every set's entries are what the writer
-writes for it.  The writer moves each rank's first-set entries the same way,
-so writing or loading a family transports no functional.  Families are
-immutable afterwards and norm evaluation is pure, so built values are safe
-to share.
+`NormingFamily.rank_canonical` tells such a family, on a scheme equal to the
+one it was built on, from a families dict made or edited by hand or a family
+given another scheme, each of which the coherence sweep checks at every
+pair.  Both builders run `check_axioms` once, before any amalgamation, and
+refuse a scheme that fails it: under the axioms each piece of F is F's root
+and one consecutive block of F's other elements, in order, so the bijection
+carries the first set's decomposition onto every other set's and the
+transport is exact.  A family is a function of (scheme, space, param,
+scale_cap), and a family file holds all four, so loading one rebuilds the
+family and refuses the file unless its header and every set's entries are
+what the writer writes for it.  The writer moves each rank's first-set
+entries the same way, so writing or loading a family transports no
+functional, and the writer refuses a family that is not rank-canonical.
+Families are immutable afterwards and norm evaluation is pure, so built
+values are safe to share.
 """
 
 from __future__ import annotations
@@ -170,18 +170,11 @@ class NormingFamily:
     @property
     def rank_canonical(self) -> bool:
         """Whether every set's family is the transport of the family of the
-        first set of its rank, through `Scheme.transport`, and the scheme
-        lists exactly the sets the family was built on, each at the level of
-        its rank, with the decomposition it was built on: true of the
-        families the builders and the loader make, which run `check_axioms`
-        first, until the scheme gains, loses or moves a set or its
-        decomposition changes, and false of a families dict made or edited
-        by hand.  Increasing bijections compose uniquely, so the build's
-        first set need not be the scheme's."""
-        return (isinstance(self.families, _Transports)
-                and set(self.families) == set(self.scheme.sets())
-                and all(s.rank == k for k, level in enumerate(self.scheme.levels) for s in level)
-                and self.scheme.decomposition == self.families.decomposition)
+        first set of its rank, through `Scheme.transport`, on a scheme equal
+        to the one it was built on (after `check_axioms` passed): false of a
+        families dict made or edited by hand, and of a family given any other
+        scheme, a permuted level or an appended empty level included."""
+        return isinstance(self.families, _Transports) and self.families.scheme == self.scheme
 
 
 def spread(scheme: Scheme, f: Functional, F: SchemeSet) -> Functional:
@@ -271,7 +264,7 @@ class _Lazy(Mapping):
 class _Transports(_Lazy):
     """The families `_build`, and nothing else, returns once `check_axioms`
     passes: each rank's first-set family is kept, every other set's is its
-    transport, and `decomposition` is a copy of the decomposition built on."""
+    transport, and `scheme` is the scheme value they were built on."""
 
 
 def _build(scheme, rank0, amalgamate) -> Mapping:
@@ -291,7 +284,7 @@ def _build(scheme, rank0, amalgamate) -> Mapping:
         return built[s]
 
     families = _Transports({F: F for F in scheme.sets()}, family, built)
-    families.decomposition = dict(scheme.decomposition)
+    families.scheme = scheme
     for k, level in enumerate(scheme.levels):
         first = level[0]
         built[first] = list(rank0(first)) if k == 0 else amalgamate(
@@ -508,7 +501,11 @@ def family_from_json(obj) -> NormingFamily:
 
 
 def family_dumps(family: NormingFamily) -> str:
-    """`family_to_json`'s text, each set's entries made, written and dropped in turn."""
+    """`family_to_json`'s text, each set's entries made, written and dropped in
+    turn: moved from each rank's first set, so only for a rank-canonical family."""
+    if not family.rank_canonical:
+        raise ConfigInvalidError("only a rank-canonical family can be written: each "
+                                 "rank's first-set entries are moved onto its other sets")
     return canonical_json({**_header(family), "scheme": scheme_to_json(family.scheme),
                            "families": _entries(family)})
 

@@ -14,9 +14,9 @@ scheme is the one source of the increasing bijections that transport along it:
 defining property by exhaustive enumeration, so corrupted or hand-altered
 schemes are diagnosed rather than trusted: the family builders refuse them.
 
-Schemes are not mutated after building: a scheme indexes its sets by position
-at its first containment query, so edit a `dataclasses.replace` copy, never a
-scheme already queried.  Every query is pure, so schemes can be shared freely.
+A scheme is an immutable value (tuple levels, a read-only decomposition), so
+an edited scheme is a `dataclasses.replace` copy and the position index made
+at its first containment query is always its own.  Every query is pure.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from operator import lt
+from types import MappingProxyType
 
 from .errors import (
     ArityMismatchError,
@@ -146,11 +147,15 @@ class SchemeSet:
         return f"rank{self.rank}{{{body}}}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scheme:
     type_spec: TypeSpec
-    levels: list  # levels[k] = the SchemeSets of rank k; build_scheme sorts them
-    decomposition: dict = field(default_factory=dict)  # SchemeSet -> tuple of children
+    levels: tuple  # levels[k] = the SchemeSets of rank k; build_scheme sorts them
+    decomposition: MappingProxyType = field(default_factory=dict)  # SchemeSet -> tuple of children
+
+    def __post_init__(self):
+        object.__setattr__(self, "levels", tuple(map(tuple, self.levels)))
+        object.__setattr__(self, "decomposition", MappingProxyType(dict(self.decomposition)))
 
     @property
     def depth(self) -> int:
@@ -170,20 +175,13 @@ class Scheme:
 
     def keyed_sets(self):
         """("k:i", the i-th rank-k set) for every set, in scan order: the one
-        spelling of set keys, which `set_by_id` parses."""
+        spelling of set keys, which `scheme_from_json` parses."""
         for k, level in enumerate(self.levels):
             for i, s in enumerate(level):
                 yield f"{k}:{i}", s
 
     def has_set(self, s: SchemeSet) -> bool:
         return 0 <= s.rank < len(self.levels) and s in self.levels[s.rank]
-
-    def set_by_id(self, key: str) -> SchemeSet:
-        """The set named "k:i", in the one spelling the writers produce."""
-        rank, idx = (int(v) for v in key.split(":"))
-        if key != f"{rank}:{idx}":
-            raise ConfigInvalidError(f"set key {key!r} is not written as '{rank}:{idx}'")
-        return _at(_at(self.levels, rank, "rank"), idx, f"rank-{rank} set")
 
     def in_universe(self, positions) -> set:
         """`positions` as a set, refused unless each lies in the universe."""
@@ -588,21 +586,24 @@ def _int_elements(elems):
 
 def scheme_from_json(obj) -> Scheme:
     """Rebuild a scheme from JSON, checking the type and every index but not
-    the axioms: the family builders run `check_axioms` and refuse a failure."""
+    the axioms: the family builders run `check_axioms` and refuse a failure.
+    A key "k:i" must be written as the writers write it."""
     ts = TypeSpec.from_json(obj["type"])
     if len(obj["levels"]) > ts.depth + 1:
         raise ConfigInvalidError(
             f"{len(obj['levels'])} levels exceed depth {ts.depth} + 1")
-    scheme = Scheme(ts, [[SchemeSet(rank=k, elements=_int_elements(elems),
-                                    root_size=ts.r_of(k))
-                          for elems in level]
-                         for k, level in enumerate(obj["levels"])])
+    levels = [[SchemeSet(rank=k, elements=_int_elements(elems), root_size=ts.r_of(k))
+               for elems in level]
+              for k, level in enumerate(obj["levels"])]
+    decomposition = {}
     for key, child_indices in obj.get("decomposition", {}).items():
-        parent = scheme.set_by_id(key)
-        below = _at(scheme.levels, parent.rank - 1, "rank")
-        scheme.decomposition[parent] = tuple(
-            _at(below, j, f"rank-{parent.rank - 1} set") for j in child_indices)
-    return scheme
+        rank, idx = (int(v) for v in key.split(":"))
+        if key != f"{rank}:{idx}":
+            raise ConfigInvalidError(f"set key {key!r} is not written as '{rank}:{idx}'")
+        parent = _at(_at(levels, rank, "rank"), idx, f"rank-{rank} set")
+        below = _at(levels, rank - 1, "rank")
+        decomposition[parent] = tuple(_at(below, j, f"rank-{rank - 1} set") for j in child_indices)
+    return Scheme(ts, levels, decomposition)
 
 
 def scheme_dumps(scheme: Scheme) -> str:

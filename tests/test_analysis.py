@@ -732,18 +732,23 @@ def test_first_set_scan_matches_full_scan_on_built_families(index, kind_param, c
 
 
 @pytest.mark.parametrize("name", ["eps_half_depth3", "k2_depth3"])
-def test_first_set_scan_follows_a_permuted_level(request, monkeypatch, name):
+def test_a_permuted_level_takes_the_every_pair_scan(request, monkeypatch, name):
+    # a scheme is equal to the built one or the family is not rank-canonical,
+    # even when the axioms still pass; such a family cannot be written
     family = request.getfixturevalue(name)
     scheme = family.scheme
     levels = [*scheme.levels[:2], scheme.levels[2][::-1], *scheme.levels[3:]]
     permuted = replace(family, scheme=replace(scheme, levels=levels))
     assert permuted.scheme.levels[2][0] != scheme.levels[2][0]
-    assert check_axioms(permuted.scheme).passed and permuted.rank_canonical
+    assert check_axioms(permuted.scheme).passed and not permuted.rank_canonical
+    expected = _json_text(coherence_report(family).to_json())
     calls = _count_hull_calls(monkeypatch)
     report = coherence_report(permuted)
     assert report.passed
-    assert len(calls) == _first_set_instances(permuted)
-    assert report.to_json() == analysis._scan(permuted, 0, every=True).to_json()
+    assert len(calls) == report.meta["hull_instances"]
+    assert _json_text(report.to_json()) == expected
+    with pytest.raises(ConfigInvalidError, match="rank-canonical"):
+        family_dumps(permuted)
 
 
 def test_first_set_scan_checks_a_pair_whose_preimage_is_not_listed(k2_depth2, monkeypatch):
@@ -782,11 +787,15 @@ def test_a_set_moved_to_another_level_is_not_rank_canonical(k2_depth2):
     assert not family.rank_canonical
 
 
-def test_an_empty_level_added_after_the_build_keeps_the_report(k2_depth2):
+def test_an_empty_level_added_after_the_build_keeps_the_report(k2_depth2, monkeypatch):
     scheme = k2_depth2.scheme
     family = replace(k2_depth2, scheme=replace(scheme, levels=[*scheme.levels, []]))
-    assert family.rank_canonical
-    assert coherence_report(family).to_json() == coherence_report(k2_depth2).to_json()
+    assert not family.rank_canonical
+    expected = _json_text(coherence_report(k2_depth2).to_json())
+    calls = _count_hull_calls(monkeypatch)
+    report = coherence_report(family)
+    assert len(calls) == report.meta["hull_instances"]
+    assert _json_text(report.to_json()) == expected
 
 
 @pytest.mark.parametrize("name", ["eps_half_depth3", "k2_depth3"])
@@ -800,6 +809,19 @@ def test_a_reloaded_scheme_keeps_the_family_rank_canonical(request, monkeypatch,
     report = coherence_report(reloaded)
     assert len(calls) == _first_set_instances(family)
     assert report.to_json() == coherence_report(family).to_json()
+
+
+@pytest.mark.parametrize("name", ["eps_half_depth3", "k2_depth3"])
+def test_an_equal_scheme_keeps_the_family_rank_canonical(request, monkeypatch, name):
+    family = request.getfixturevalue(name)
+    copy = replace(family, scheme=replace(family.scheme))
+    assert copy.scheme == family.scheme and copy.scheme is not family.scheme
+    assert copy.rank_canonical
+    calls = _count_hull_calls(monkeypatch)
+    report = coherence_report(copy)
+    assert len(calls) == _first_set_instances(family)
+    assert report.to_json() == coherence_report(family).to_json()
+    assert family_dumps(copy) == family_dumps(family)
 
 
 # witnesses recorded before the first-set scan
@@ -825,24 +847,21 @@ def test_a_tampered_set_that_is_not_first_still_fails(
     assert len(calls) == report.meta["hull_instances"]
 
 
-def _fresh_k2_depth2():
-    """A K=2 family on d2, built apart from the session fixture, so it can be
-    edited in place."""
-    return build_K_family(build_scheme(validate_type(*TYPE_DEPTH2)), 2)
-
-
-@pytest.mark.parametrize("in_place", [False, True], ids=["replaced", "edited-in-place"])
-def test_a_decomposition_changed_after_the_build_is_not_rank_canonical(monkeypatch, in_place):
-    family = _fresh_k2_depth2()
-    scheme = family.scheme
+@pytest.mark.parametrize("loaded", [False, True], ids=["replaced", "loaded"])
+def test_a_decomposition_changed_after_the_build_is_not_rank_canonical(
+        k2_depth2, monkeypatch, loaded):
+    scheme = k2_depth2.scheme
     top = scheme.top
-    kept = scheme.decomposition[top][:-1]
-    if in_place:
-        scheme.decomposition[top] = kept
+    edited = {**scheme.decomposition, top: scheme.decomposition[top][:-1]}
+    if loaded:  # the same edit made in a scheme file
+        payload = scheme_to_json(scheme)
+        payload["decomposition"]["2:0"].pop()
+        changed = scheme_from_json(payload)
+        assert changed.decomposition == edited
     else:
-        family = replace(family, scheme=replace(
-            scheme, decomposition={**scheme.decomposition, top: kept}))
-    assert set(family.scheme.sets()) == set(_fresh_k2_depth2().scheme.sets())
+        changed = replace(scheme, decomposition=edited)
+    family = replace(k2_depth2, scheme=changed)
+    assert set(family.scheme.sets()) == set(scheme.sets())
     assert not family.rank_canonical
     calls = _count_hull_calls(monkeypatch)
     report = coherence_report(family)
@@ -851,7 +870,8 @@ def test_a_decomposition_changed_after_the_build_is_not_rank_canonical(monkeypat
 
 
 def test_a_tampered_first_set_family_fails_the_first_scan_and_is_rescanned(monkeypatch):
-    family = _fresh_k2_depth2()
+    # built apart from the session fixture, whose kept lists stay as built
+    family = build_K_family(build_scheme(validate_type(*TYPE_DEPTH2)), 2)
     stored = family.families[family.scheme.top]  # the kept list, edited in place
     stored[4] = replace(stored[4], vector=parse_vector("2:3"))
     assert family.rank_canonical

@@ -439,6 +439,18 @@ def test_family_round_trip(eps_half_depth2, k2_depth2):
         assert family_dumps(clone) == family_dumps(fam)
 
 
+def test_family_dumps_refuses_a_family_that_is_not_rank_canonical(k2_depth2):
+    # the writer moves each rank's first-set entries onto the rank's other
+    # sets, so it would write the built family in place of a tampered one
+    s = k2_depth2.scheme.levels[1][2]  # rank1{0,3}
+    fam = list(k2_depth2.families[s])
+    fam[1] = replace(fam[1], vector=v("3:3"))
+    tampered = replace(k2_depth2, families={**k2_depth2.families, s: fam})
+    assert family_to_json(tampered)["families"]["1:2"][1]["vec"] == {"3": "3"}
+    with pytest.raises(ConfigInvalidError, match="^only a rank-canonical family can be written"):
+        family_dumps(tampered)
+
+
 # sha256 of family_dumps for (type, space, parameter, scale_cap), recorded
 # when every set's family was still built separately; the two d5 digests were
 # recorded when the K closure still ran on Fraction vectors, and the w16 K=2

@@ -124,23 +124,31 @@ def test_axioms_pass_for_deeper_types(scheme_depth3):
 # ---------------------------------------------------------------------------
 # axiom diagnosis on corrupted schemes
 
+_OVERLAP = SchemeSet(rank=1, elements=(1, 2), root_size=0)  # a rank-1 set not in the d2 scheme
+
+
 def _swap_set(scheme, old, new):
-    level = scheme.levels[old.rank]
-    level[level.index(old)] = new
-    if old in scheme.decomposition:
-        scheme.decomposition[new] = scheme.decomposition.pop(old)
-    for parent, children in list(scheme.decomposition.items()):
-        if old in children:
-            scheme.decomposition[parent] = tuple(
-                new if c == old else c for c in children)
+    """A copy of `scheme` with `new` in place of `old` in the levels, the
+    decomposition keys and the children."""
+    def swap(s):
+        return new if s == old else s
+    return dataclasses.replace(
+        scheme, levels=[list(map(swap, level)) for level in scheme.levels],
+        decomposition={swap(parent): tuple(map(swap, children))
+                       for parent, children in scheme.decomposition.items()})
+
+
+def _with_level(scheme, k, level):
+    """A copy of `scheme` with `level` as its level k."""
+    return dataclasses.replace(
+        scheme, levels=[level if j == k else old for j, old in enumerate(scheme.levels)])
 
 
 def test_removed_element_fails_size_axiom(scheme_depth2):
-    scheme = scheme_loads(scheme_dumps(scheme_depth2))
-    victim = scheme.levels[1][0]
-    _swap_set(scheme, victim,
-              SchemeSet(rank=1, elements=victim.elements[:-1],
-                        root_size=victim.root_size))
+    victim = scheme_depth2.levels[1][0]
+    scheme = _swap_set(scheme_depth2, victim,
+                       SchemeSet(rank=1, elements=victim.elements[:-1],
+                                 root_size=victim.root_size))
     report = check_axioms(scheme)
     assert not report.passed
     failed = {c.name for c in report.failures()}
@@ -150,22 +158,37 @@ def test_removed_element_fails_size_axiom(scheme_depth2):
 
 
 def test_injected_overlap_fails_initial_segment_axiom(scheme_depth2):
-    scheme = scheme_loads(scheme_dumps(scheme_depth2))
-    scheme.levels[1].append(SchemeSet(rank=1, elements=(1, 2), root_size=0))
+    scheme = _with_level(scheme_depth2, 1, [*scheme_depth2.levels[1], _OVERLAP])
     report = check_axioms(scheme)
     names = {c.name for c in report.failures()}
     assert "same-rank-initial-segments" in names
 
 
+def test_a_scheme_cannot_be_edited_in_place(scheme_depth2):
+    top = scheme_depth2.top
+    with pytest.raises(AttributeError):
+        scheme_depth2.levels[1].append(_OVERLAP)
+    with pytest.raises(TypeError):
+        scheme_depth2.decomposition[top] = scheme_depth2.decomposition[top][:-1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scheme_depth2.levels = ()
+    levels = [list(level) for level in scheme_depth2.levels]
+    decomposition = dict(scheme_depth2.decomposition)
+    copy = Scheme(scheme_depth2.type_spec, levels, decomposition)
+    levels[0].pop()
+    decomposition.pop(top)
+    assert copy == scheme_depth2 and check_axioms(scheme_depth2).passed
+
+
 def _replace(scheme, k, i, **changes):
     old = scheme.levels[k][i]
-    _swap_set(scheme, old, dataclasses.replace(old, **changes))
+    return _swap_set(scheme, old, dataclasses.replace(old, **changes))
 
 
 def _top_children(scheme, *elements):
     below = {s.elements: s for s in scheme.levels[1]}
-    scheme.decomposition[scheme.top] = tuple(
-        below.get(e, SchemeSet(rank=1, elements=e, root_size=0)) for e in elements)
+    return dataclasses.replace(scheme, decomposition={**scheme.decomposition, scheme.top: tuple(
+        below.get(e, SchemeSet(rank=1, elements=e, root_size=0)) for e in elements)})
 
 
 _TOP = "rank2{0,1,2,3}"
@@ -186,7 +209,8 @@ AXIOM_CASES = {
         _NOT_UNIVERSE]),
     "wrong-level": (lambda s: _replace(s, 1, 0, rank=0), [
         ("well-formed", "rank0{0,1} stored at level 1")]),
-    "beyond-depth": (lambda s: setattr(s, "type_spec", TypeSpec((1, 2), (2, 3), (0, 1))), [
+    "beyond-depth": (lambda s: dataclasses.replace(
+        s, type_spec=TypeSpec((1, 2), (2, 3), (0, 1))), [
         ("set-sizes", "level 2 beyond type depth"),
         _NOT_UNIVERSE,
         ("top-covers-all", "top level is not the single full-universe set")]),
@@ -197,12 +221,12 @@ AXIOM_CASES = {
         ("root-sizes", f"{_TOP} has root size 0, type demands r_2 = 1"),
         ("decomposition-delta-system",
          f"children 0,1 of {_TOP} intersect in (0,), root is ()")]),
-    "same-rank": (lambda s: s.levels[1].append(SchemeSet(rank=1, elements=(1, 2),
-                                                         root_size=0)), [
+    "same-rank": (lambda s: _with_level(s, 1, [*s.levels[1], _OVERLAP]), [
         ("same-rank-initial-segments",
          "rank1{0,1} and rank1{1,2} intersect in [1], not an initial segment of both"),
         ("decomposition-delta-system", "rank1{1,2} has no decomposition")]),
-    "no-decomposition": (lambda s: s.decomposition.pop(s.top), [
+    "no-decomposition": (lambda s: dataclasses.replace(s, decomposition={
+        p: children for p, children in s.decomposition.items() if p != s.top}), [
         ("decomposition-delta-system", f"{_TOP} has no decomposition")]),
     "piece-count": (lambda s: _top_children(s, (0, 1), (0, 2)), [
         ("decomposition-delta-system",
@@ -214,26 +238,25 @@ AXIOM_CASES = {
     "order": (lambda s: _top_children(s, (0, 2), (0, 1), (0, 3)), [
         ("decomposition-delta-system",
          f"child 1 of {_TOP} does not lie above the previous piece")]),
-    "rank0": (lambda s: s.levels[0].pop(0), [
+    "rank0": (lambda s: _with_level(s, 0, s.levels[0][1:]), [
         ("decomposition-delta-system", "rank1{0,1} has a child missing from level 0"),
         _NOT_UNIVERSE]),
-    "two-tops": (lambda s: s.levels[2].append(s.top), [
+    "two-tops": (lambda s: _with_level(s, 2, [*s.levels[2], s.top]), [
         ("well-formed", f"{_TOP} is listed twice at level 2"),
         ("top-covers-all", "top level is not the single full-universe set")]),
-    "repeated-singleton": (lambda s: s.levels[0].append(s.levels[0][3]), [
+    "repeated-singleton": (lambda s: _with_level(s, 0, [*s.levels[0], s.levels[0][3]]), [
         ("well-formed", "rank0{3} is listed twice at level 0")]),
-    "repeated-piece": (lambda s: s.levels[1].append(s.levels[1][1]), [
+    "repeated-piece": (lambda s: _with_level(s, 1, [*s.levels[1], s.levels[1][1]]), [
         ("well-formed", "rank1{0,2} is listed twice at level 1")]),
 }
 
 
-@pytest.mark.parametrize("mutate, failures", AXIOM_CASES.values(), ids=AXIOM_CASES)
-def test_axiom_counterexamples_are_pinned(scheme_depth2, mutate, failures):
-    scheme = scheme_loads(scheme_dumps(scheme_depth2))
-    mutate(scheme)
-    report = check_axioms(scheme)
+@pytest.mark.parametrize("edit, failures", AXIOM_CASES.values(), ids=AXIOM_CASES)
+def test_axiom_counterexamples_are_pinned(scheme_depth2, edit, failures):
+    report = check_axioms(edit(scheme_depth2))
     assert [(c.name, c.counterexample) for c in report.failures()] == failures
     assert all(c.counterexample is None for c in report.checks if c.passed)
+    assert check_axioms(scheme_depth2).passed
 
 
 ELEMENTS = st.integers(-1, 6)
@@ -668,10 +691,11 @@ def test_minimal_containing_refuses_positions_no_set_covers():
 
 
 def test_decomposition_axiom_goes_on_past_a_set_with_no_decomposition(scheme_depth2):
-    scheme = scheme_loads(scheme_dumps(scheme_depth2))
-    first, second = scheme.levels[1][:2]
-    del scheme.decomposition[first]
-    scheme.decomposition[second] = scheme.decomposition[second][:1]
+    first, second = scheme_depth2.levels[1][:2]
+    decomposition = dict(scheme_depth2.decomposition)
+    del decomposition[first]
+    decomposition[second] = decomposition[second][:1]
+    scheme = dataclasses.replace(scheme_depth2, decomposition=decomposition)
     assert list(_decomposition_delta_system(scheme)) == [
         "rank1{0,1} has no decomposition",
         "rank1{0,2} decomposes into 1 pieces, type demands n_1 = 2",

@@ -101,7 +101,7 @@ def _set_key_spellings(tree):
 
 
 def test_only_the_scheme_spells_set_keys():
-    # Scheme.keyed_sets writes "k:i" and Scheme.set_by_id reads it
+    # Scheme.keyed_sets writes "k:i" and scheme_from_json reads it
     found = [f"{source.name}:{node.lineno}"
              for source in sorted((ROOT / "src" / "csw").glob("*.py"))
              if source.name != "schemes.py"
