@@ -32,14 +32,26 @@ def _positions(vectors):
     return sorted(positions)
 
 
-def _split(values):
-    """Write each signed value as a (plus, minus) pair of nonnegative columns."""
-    return [w for v in values for w in (v, -v)]
+def _split(v: SparseVector, index):
+    """v on the positions of `index` (position -> place), each signed value
+    written as a (plus, minus) pair of nonnegative columns.  Only v's
+    nonzero entries are visited; every other column is the int 0."""
+    row = [0] * (2 * len(index))
+    for p, value in v._entries.items():
+        i = 2 * index[p]
+        row[i] = value
+        row[i + 1] = -value
+    return row
 
 
 def _merge(columns):
     """Read signed values back from (plus, minus) column pairs."""
     return [plus - minus for plus, minus in zip(columns[::2], columns[1::2])]
+
+
+def _on(positions, values):
+    """The vector with values[i] at positions[i]."""
+    return SparseVector((p, v) for p, v in zip(positions, values) if v != 0)
 
 
 def dual_norm(g: SparseVector, H):
@@ -57,17 +69,22 @@ def dual_norm(g: SparseVector, H):
         raise NotInSpanError("empty norming set cannot express a nonzero vector",
                              certificate=g)
     positions = _positions(H + [g])
+    # one row per position, one (plus, minus) column pair per member: the
+    # transpose of the members split on the positions
+    index = {p: i for i, p in enumerate(positions)}
+    rows = [[0] * (2 * len(H)) for _ in positions]
+    for k, h in enumerate(H):
+        for p, v in h._entries.items():
+            row = rows[index[p]]
+            row[2 * k] = v
+            row[2 * k + 1] = -v
     objective = [Fraction(1)] * (2 * len(H))
-    constraints = [LinearConstraint(tuple(_split(h[p] for h in H)), EQ, g[p])
-                   for p in positions]
+    constraints = [LinearConstraint(tuple(row), EQ, g[p])
+                   for row, p in zip(rows, positions)]
     sol = simplex_solve(objective, constraints, sense="min")
     if sol.status != "optimal":
-        farkas = sol.certificate.get("farkas", ())
-        witness = SparseVector(
-            (p, y) for p, y in zip(positions, farkas) if y != 0
-        )
         raise NotInSpanError("vector lies outside the span of the norming set",
-                             certificate=witness)
+                             certificate=_on(positions, sol.certificate["farkas"]))
     coeffs = {i: c for i, c in enumerate(_merge(sol.primal)) if c != 0}
     return sol.objective, coeffs
 
@@ -182,22 +199,24 @@ def polar_support(g: SparseVector, H):
     """max <y, g> over the polar body {y : |<y,h>| <= 1 for all h in H}.
 
     Returns (value, y) with y a SparseVector on the union of supports.
-    Requires g in span(H) so the program is bounded.
+    Requires g in span(H) so the program is bounded; otherwise raises
+    NotInSpanError whose certificate is the program's ray, a SparseVector y
+    with <y, h> = 0 for every h in H but <y, g> > 0.
     """
     H = list(H)
     positions = _positions(H + [g])
-    objective = _split(g[p] for p in positions)
+    index = {p: i for i, p in enumerate(positions)}
+    objective = _split(g, index)
     constraints = []
     for h in H:
-        row = tuple(_split(h[p] for p in positions))
+        row = tuple(_split(h, index))
         constraints.append(LinearConstraint(row, LE, Fraction(1)))
         constraints.append(LinearConstraint(row, GE, Fraction(-1)))
     sol = simplex_solve(objective, constraints, sense="max")
     if sol.status != "optimal":
         raise NotInSpanError("polar program unbounded: vector outside span",
-                             certificate=_merge(sol.certificate.get("ray", ())))
-    y = SparseVector((p, v) for p, v in zip(positions, _merge(sol.primal)) if v != 0)
-    return sol.objective, y
+                             certificate=_on(positions, _merge(sol.certificate["ray"])))
+    return sol.objective, _on(positions, _merge(sol.primal))
 
 
 def norming_max(x: SparseVector, H) -> Fraction:

@@ -10,6 +10,12 @@ chosen by sign and leaving rows by cross-multiplied ratios, so the pivots
 follow Bland's rule exactly as a `Fraction` tableau would, and rationals
 appear only where a value is read out.
 
+Posing an LP costs time in its nonzeros: a zero coefficient (an int 0 is the
+cheapest) is dropped as a row is read, and each row is scaled to integers
+once.  The phase-1 objective is one sum of the rows, each over its basic
+artificial entry; and an optimal point and its objective are read in one
+walk over the basis, every nonbasic variable being zero.
+
 Certificates:
   optimal    -> the primal point itself (exact feasibility is checkable)
   infeasible -> a Farkas vector y: combining the standardized rows by y
@@ -89,7 +95,9 @@ def _integer_row(entries):
     """A positive multiple of a sparse rational row, as coprime ints."""
     scale = 1
     for v in entries.values():
-        scale = lcm(scale, v.denominator)
+        d = v.denominator
+        if scale % d:
+            scale = lcm(scale, d)
     return _reduced({k: v.numerator * (scale // v.denominator)
                      for k, v in entries.items()})
 
@@ -143,6 +151,31 @@ class _Tableau:
         self.obj = {}
         self.pivots = self.degenerate = 0
         self.bits = max((_bits(row) for row in self.rows), default=0)
+
+    def set_phase1_objective(self):
+        """Reduced costs of the sum of the artificials in the starting basis.
+
+        Row r over its basic artificial entry a_r is the rational row with a
+        1 there, so the reduced costs are minus the sum of those rows off the
+        artificial block.  Summed over L = lcm(a_r) as ints with `_DEN` = L
+        and reduced, this is the coprime row that eliminating each basic
+        artificial from the costs in turn gives.
+        """
+        L = 1
+        for row, a in zip(self.rows, self.art):
+            d = row[a]
+            if L % d:
+                L = lcm(L, d)
+        obj = {}
+        for row, a in zip(self.rows, self.art):
+            f = L // row[a]
+            for k, v in row.items():
+                if k != a:
+                    obj[k] = obj.get(k, 0) - f * v
+        obj = {k: v for k, v in obj.items() if v}
+        obj[_DEN] = L
+        self.obj = obj = _reduced(obj)
+        self.bits = max(self.bits, _bits(obj))
 
     def set_objective(self, costs):
         """Reduced costs, in this basis, of the nonzero `costs` {column: value}."""
@@ -209,12 +242,6 @@ class _Tableau:
         row = self.rows[r]
         return Fraction(row.get(col, 0), row[self.basis[r]])
 
-    def value_of(self, col):
-        for r in range(self.m):
-            if self.basis[r] == col:
-                return self.entry(r, self.total)
-        return Fraction(0)
-
     def stats(self, columns, phase1_pivots):
         return LpStats(rows=self.m, columns=columns, phase1_pivots=phase1_pivots,
                        phase2_pivots=self.pivots - phase1_pivots,
@@ -258,7 +285,7 @@ def simplex_solve(objective, constraints, sense="max") -> LpSolution:
     # phase 1: drive artificials to zero.  Its objective is a sum of
     # nonnegative artificials, so it is bounded below by 0 and Bland's rule
     # always ends optimal: the status needs no check.
-    tab.set_objective(dict.fromkeys(tab.art, 1))
+    tab.set_phase1_objective()
     tab.run_bland()
     if tab.reduced_cost(tab.total) < 0:  # the rhs entry is minus the phase-1 value
         # Farkas: y_i = 1 - reduced cost of artificial i, mapped through row signs
@@ -285,8 +312,13 @@ def simplex_solve(objective, constraints, sense="max") -> LpSolution:
             ray[tab.basis[r]] = -tab.entry(r, entering)
         return LpSolution(status="unbounded", certificate={"ray": ray[:n]}, stats=stats)
 
-    primal = [tab.value_of(j) for j in range(n)]
-    value = sum((c * v for c, v in zip(objective, primal)), Fraction(0))
+    # one walk of the basis: every nonbasic variable is zero
+    primal = [Fraction(0)] * n
+    value = Fraction(0)
+    for r, b in enumerate(tab.basis):
+        if b < n:
+            primal[b] = v = tab.entry(r, tab.total)
+            value += objective[b] * v
     return LpSolution(
         status="optimal",
         objective=value,

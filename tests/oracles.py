@@ -24,10 +24,14 @@ makes the scheme edits that the tests of that reliance draw from.
 `covering_sets_oracle` tests every scheme set for the positions it must
 hold, `nested_pairs_oracle` tests every pair of scheme sets, and
 `well_definedness_oracle` evaluates every covering set's norm on every
-sample with `norming_max_oracle`.
+sample with `norming_max_oracle`.  `lp_digest` pins what exact LPs returned,
+value by value, so a change to how an LP is posed or read back that moves
+a pivot or a statistic shows up.
 """
 
+import hashlib
 import random
+from dataclasses import astuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -275,6 +279,15 @@ def mutate_scheme_json(data, payload, edit=None):
         level[i].reverse()
     else:
         level.append(list(level[i]))
+
+
+def lp_digest(solutions):
+    """sha256 of `LpSolution`s by value: status, objective, primal point,
+    every certificate and every `LpStats` field, each number as its repr."""
+    text = "\n".join(repr((sol.status, sol.objective, sol.primal,
+                            sorted(sol.certificate.items()), astuple(sol.stats)))
+                      for sol in solutions)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def random_fraction(rng, max_num=5, max_den=4, nonzero=False):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csw import analysis
+from csw import analysis, hull
 from csw.cli import _json_text
 from csw.analysis import (
     EpsExperimentConfig,
@@ -56,12 +56,14 @@ from csw.schemes import (
     scheme_to_json,
     validate_type,
 )
+from csw.simplex import simplex_solve
 from csw.vectors import SparseVector, format_rational, pair, parse_vector
 
 from conftest import TYPE_DEPTH1, TYPE_DEPTH2, TYPE_DEPTH3, TYPE_WIDE8
 from oracles import (
     SCHEME_EDITS,
     covered_by_a_piece,
+    lp_digest,
     mutate_scheme_json,
     nested_pairs_oracle,
     transport_preimage_is_listed,
@@ -165,6 +167,61 @@ def test_basis_constant_witness_is_pinned(request, fixture, value, cut, attainin
     assert result.attaining == parse_vector(attaining)
     assert result.coefficients == WITNESS_COEFFICIENTS[fixture]
     assert result.report.meta["skipped"] == []
+
+
+@pytest.fixture(scope="module")
+def basis_constant_lps(request):
+    """name -> the LPs basis_constant poses on that family, as (rows,
+    columns, solution) in call order, seen through the name `csw.hull`
+    calls, which is the one perfbench's trace wraps; each family once."""
+    recorded = {}
+
+    def lps(name):
+        if name not in recorded:
+            family = (build_K_family(request.getfixturevalue("scheme_depth2"),
+                                     Fraction(5, 2), scale_cap=2)
+                      if name == "k52cap2_depth2" else request.getfixturevalue(name))
+            calls = []
+
+            def solve(objective, constraints, sense="max"):
+                sol = simplex_solve(objective, constraints, sense)
+                calls.append((len(constraints), len(objective), sol))
+                return sol
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(hull, "simplex_solve", solve)
+                basis_constant(family)
+            recorded[name] = calls
+        return recorded[name]
+
+    return lps
+
+
+@pytest.mark.parametrize("name, calls, cells", [
+    ("eps_half_depth3", 22, 4600),
+    ("k52cap2_depth2", 5, 1152),
+    ("k2_wide8", 3, 1536),
+    ("k2_depth3", 7, 7840),
+])
+def test_basis_constant_poses_every_lp_through_hull(basis_constant_lps, name, calls, cells):
+    # perfbench's simplex.calls and simplex.cells count these calls and shapes
+    lps = basis_constant_lps(name)
+    assert (len(lps), sum(rows * columns for rows, columns, _ in lps)) == (calls, cells)
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("eps_half_depth3",
+     "38cbe1aa0fa0d2d96de0fe2655149e7aefc88b4731f3909124ba784d1751d851"),
+    ("k52cap2_depth2",
+     "d032a2400e09f893fcc4a75c72aabb57637e1e2e921bc60eb7be2913bb3beb12"),
+    ("k2_wide8",
+     "7605c14fac9c42b096630dd7f98c59cb2d93df09ee64e3dfa62ec99eaa52671a"),
+    ("k2_depth3",
+     "56f540b36358be9a9db8632d1c15fb9e78593e6cefd2b5552f66fc4986523494"),
+])
+def test_basis_constant_lps_replay_the_recorded_solutions(basis_constant_lps, name, digest):
+    # status, objective, point, certificate and stats of every LP as recorded
+    assert lp_digest(sol for _, _, sol in basis_constant_lps(name)) == digest
 
 
 def test_polar_support_witness_is_pinned():

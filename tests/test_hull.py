@@ -245,5 +245,15 @@ def test_dual_norm_and_polar_support_refuse_a_vector_outside_the_span():
                        match="^empty norming set cannot express a nonzero vector$") as err:
         dual_norm(g, [])
     assert err.value.certificate == g
-    with pytest.raises(NotInSpanError, match="^polar program unbounded: vector outside span$"):
-        polar_support(SparseVector.unit(1), [g])
+    for g, H in [(E1, [E0]),
+                 (parse_vector("1:1,3:-2"), [parse_vector("0:1,1:1"), parse_vector("0:-1,2:1/2"),
+                                             parse_vector("1:1,2:1/2,3:2")])]:
+        for solve, message in [(dual_norm, "vector lies outside the span of the norming set"),
+                               (polar_support, "polar program unbounded: vector outside span")]:
+            with pytest.raises(NotInSpanError, match=f"^{message}$") as err:
+                solve(g, H)
+            # a witness y on the LP's positions: <y, h> = 0 for every member,
+            # <y, g> != 0
+            y = err.value.certificate
+            assert isinstance(y, SparseVector)
+            assert all(pair(y, h) == 0 for h in H) and pair(y, g) != 0

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csw.errors import DimensionMismatchError
-from csw.simplex import LpStats, constraint, simplex_solve
+from csw.simplex import EQ, GE, LE, LinearConstraint, LpStats, constraint, simplex_solve
 
-from oracles import polytope_vertices, random_fraction
+from oracles import lp_digest, polytope_vertices, random_fraction
 
 
 def test_single_bound():
@@ -230,3 +231,28 @@ def test_constraint_and_solver_refuse_unknown_relation_and_sense():
         constraint([1], "=", 1)
     with pytest.raises(ValueError, match="^sense must be 'max' or 'min'$"):
         simplex_solve([1], [constraint([1], "<=", 3)], sense="maximize")
+
+
+def _random_lp(rng):
+    """A small LP with mixed relations, int and Fraction coefficients (int
+    zeros among them, as `csw.hull` poses them) and either sense."""
+    dim = rng.randint(1, 5)
+    cons = []
+    for _ in range(rng.randint(0, 5)):
+        coeffs = tuple(rng.choice((0, rng.randint(-3, 3), random_fraction(rng, max_den=6)))
+                       for _ in range(dim))
+        cons.append(LinearConstraint(coeffs, rng.choice((LE, GE, EQ)),
+                                     random_fraction(rng, max_den=6)))
+    objective = [rng.choice((0, random_fraction(rng))) for _ in range(dim)]
+    return objective, cons, rng.choice(("max", "min"))
+
+
+def test_random_lps_replay_the_recorded_solutions():
+    # status, objective, point, certificate and stats of 200 LPs as recorded;
+    # a change in how an LP is posed, pivoted or read back shows up here
+    rng = random.Random(31)
+    solutions = [simplex_solve(*_random_lp(rng)) for _ in range(200)]
+    assert Counter(sol.status for sol in solutions) == {
+        "optimal": 63, "infeasible": 99, "unbounded": 38}
+    assert lp_digest(solutions) == (
+        "9ee79181f6b9130536a16e7e06b39d631dff4941e67b695a18a8cafe2db0b4ca")
