@@ -10,11 +10,13 @@ chosen by sign and leaving rows by cross-multiplied ratios, so the pivots
 follow Bland's rule exactly as a `Fraction` tableau would, and rationals
 appear only where a value is read out.
 
-Posing an LP costs time in its nonzeros: a zero coefficient (an int 0 is the
-cheapest) is dropped as a row is read, and each row is scaled to integers
-once.  The phase-1 objective is one sum of the rows, each over its basic
-artificial entry; and an optimal point and its objective are read in one
-walk over the basis, every nonbasic variable being zero.
+Posing an LP still reads every cell, rows times columns, but a zero
+coefficient is dropped as its row is read, and the int 0 that `csw.hull`
+writes in every absent cell is the cheapest zero to test; each row is then
+scaled to integers once.  Each objective, the phase-1 sum of artificials and
+the caller's, is reduced in one sum of the basic rows, each over its basic
+entry; and an optimal point and its objective are read in one walk over the
+basis, every nonbasic variable being zero.
 
 Certificates:
   optimal    -> the primal point itself (exact feasibility is checkable)
@@ -95,9 +97,7 @@ def _integer_row(entries):
     """A positive multiple of a sparse rational row, as coprime ints."""
     scale = 1
     for v in entries.values():
-        d = v.denominator
-        if scale % d:
-            scale = lcm(scale, d)
+        scale = lcm(scale, v.denominator)
     return _reduced({k: v.numerator * (scale // v.denominator)
                      for k, v in entries.items()})
 
@@ -152,40 +152,30 @@ class _Tableau:
         self.pivots = self.degenerate = 0
         self.bits = max((_bits(row) for row in self.rows), default=0)
 
-    def set_phase1_objective(self):
-        """Reduced costs of the sum of the artificials in the starting basis.
-
-        Row r over its basic artificial entry a_r is the rational row with a
-        1 there, so the reduced costs are minus the sum of those rows off the
-        artificial block.  Summed over L = lcm(a_r) as ints with `_DEN` = L
-        and reduced, this is the coprime row that eliminating each basic
-        artificial from the costs in turn gives.
-        """
-        L = 1
-        for row, a in zip(self.rows, self.art):
-            d = row[a]
-            if L % d:
-                L = lcm(L, d)
-        obj = {}
-        for row, a in zip(self.rows, self.art):
-            f = L // row[a]
-            for k, v in row.items():
-                if k != a:
-                    obj[k] = obj.get(k, 0) - f * v
-        obj = {k: v for k, v in obj.items() if v}
-        obj[_DEN] = L
-        self.obj = obj = _reduced(obj)
-        self.bits = max(self.bits, _bits(obj))
-
     def set_objective(self, costs):
-        """Reduced costs, in this basis, of the nonzero `costs` {column: value}."""
+        """Reduced costs, in this basis, of the nonzero `costs` {column: value}.
+
+        Every row is zero at every other row's basic column, so eliminating
+        the basic costs one row at a time is one sum: the costs minus each
+        row times its basic cost over its basic entry a_r.  Summed as ints
+        over L, the lcm of the a_r under a nonzero cost, with `_DEN` scaled
+        by L, and reduced, it is the coprime row those eliminations give.
+        """
         obj = _integer_row({**costs, _DEN: 1})
-        for r, b in enumerate(self.basis):
-            factor = obj.get(b)
-            if factor:
-                row = self.rows[r]
-                obj = _eliminate(row[b], obj, factor, row)
-        self.obj = obj
+        L = 1
+        for row, b in zip(self.rows, self.basis):
+            if b in obj:
+                L = lcm(L, row[b])
+        if L != 1:
+            obj = {k: L * v for k, v in obj.items()}
+        # subtracting row r leaves every other basic column's cost alone
+        for row, b in zip(self.rows, self.basis):
+            c = obj.get(b)
+            if c:
+                f = c // row[b]
+                for k, v in row.items():
+                    obj[k] = obj.get(k, 0) - f * v
+        self.obj = obj = _reduced({k: v for k, v in obj.items() if v})
         self.bits = max(self.bits, _bits(obj))
 
     def pivot(self, r, j):
@@ -285,7 +275,7 @@ def simplex_solve(objective, constraints, sense="max") -> LpSolution:
     # phase 1: drive artificials to zero.  Its objective is a sum of
     # nonnegative artificials, so it is bounded below by 0 and Bland's rule
     # always ends optimal: the status needs no check.
-    tab.set_phase1_objective()
+    tab.set_objective(dict.fromkeys(tab.art, 1))
     tab.run_bland()
     if tab.reduced_cost(tab.total) < 0:  # the rhs entry is minus the phase-1 value
         # Farkas: y_i = 1 - reduced cost of artificial i, mapped through row signs
