@@ -21,14 +21,8 @@ from .errors import (
     NotInSpanError,
     WrongSpaceKindError,
 )
-from .hull import (
-    dual_norm,
-    in_symmetric_hull,
-    norming_max,
-    polar_support,
-    proportional_member,
-    verify_decomposition,
-)
+from .hull import dual_norm, in_symmetric_hull, polar_support
+from .kernels import norming_max, proportional_member, verify_decomposition
 from .norming import (
     EPS_FORM_OF_RULE,
     EPS_KIND,

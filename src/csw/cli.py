@@ -16,7 +16,7 @@ import os
 import sys
 import tempfile
 
-from . import analysis, norming, schemes
+from . import norming, schemes
 from .errors import ConfigError, CswError
 from .vectors import (
     SparseVector,
@@ -182,6 +182,8 @@ def cmd_norm_eval(args):
 
 
 def cmd_analyze(args):
+    # only the commands that run an analysis import it, and with it the exact LP
+    from . import analysis
     only = {"lp_every": "coherence", "samples": "welldef", "seed": "welldef"}
     given = {k: v for k in only if (v := getattr(args, k)) is not None}
     for name in given:
@@ -200,6 +202,7 @@ def cmd_analyze(args):
 
 
 def cmd_experiment_eps(args):
+    from . import analysis
     eps = parse_rational(args.eps)
     config = analysis.EpsExperimentConfig(
         n=args.n, pattern=parse_vector(args.pattern) if args.pattern else None)
@@ -210,6 +213,7 @@ def cmd_experiment_eps(args):
 
 
 def cmd_experiment_kbasis(args):
+    from . import analysis
     K = parse_rational(args.k)
     config = analysis.KExperimentConfig(
         n=args.n, L=parse_rational(args.L), kprime=parse_rational(args.kprime),

@@ -81,7 +81,7 @@ from .errors import (
     ParameterOutOfRangeError,
     WrongSpaceKindError,
 )
-from .hull import norming_max
+from .kernels import norming_max
 from .schemes import Scheme, SchemeSet, check_axioms, scheme_from_json, scheme_to_json
 from .vectors import SparseVector, canonical_json, format_rational, parse_rational
 

@@ -1,5 +1,5 @@
 """Independent brute-force oracles used to cross-check the LP machinery
-and the integer kernels of `csw.hull`.
+and the integer kernels of `csw.kernels`.
 
 Everything here is deliberately simplex-free: plain Gaussian elimination
 over Fractions plus exhaustive vertex enumeration.  The gauge of the
@@ -7,7 +7,7 @@ symmetric hull conv(+-H) at g equals the support function of the polar
 polytope {y : |<h, y>| <= 1}, so enumerating the polar's vertices and
 maximizing <y, g> reproduces dual_norm by a completely different route.
 `norming_max_oracle`, `proportional_member_oracle` and
-`verify_decomposition_oracle` are the definitions of three hull kernels,
+`verify_decomposition_oracle` are the definitions of those three kernels,
 written with one Fraction or SparseVector per arithmetic step.
 `k_family_vectors` and `k_scaled_cut_origins` close the scaled-cut family of
 each set from its definition, one vector and one cut at a time.

@@ -35,7 +35,8 @@ from csw.errors import (
     PatternOutOfRangeError,
     WrongSpaceKindError,
 )
-from csw.hull import dual_norm, in_symmetric_hull, norming_max, polar_support
+from csw.hull import dual_norm, in_symmetric_hull, polar_support
+from csw.kernels import norming_max
 from csw.norming import (
     Functional,
     NormingFamily,

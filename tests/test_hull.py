@@ -6,14 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csw.errors import NotInSpanError
-from csw.hull import (
-    dual_norm,
-    in_symmetric_hull,
-    norming_max,
-    polar_support,
-    proportional_member,
-    verify_decomposition,
-)
+from csw.hull import dual_norm, in_symmetric_hull, polar_support
+from csw.kernels import norming_max, proportional_member, verify_decomposition
 from csw.vectors import SparseVector, pair, parse_vector
 
 from oracles import (

@@ -17,6 +17,11 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_benchmark_trace_hooks_resolve():
+    # the tracer patches the bindings of the csw modules already loaded, and
+    # the benchmark's workloads load these before it is installed
+    import csw.analysis
+    import csw.cli
+
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
@@ -176,18 +181,22 @@ def test_no_option_is_read_with_int():
     assert found == []
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(tree):
     """(name, node) for every module-level private function or class and
-    every method of a module-level class, dunder methods aside."""
+    every method of a module-level class, dunders aside: the interpreter
+    calls them, as it calls a module's PEP 562 `__getattr__`."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
-        if node.name.startswith("_"):
+        if node.name.startswith("_") and not _is_dunder(node.name):
             yield node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if (isinstance(item, ast.FunctionDef)
-                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                if isinstance(item, ast.FunctionDef) and not _is_dunder(item.name):
                     yield f"{node.name}.{item.name}", item
 
 
