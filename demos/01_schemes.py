@@ -9,7 +9,6 @@ re-verifies every property by brute force.
 
 from csw import (
     build_scheme,
-    canonical_decomposition,
     check_axioms,
     find_capture,
     is_delta_system,
@@ -25,8 +24,8 @@ scheme = build_scheme(ts)
 for rank, level in enumerate(scheme.levels):
     print(f"rank {rank}: {[list(s.elements) for s in level]}")
 
-root, children = canonical_decomposition(scheme, scheme.top)
-print(f"top root {list(root)}, pieces {[list(c.elements) for c in children]}")
+children = scheme.decomposition[scheme.top]
+print(f"top root {list(scheme.top.root)}, pieces {[list(c.elements) for c in children]}")
 
 report = check_axioms(scheme)
 print("axioms:", "all pass" if report.passed else report.failures())

@@ -15,9 +15,9 @@ from importlib import import_module
 _EXPORTS = {
     "analysis": (
         "BasisConstantResult", "Claim", "EpsExperimentConfig", "ExperimentReport",
-        "KExperimentConfig", "KSeparationConfig", "SeparationConfig", "basis_constant",
-        "check_biorthogonality", "coherence_report", "run_K_experiment", "run_eps_experiment",
-        "verify_K_separation", "verify_eps_separation", "well_definedness_report",
+        "KExperimentConfig", "SeparationConfig", "basis_constant", "check_biorthogonality",
+        "coherence_report", "run_K_experiment", "run_eps_experiment", "verify_eps_separation",
+        "well_definedness_report",
     ),
     "errors": (),
     "hull": ("HullCertificate", "dual_norm", "in_symmetric_hull", "polar_support"),
@@ -28,10 +28,9 @@ _EXPORTS = {
     ),
     "schemes": (
         "AxiomReport", "Capture", "DeltaSystem", "Scheme", "SchemeSet", "TypeSpec",
-        "build_scheme", "canonical_decomposition", "check_axioms", "find_capture",
-        "is_delta_system", "make_captured_family", "position_map", "scheme_dumps",
-        "scheme_from_json", "scheme_loads", "scheme_to_json", "type_violations",
-        "validate_type",
+        "build_scheme", "check_axioms", "find_capture", "is_delta_system",
+        "make_captured_family", "position_map", "scheme_dumps", "scheme_from_json",
+        "scheme_loads", "scheme_to_json", "type_violations", "validate_type",
     ),
     "simplex": ("LinearConstraint", "LpSolution", "constraint", "simplex_solve"),
     "vectors": (

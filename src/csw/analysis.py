@@ -612,13 +612,6 @@ class SeparationConfig:
     n: int = 0
 
 
-@dataclass
-class KSeparationConfig:
-    kprime: Fraction
-    L: Fraction
-    n: int
-
-
 def verify_eps_separation(family: NormingFamily, ys, ystars,
                           config: SeparationConfig) -> ExperimentReport:
     """Evaluate the alternating separation inequality on explicit data.
@@ -665,43 +658,4 @@ def verify_eps_separation(family: NormingFamily, ys, ystars,
     report.norms["combination"] = lhs
     report.claims.append(Claim.compare(
         "separation_lower_bound", lhs, ">=", delta, vacuous=delta <= 0))
-    return report
-
-
-def verify_K_separation(family: NormingFamily, ys,
-                        config: KSeparationConfig) -> ExperimentReport:
-    """Evaluate the scaled-cut separation inequality on explicit data.
-
-    `ys` are normalized; checks |sum_{i<n} y_i| <= L |sum_{i<n} y_i -
-    sum_{n<=i<2n} y_i| and the lower bound |w| >= 1/(2K').
-    """
-    if family.space_kind != K_KIND:
-        raise WrongSpaceKindError("separation bound needs the scaled-cut variant")
-    n = _integer("n", config.n)
-    L = parse_rational(config.L)
-    kprime = parse_rational(config.kprime)
-    if n < 1:
-        raise ConfigInvalidError(f"n must be >= 1, got {n}")
-    if kprime < 1:
-        raise ConfigInvalidError(f"need 1 <= K', got K'={format_rational(kprime)}")
-    if len(ys) != 2 * n:
-        raise ConfigInvalidError(f"need 2n = {2 * n} vectors, got {len(ys)}")
-    for i, y in enumerate(ys):
-        value = norm(y, family)
-        if value != 1:
-            raise NotBiorthogonalError(
-                f"|y_{i}| = {format_rational(value)} != 1 (not normalized)",
-                witness=(i, i))
-    v, w = _block_sums(ys, n)
-    v_norm = norm(v, family)
-    w_norm = norm(w, family)
-    report = ExperimentReport(meta={
-        "Kprime": format_rational(kprime), "L": format_rational(L), "n": n})
-    report.norms["v"] = v_norm
-    report.norms["w"] = w_norm
-    report.claims.append(Claim.compare(
-        "prefix_bounded_by_L_times_difference", v_norm, "<=", L * w_norm))
-    report.claims.append(Claim.compare(
-        "difference_at_least_half_inverse_kprime", w_norm, ">=",
-        Fraction(1) / (2 * kprime)))
     return report

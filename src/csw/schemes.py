@@ -432,15 +432,6 @@ def check_axioms(scheme: Scheme) -> AxiomReport:
     return AxiomReport(checks)
 
 
-def canonical_decomposition(scheme: Scheme, F: SchemeSet):
-    """Root and ordered children of F; rank-0 sets have no decomposition."""
-    if not scheme.has_set(F):
-        raise NotInSchemeError(f"{F} is not in the scheme")
-    if F.rank == 0:
-        raise RankZeroError(f"{F} has rank 0 and no decomposition")
-    return F.root, scheme.decomposition[F]
-
-
 def position_map(source, target) -> dict:
     """The unique increasing bijection between two equal-sized position sets;
     a position repeated in either is refused."""

@@ -14,7 +14,6 @@ from csw.cli import _json_text
 from csw.analysis import (
     EpsExperimentConfig,
     KExperimentConfig,
-    KSeparationConfig,
     SeparationConfig,
     basis_constant,
     check_biorthogonality,
@@ -22,7 +21,6 @@ from csw.analysis import (
     random_rational_vector,
     run_K_experiment,
     run_eps_experiment,
-    verify_K_separation,
     verify_eps_separation,
     well_definedness_report,
 )
@@ -393,6 +391,29 @@ def test_separation_delta_reads_m_and_n_off_the_data(eps_half_depth1, tau, delta
     assert report.passed
 
 
+@pytest.mark.parametrize("eps, n, N", [
+    (Fraction(1, 4), 2, "5/2"),
+    (Fraction(1, 3), 3, "3"),
+    (HALF, 1, "4"),
+    (Fraction(2, 3), 3, "5"),
+    (Fraction(3, 4), 2, "11/2"),
+], ids=["eps-1/4", "eps-1/3", "eps-1/2", "eps-2/3", "eps-3/4"])
+def test_separation_bound_vanishes_at_eps_over_one_plus_eps(scheme_wide8, eps, n, N):
+    # the paper's threshold: delta > 0 exactly for tau < eps/(1+eps)
+    family = build_eps_family(scheme_wide8, eps)
+    units = _unit_system(8)
+    threshold = eps / (1 + eps)
+    for tau, sign in [(threshold - Fraction(1, 100), 1), (threshold, 0),
+                      (threshold + Fraction(1, 100), -1)]:
+        report = verify_eps_separation(family, units, units, SeparationConfig(tau=tau, n=n))
+        delta = Fraction(report.meta["delta"])
+        assert report.meta["N"] == N
+        assert delta == (1 - tau * (1 + eps) / eps) / Fraction(N)
+        assert (delta > 0) - (delta < 0) == sign
+        assert report.meta["vacuous"] is (sign < 1)
+        assert report.passed
+
+
 def test_separation_refuses_negative_n_and_fractional_m(eps_half_depth1):
     units = _unit_system(6)
     with pytest.raises(ConfigInvalidError, match="n must be >= 0"):
@@ -403,53 +424,11 @@ def test_separation_refuses_negative_n_and_fractional_m(eps_half_depth1):
         verify_eps_separation(third, units, units, SeparationConfig(tau=Fraction(0), n=1))
 
 
-def test_k_separation_engineered_refutation(k2_wide8):
-    ys = _unit_system(8)
-    config = KSeparationConfig(kprime=Fraction(1), L=Fraction(5, 4), n=4)
-    report = verify_K_separation(k2_wide8, ys, config)
-    assert not report.claim("prefix_bounded_by_L_times_difference").passed
-    assert report.claim("difference_at_least_half_inverse_kprime").passed
-    assert report.norms["v"] == 4 and report.norms["w"] == 2
-
-
-def test_k_separation_consistent_case(k2_wide8):
-    ys = [SparseVector.unit(0), SparseVector.unit(1)]
-    config = KSeparationConfig(kprime=Fraction(1), L=Fraction(5, 4), n=1)
-    report = verify_K_separation(k2_wide8, ys, config)
-    assert report.passed
-
-
-def test_k_separation_requires_normalized(k2_wide8):
-    ys = [SparseVector.unit(0).scale(2), SparseVector.unit(1)]
-    config = KSeparationConfig(kprime=Fraction(1), L=Fraction(5, 4), n=1)
-    with pytest.raises(NotBiorthogonalError):
-        verify_K_separation(k2_wide8, ys, config)
-
-
-@pytest.mark.parametrize("n, kprime, message", [
-    (0, Fraction(1), "n must be >= 1, got 0"),
-    (-1, Fraction(1), "n must be >= 1, got -1"),
-    (1, Fraction(0), "need 1 <= K', got K'=0"),
-    (1, Fraction(1, 2), "need 1 <= K', got K'=1/2"),
-])
-def test_k_separation_refuses_bad_n_and_kprime(k2_wide8, n, kprime, message):
-    ys = [SparseVector.unit(0), SparseVector.unit(1)]
-    config = KSeparationConfig(kprime=kprime, L=Fraction(5, 4), n=n)
-    with pytest.raises(ConfigInvalidError, match=message):
-        verify_K_separation(k2_wide8, ys, config)
-
-
 # a float or bool rational would run as its binary value (1.1 as
 # 2476979795053773/2251799813685248, True as 1); parse_rational refuses both
 def _k_experiment(families, **fields):
     config = {"L": Fraction(5, 4), "kprime": Fraction(1), **fields}
     return run_K_experiment(families[1], KExperimentConfig(n=4, **config))
-
-
-def _k_separation(families, **fields):
-    config = {"L": Fraction(5, 4), "kprime": Fraction(1), **fields}
-    return verify_K_separation(families[1], [SparseVector.unit(0), SparseVector.unit(1)],
-                               KSeparationConfig(n=1, **config))
 
 
 def _eps_separation(families, **fields):
@@ -460,12 +439,9 @@ def _eps_separation(families, **fields):
 @pytest.mark.parametrize("run, field, value", [
     (_k_experiment, "L", 1.1),
     (_k_experiment, "kprime", True),
-    (_k_separation, "L", 1.1),
-    (_k_separation, "kprime", True),
     (_eps_separation, "tau", 0.6),
     (_eps_separation, "tau", False),
-], ids=["experiment-L", "experiment-kprime", "separation-L", "separation-kprime",
-        "separation-tau", "separation-tau-bool"])
+], ids=["experiment-L", "experiment-kprime", "separation-tau", "separation-tau-bool"])
 def test_config_rationals_refuse_floats_and_bools(eps_half_depth1, k2_wide8, run, field, value):
     with pytest.raises(ValueError, match=f"refusing {type(value).__name__} input"):
         run((eps_half_depth1, k2_wide8), **{field: value})
@@ -479,9 +455,6 @@ INT_FIELDS = {
         k, KExperimentConfig(n=v, L=Fraction(5, 4))),
     "separation-eps-n": lambda eps, k, v: verify_eps_separation(
         eps, _unit_system(6), _unit_system(6), SeparationConfig(tau=Fraction(0), n=v)),
-    "separation-K-n": lambda eps, k, v: verify_K_separation(
-        k, [SparseVector.unit(0), SparseVector.unit(1)],
-        KSeparationConfig(kprime=Fraction(1), L=Fraction(5, 4), n=v)),
     "welldef-samples": lambda eps, k, v: well_definedness_report(eps, samples=v),
     "coherence-lp-every": lambda eps, k, v: coherence_report(k, lp_every=v),
 }
@@ -494,14 +467,10 @@ def test_config_integers_refuse_bools_and_floats(eps_half_depth1, k2_wide8, fiel
         INT_FIELDS[field](eps_half_depth1, k2_wide8, value)
 
 
-def test_separation_checks_refuse_the_other_kind(eps_half_depth1, k2_wide8):
+def test_separation_checks_refuse_the_other_kind(k2_wide8):
     ys = [SparseVector.unit(0), SparseVector.unit(1)]
     with pytest.raises(WrongSpaceKindError):
-        verify_eps_separation(k2_wide8, ys, ys, SeparationConfig(
-            tau=Fraction(0), n=0))
-    with pytest.raises(WrongSpaceKindError):
-        verify_K_separation(eps_half_depth1, ys, KSeparationConfig(
-            kprime=Fraction(1), L=Fraction(5, 4), n=1))
+        verify_eps_separation(k2_wide8, ys, ys, SeparationConfig(tau=Fraction(0), n=0))
 
 
 # ---------------------------------------------------------------------------
@@ -1086,10 +1055,3 @@ def test_eps_separation_refuses_a_missing_dual_and_a_diagonal_other_than_one(eps
     with pytest.raises(NotBiorthogonalError, match="^<y\\*_0, y_0> = 2 != 1$") as err:
         verify_eps_separation(eps_half_depth1, ys, ystars, config)
     assert err.value.witness == (0, 0)
-
-
-def test_k_separation_refuses_a_vector_count_other_than_2n(k2_wide8):
-    ys = [SparseVector.unit(i) for i in range(3)]
-    config = KSeparationConfig(kprime=Fraction(1), L=Fraction(5, 4), n=2)
-    with pytest.raises(ConfigInvalidError, match="^need 2n = 4 vectors, got 3$"):
-        verify_K_separation(k2_wide8, ys, config)

@@ -19,19 +19,19 @@ ROOT = Path(__file__).resolve().parent.parent
 PUBLIC = [
     "AxiomReport", "BasisConstantResult", "Capture", "Claim", "DeltaSystem",
     "EpsExperimentConfig", "ExperimentReport", "Functional", "HullCertificate",
-    "KExperimentConfig", "KSeparationConfig", "LinearConstraint", "LpSolution",
-    "NormingFamily", "Origin", "Scheme", "SchemeSet", "SeparationConfig",
-    "SparseVector", "TypeSpec", "analysis", "basis_constant", "build_K_family",
-    "build_eps_family", "build_scheme", "canonical_decomposition", "check_axioms",
-    "check_biorthogonality", "coherence_report", "constraint", "dual_norm",
-    "errors", "family_dumps", "family_from_json", "family_loads", "family_to_json",
-    "find_capture", "format_rational", "format_vector", "global_dual", "hull",
-    "in_symmetric_hull", "is_delta_system", "make_captured_family", "norm",
-    "norming", "pair", "parse_rational", "parse_vector", "polar_support",
-    "position_map", "run_K_experiment", "run_eps_experiment", "scheme_dumps",
-    "scheme_from_json", "scheme_loads", "scheme_to_json", "schemes", "simplex",
-    "simplex_solve", "spread", "type_violations", "validate_type", "vectors",
-    "verify_K_separation", "verify_eps_separation", "well_definedness_report",
+    "KExperimentConfig", "LinearConstraint", "LpSolution", "NormingFamily",
+    "Origin", "Scheme", "SchemeSet", "SeparationConfig", "SparseVector", "TypeSpec",
+    "analysis", "basis_constant", "build_K_family", "build_eps_family",
+    "build_scheme", "check_axioms", "check_biorthogonality", "coherence_report",
+    "constraint", "dual_norm", "errors", "family_dumps", "family_from_json",
+    "family_loads", "family_to_json", "find_capture", "format_rational",
+    "format_vector", "global_dual", "hull", "in_symmetric_hull", "is_delta_system",
+    "make_captured_family", "norm", "norming", "pair", "parse_rational",
+    "parse_vector", "polar_support", "position_map", "run_K_experiment",
+    "run_eps_experiment", "scheme_dumps", "scheme_from_json", "scheme_loads",
+    "scheme_to_json", "schemes", "simplex", "simplex_solve", "spread",
+    "type_violations", "validate_type", "vectors", "verify_eps_separation",
+    "well_definedness_report",
 ]
 
 LP_CODE = {"csw.analysis", "csw.hull", "csw.simplex"}

@@ -19,7 +19,6 @@ from csw.schemes import (
     SchemeSet,
     TypeSpec,
     build_scheme,
-    canonical_decomposition,
     check_axioms,
     find_capture,
     is_delta_system,
@@ -107,6 +106,8 @@ def test_depth2_block_expansion(scheme_depth2):
     assert top.elements == (0, 1, 2, 3)
     assert top.root == (0,)
     assert elements(scheme_depth2.decomposition[top]) == [(0, 1), (0, 2), (0, 3)]
+    rank1 = scheme_depth2.levels[1][0]
+    assert rank1.root == () and len(scheme_depth2.decomposition[rank1]) == 2
     assert check_axioms(scheme_depth2).passed
 
 
@@ -293,21 +294,6 @@ def test_same_rank_axiom_matches_its_oracle(elements_by_level):
 
 # ---------------------------------------------------------------------------
 # decomposition and position maps
-
-def test_canonical_decomposition_examples(scheme_depth2):
-    root, children = canonical_decomposition(scheme_depth2, scheme_depth2.top)
-    assert root == (0,)
-    assert elements(children) == [(0, 1), (0, 2), (0, 3)]
-    rank1 = scheme_depth2.levels[1][0]
-    root1, children1 = canonical_decomposition(scheme_depth2, rank1)
-    assert root1 == ()
-    assert len(children1) == 2
-    with pytest.raises(RankZeroError):
-        canonical_decomposition(scheme_depth2, scheme_depth2.levels[0][0])
-    with pytest.raises(NotInSchemeError):
-        canonical_decomposition(
-            scheme_depth2, SchemeSet(rank=1, elements=(5, 6), root_size=0))
-
 
 def test_position_map_examples():
     pm = position_map((0, 1), (0, 2))
