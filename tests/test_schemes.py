@@ -106,8 +106,6 @@ def test_depth2_block_expansion(scheme_depth2):
     assert top.elements == (0, 1, 2, 3)
     assert top.root == (0,)
     assert elements(scheme_depth2.decomposition[top]) == [(0, 1), (0, 2), (0, 3)]
-    rank1 = scheme_depth2.levels[1][0]
-    assert rank1.root == () and len(scheme_depth2.decomposition[rank1]) == 2
     assert check_axioms(scheme_depth2).passed
 
 
@@ -294,6 +292,20 @@ def test_same_rank_axiom_matches_its_oracle(elements_by_level):
 
 # ---------------------------------------------------------------------------
 # decomposition and position maps
+
+def test_canonical_decomposition_examples(scheme_depth2):
+    top = scheme_depth2.top
+    assert top.root == (0,)
+    assert elements(scheme_depth2.decomposition[top]) == [(0, 1), (0, 2), (0, 3)]
+    rank1 = scheme_depth2.levels[1][0]
+    assert rank1.root == ()
+    assert len(scheme_depth2.decomposition[rank1]) == 2
+    assert not scheme_depth2.decomposition.get(scheme_depth2.levels[0][0])
+    stranger = SchemeSet(rank=1, elements=(5, 6), root_size=0)
+    assert not scheme_depth2.has_set(stranger)
+    with pytest.raises(NotInSchemeError):
+        scheme_depth2.piece_maps(stranger)
+
 
 def test_position_map_examples():
     pm = position_map((0, 1), (0, 2))
