@@ -207,27 +207,28 @@ def _public_definitions(tree):
             yield node.name, node
 
 
-def _uses(tree, strings=False):
-    """(line, name) for every name, attribute and imported name in `tree`,
-    and with `strings` every string constant too."""
+def _uses(tree, imports=False, strings=False):
+    """(line, name) for every name and attribute in `tree`, with `imports`
+    every imported name too, and with `strings` every string constant."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.lineno, node.id
         elif isinstance(node, ast.Attribute):
             yield node.lineno, node.attr
-        elif isinstance(node, ast.alias):
+        elif imports and isinstance(node, ast.alias):
             yield node.lineno, node.name
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             yield node.lineno, node.value
 
 
-def _unused(definitions, outside=()):
+def _unused(definitions, imports=False, outside=()):
     """name -> "file:line" for every definition of `definitions` in
-    `src/csw` that no name, attribute or import in the package outside its
-    own lines uses, nor any (line, name) of `outside`."""
+    `src/csw` that no use in the package outside its own lines names (see
+    `_uses` for `imports`), nor any (line, name) of `outside`."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted((ROOT / "src" / "csw").glob("*.py"))}
-    uses = [(file, line, name) for file, tree in trees.items() for line, name in _uses(tree)]
+    uses = [(file, line, name) for file, tree in trees.items()
+            for line, name in _uses(tree, imports)]
     uses += [(None, line, name) for line, name in outside]
     return {name: f"{file}:{node.lineno}"
             for file, tree in trees.items() for name, node in definitions(tree)
@@ -267,8 +268,8 @@ def test_every_public_name_is_used_outside_the_tests():
     outside = [use for folder in ("demos", "perfbench")
                for path in sorted((ROOT / folder).glob("*.py"))
                for use in _uses(ast.parse(path.read_text(encoding="utf-8")),
-                                strings=folder == "perfbench")]
-    unused = _unused(_public_definitions, outside)
+                                imports=True, strings=folder == "perfbench")]
+    unused = _unused(_public_definitions, imports=True, outside=outside)
     assert {name: where for name, where in unused.items()
             if name not in TESTED_ONLY} == {}
     assert set(unused) >= TESTED_ONLY, "drop the names the package now uses"
