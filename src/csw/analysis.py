@@ -269,20 +269,16 @@ def coherence_report(family: NormingFamily, lp_every=0) -> ExperimentReport:
     other set is a transport.  A rank-canonical family's scheme is equal to
     the one its build checked, so the lemma holds on it.
 
-    With `lp_every` = 0 a rank-canonical family gets one scan that checks
-    only those pairs; if it finds a failure, a second scan checks every
-    pair, so the first-failure witnesses are those of scan order.  Every
-    other family, and any call with `lp_every` > 0, gets one scan that
-    checks every pair, and the cross-check schedule indexes it.  The
-    instance counts are always those of every nested pair.
+    Every call makes one scan.  With `lp_every` = 0 a rank-canonical family
+    gets the scan of only those pairs, whose witnesses, which only a builder
+    fault can make, name the first failing pair among them.  Every other
+    family, and any call with `lp_every` > 0, gets the scan of every pair,
+    and the cross-check schedule indexes it.  The instance counts are
+    always those of every nested pair.
     """
     if _integer("lp_every", lp_every) < 0:
         raise ConfigInvalidError(f"lp_every must be >= 0, got {lp_every}")
-    first_sets = family.rank_canonical and not lp_every
-    report = _scan(family, lp_every, every=not first_sets)
-    if first_sets and not report.passed:
-        report = _scan(family, 0, every=True)
-    return report
+    return _scan(family, lp_every, every=lp_every > 0 or not family.rank_canonical)
 
 
 def _scan(family: NormingFamily, lp_every, every) -> ExperimentReport:
@@ -293,8 +289,9 @@ def _scan(family: NormingFamily, lp_every, every) -> ExperimentReport:
     checked when `every` is set, or when F is the first set of a rank k >= 1
     and E is one of its pieces, each by the reconstruction of its hull
     certificate, and every `lp_every`-th instance, counted over all pairs,
-    is also checked through the coefficients of `dual_norm`.  Every E and F
-    family is looked up, so a missing one raises."""
+    is also checked through the coefficients of `dual_norm`.  The witnesses
+    are the first failures among the checked pairs, in scan order.  Every E
+    and F family is looked up, so a missing one raises."""
     scheme = family.scheme
     pieces = {} if every else {level[0]: set(scheme.decomposition[level[0]])
                                for level in scheme.levels[1:]}

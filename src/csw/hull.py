@@ -13,9 +13,9 @@ max { <y, g> : |<y, h>| <= 1 for all h in H }; by LP duality its value equals
 dual_norm(g, H) and the maximizer is a unit vector of the primal norm that
 attains the gauge, which is what the basis-constant witness needs.
 
-Only the LPs live here.  The integer kernels (`norming_max`,
-`proportional_member`, `verify_decomposition`) live in `kernels`, which
-imports no LP code; this module imports them and keeps their names bound.
+Only the LPs live here: the integer kernels live in `kernels`, which imports
+no LP code, and `norming_max` stays bound here only for the `TIMED` table
+of `perfbench/tracing.py`, which times it as `hull.norming_max`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotInSpanError
-from .kernels import norming_max, proportional_member, verify_decomposition
+from .kernels import norming_max, proportional_member
 from .simplex import EQ, GE, LE, LinearConstraint, simplex_solve
 from .vectors import SparseVector
 

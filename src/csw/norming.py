@@ -46,10 +46,11 @@ the two genuinely differ and both are exposed.
 Construction runs bottom-up with one amalgamation per rank, at the first
 rank-k set, and only those families are stored: every other rank-k set gets
 that family's transport through the increasing bijection `Scheme.transport`
-when first read, with each distinct origin moved once;
-`NormingFamily.rank_canonical` tells such a family, on a scheme equal to the
-one it was built on, from a families dict made or edited by hand or a family
-given another scheme, each of which the coherence sweep checks at every
+when first read, with each distinct origin moved once.  Each set's family is
+a tuple and `NormingFamily` is frozen, so a family is an immutable value:
+`NormingFamily.rank_canonical` tells a built one, on a scheme equal to the
+one it was built on, from a `dataclasses.replace` copy with families made by
+hand or another scheme, each of which the coherence sweep checks at every
 pair.  Both builders run `check_axioms` once, before any amalgamation, and
 refuse a scheme that fails it: under the axioms each piece of F is F's root
 and one consecutive block of F's other elements, in order, so the bijection
@@ -60,8 +61,7 @@ family and refuses the file unless its header and every set's entries are
 what the writer writes for it.  The writer moves each rank's first-set
 entries the same way, so writing or loading a family transports no
 functional, and the writer refuses a family that is not rank-canonical.
-Families are immutable afterwards and norm evaluation is pure, so built
-values are safe to share.
+Norm evaluation is pure, so built values are safe to share.
 """
 
 from __future__ import annotations
@@ -144,12 +144,12 @@ class Functional:
         return "/".join(bits)
 
 
-@dataclass
+@dataclass(frozen=True)
 class NormingFamily:
     scheme: Scheme
     space_kind: str
     parameter: Fraction
-    families: Mapping  # SchemeSet -> list[Functional], in scan order
+    families: Mapping  # SchemeSet -> tuple[Functional, ...], in scan order
     scale_cap: int = 1
 
     @property
@@ -163,17 +163,16 @@ class NormingFamily:
             raise NotInSchemeError(f"no family attached to {s}") from None
 
     def all_functionals(self):
-        for level in self.scheme.levels:
-            for s in level:
-                yield from self.functionals_for(s)
+        return chain.from_iterable(map(self.functionals_for, self.scheme.sets()))
 
     @property
     def rank_canonical(self) -> bool:
         """Whether every set's family is the transport of the family of the
         first set of its rank, through `Scheme.transport`, on a scheme equal
-        to the one it was built on (after `check_axioms` passed): false of a
-        families dict made or edited by hand, and of a family given any other
-        scheme, a permuted level or an appended empty level included."""
+        to the one it was built on (after `check_axioms` passed): true of
+        every family the builders and `family_from_json` return, false of a
+        `replace` copy with families made by hand or any other scheme, a
+        permuted level or an appended empty level included."""
         return isinstance(self.families, _Transports) and self.families.scheme == self.scheme
 
 
@@ -233,11 +232,11 @@ def _origin_map(fam, pm) -> dict:
             for o in dict.fromkeys(chain.from_iterable(f.origins for f in fam))}
 
 
-def _moved(fam, pm, target) -> list:
+def _moved(fam, pm, target) -> tuple:
     """A family carried through the increasing bijection `pm` onto `target`."""
     moved = _origin_map(fam, pm)
-    return [Functional(f.vector.map_positions(pm), target, tuple(map(moved.get, f.origins)))
-            for f in fam]
+    return tuple(Functional(f.vector.map_positions(pm), target, tuple(map(moved.get, f.origins)))
+                 for f in fam)
 
 
 class _Lazy(Mapping):
@@ -263,8 +262,12 @@ class _Lazy(Mapping):
 
 class _Transports(_Lazy):
     """The families `_build`, and nothing else, returns once `check_axioms`
-    passes: each rank's first-set family is kept, every other set's is its
+    passes: each rank's first-set tuple is kept, every other set's is its
     transport, and `scheme` is the scheme value they were built on."""
+
+    def __init__(self, scheme: Scheme, make, kept: dict):
+        super().__init__({F: F for F in scheme.sets()}, make, kept)
+        self.scheme = scheme
 
 
 def _build(scheme, rank0, amalgamate) -> Mapping:
@@ -283,11 +286,10 @@ def _build(scheme, rank0, amalgamate) -> Mapping:
         built[s] = _moved(built[scheme.levels[s.rank][0]], scheme.transport(s), s)
         return built[s]
 
-    families = _Transports({F: F for F in scheme.sets()}, family, built)
-    families.scheme = scheme
+    families = _Transports(scheme, family, built)
     for k, level in enumerate(scheme.levels):
         first = level[0]
-        built[first] = list(rank0(first)) if k == 0 else amalgamate(
+        built[first] = tuple(rank0(first)) if k == 0 else amalgamate(
             first, scheme.piece_maps(first), families[scheme.decomposition[first][0]])
     return families
 
@@ -315,7 +317,7 @@ def build_eps_family(scheme: Scheme, eps) -> NormingFamily:
                     vec = vec + (tail if j == 0 else -tail)
                 rule = (RULE_FIRST_ALT, RULE_SECOND_ALT, RULE_COPY)[min(j, 2)]
                 fam.append(Functional(vec, F, (Origin(rule, F.rank, alpha=pm[b]),)))
-        return sorted(fam, key=lambda g: g.origin.alpha)
+        return tuple(sorted(fam, key=lambda g: g.origin.alpha))
 
     return NormingFamily(scheme=scheme, space_kind=EPS_KIND, parameter=eps, scale_cap=0,
                          families=_build(scheme, lambda s: _units(s, 1, 0), amalgamate))
@@ -359,9 +361,9 @@ def build_K_family(scheme: Scheme, K, scale_cap=1) -> NormingFamily:
             for i, (lo, hi) in enumerate(pairwise(bounds), 1):
                 register((support[:i], e + 1), scaled[e + 1][lo:hi])
         powers = [inv ** e for e in range(scale_cap + 1)]
-        return [Functional(SparseVector._of(dict.fromkeys(support, powers[e])), F,
-                           tuple(origins[support, e]))
-                for e, support in sorted((e, s) for s, e in origins)]
+        return tuple(Functional(SparseVector._of(dict.fromkeys(support, powers[e])), F,
+                                tuple(origins[support, e]))
+                     for e, support in sorted((e, s) for s, e in origins))
 
     return NormingFamily(scheme=scheme, space_kind=K_KIND, parameter=K, scale_cap=scale_cap,
                          families=_build(scheme, lambda s: _units(s, inv, scale_cap), amalgamate))

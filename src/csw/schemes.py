@@ -396,15 +396,16 @@ def _decomposition_delta_system(scheme):
                     prev_max = tail[-1]
 
 
-def _rank0_singletons(scheme):
-    universe = {(x,) for x in range(scheme.universe_size)}
-    if not scheme.levels or {s.elements for s in scheme.levels[0]} != universe:
+def _rank0_singletons(scheme):  # sizes first: no set outgrows the ones listed
+    universe = range(scheme.universe_size)
+    if (not scheme.levels or len(scheme.levels[0]) < len(universe)
+            or {s.elements for s in scheme.levels[0]} != {(x,) for x in universe}):
         yield "rank 0 is not exactly the singletons of the universe"
 
 
-def _top_covers_all(scheme):
-    tops = scheme.levels[-1] if scheme.levels else []
-    if len(tops) != 1 or set(tops[0].elements) != set(range(scheme.universe_size)):
+def _top_covers_all(scheme):  # sizes first, as above
+    top, universe = scheme.levels[-1] if scheme.levels else [], range(scheme.universe_size)
+    if len(top) != 1 or len(top[0].elements) < len(universe) or set(top[0].elements) != {*universe}:
         yield "top level is not the single full-universe set"
 
 

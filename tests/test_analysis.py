@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csw import analysis, hull
+from csw import analysis, hull, norming
 from csw.cli import _json_text
 from csw.analysis import (
     EpsExperimentConfig,
@@ -56,7 +56,7 @@ from csw.schemes import (
     validate_type,
 )
 from csw.simplex import simplex_solve
-from csw.vectors import SparseVector, format_rational, pair, parse_vector
+from csw.vectors import SparseVector, format_rational, parse_vector
 
 from conftest import TYPE_DEPTH1, TYPE_DEPTH2, TYPE_DEPTH3, TYPE_WIDE8
 from oracles import (
@@ -712,7 +712,7 @@ def test_piece_scan_checks_only_the_piece_pairs(request, monkeypatch, name):
 
 
 @pytest.mark.parametrize("lp_every", [0, 3])
-def test_coherence_scans_a_failing_family_at_most_twice(k2_depth2, monkeypatch, lp_every):
+def test_coherence_scans_a_failing_family_once(k2_depth2, monkeypatch, lp_every):
     family = _tampered(k2_depth2, k2_depth2.scheme.top, 4, parse_vector("2:3"))
     calls = _count_hull_calls(monkeypatch)
     lps = []
@@ -896,20 +896,35 @@ def test_a_decomposition_changed_after_the_build_is_not_rank_canonical(
     assert report.to_json() == analysis._scan(family, 0, every=True).to_json()
 
 
-def test_a_tampered_first_set_family_fails_the_first_scan_and_is_rescanned(monkeypatch):
-    # built apart from the session fixture, whose kept lists stay as built
+def test_a_builder_fault_fails_the_first_set_scan_alone(monkeypatch):
+    # a built family cannot be edited in place, so only a faulty
+    # amalgamation makes a rank-canonical family that fails: here the top
+    # family is wrong from its build
+    build = norming._build
+
+    def faulty(scheme, rank0, amalgamate):
+        def wrong(F, maps, first_family):
+            fam = amalgamate(F, maps, first_family)
+            if F == scheme.top:
+                fam = (*fam[:4], replace(fam[4], vector=parse_vector("2:3")), *fam[5:])
+            return fam
+        return build(scheme, rank0, wrong)
+
+    monkeypatch.setattr(norming, "_build", faulty)
     family = build_K_family(build_scheme(validate_type(*TYPE_DEPTH2)), 2)
-    stored = family.families[family.scheme.top]  # the kept list, edited in place
-    stored[4] = replace(stored[4], vector=parse_vector("2:3"))
     assert family.rank_canonical
+    assert family.functionals_for(family.scheme.top)[4].vector == parse_vector("2:3")
     calls = _count_hull_calls(monkeypatch)
     report = coherence_report(family)
     assert not report.passed
-    assert len(calls) == _first_set_instances(family) + report.meta["hull_instances"]
-    full = analysis._scan(family, 0, every=True)
-    assert _witnesses(report) == _witnesses(full) == {"hull_coherence": (
+    assert len(calls) == _first_set_instances(family) == 57
+    assert report.meta["hull_instances"] == 141
+    # the first failing (piece, first set) pair; the every-pair scan, which
+    # checks rank0{2} inside the top set first, would name that pair
+    assert _witnesses(report) == {"hull_coherence": (
+        False, {"E": "rank1{0,2}", "F": "rank2{0,1,2,3}", "functional": "unit/a2"})}
+    assert _witnesses(analysis._scan(family, 0, every=True)) == {"hull_coherence": (
         False, {"E": "rank0{2}", "F": "rank2{0,1,2,3}", "functional": "unit/a2"})}
-    assert report.to_json() == full.to_json()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 import json
 import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,8 @@ from csw.analysis import basis_constant, coherence_report, well_definedness_repo
 from csw.cli import main
 from csw.norming import family_loads
 from csw.schemes import AxiomReport
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(capsys, *argv):
@@ -67,6 +73,32 @@ def test_depth_zero_scheme(tmp_path, capsys):
     assert code == 0
     code, out, _ = run(capsys, "scheme", "check", str(scheme_file))
     assert code == 0 and json.loads(out)["passed"]
+
+
+def _limited(tmp_path, *argv):
+    """`csw argv` in a child process held to 1 GiB of address space."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "csw.cli", *argv], cwd=tmp_path, env=env,
+                          preexec_fn=limit, capture_output=True, text=True, timeout=60)
+
+
+def test_a_scheme_file_naming_a_huge_universe_is_refused_in_bounded_memory(tmp_path):
+    # an 87-byte file names a universe of 10**9 positions: the axioms compare
+    # sizes before they build any set the file does not list
+    scheme_file = tmp_path / "huge.json"
+    scheme_file.write_text(json.dumps({"type": {"m": [1, 10 ** 9], "n": [10 ** 9], "r": [0]},
+                                       "levels": [[[0]], [[0]]]}))
+    proc = _limited(tmp_path, "norming", "build", "--scheme", str(scheme_file),
+                    "--space", "eps", "--param", "1/2")
+    assert proc.returncode == 2 and "first set-sizes" in proc.stderr, proc.stderr
+    proc = _limited(tmp_path, "scheme", "check", str(scheme_file))
+    assert proc.returncode == 1, proc.stderr
+    failed = {c["name"] for c in json.loads(proc.stdout)["checks"] if not c["passed"]}
+    assert {"set-sizes", "rank0-singletons", "top-covers-all"} <= failed
 
 
 def test_missing_file_is_io_error(capsys):

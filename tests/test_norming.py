@@ -1,7 +1,7 @@
 import hashlib
 import random
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 
 import pytest
@@ -18,6 +18,7 @@ from csw.errors import (
 )
 from csw.hull import in_symmetric_hull
 from csw.norming import (
+    NormingFamily,
     build_K_family,
     build_eps_family,
     family_dumps,
@@ -451,6 +452,22 @@ def test_family_dumps_refuses_a_family_that_is_not_rank_canonical(k2_depth2):
         family_dumps(tampered)
 
 
+@pytest.mark.parametrize("index", [0, 2], ids=["kept", "moved"])
+def test_a_built_family_cannot_be_edited_in_place(k2_depth2, index):
+    # rank1{0,1} holds its rank's kept family, rank1{0,3} a transport of it
+    s = k2_depth2.scheme.levels[1][index]
+    fam = k2_depth2.families[s]
+    with pytest.raises(TypeError):
+        fam[1] = replace(fam[1], vector=v("3:3"))
+    assert k2_depth2.families[s] == fam and k2_depth2.rank_canonical
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(NormingFamily)])
+def test_no_family_field_can_be_assigned(k2_depth2, name):
+    with pytest.raises(FrozenInstanceError):
+        setattr(k2_depth2, name, getattr(k2_depth2, name))
+
+
 # sha256 of family_dumps for (type, space, parameter, scale_cap), recorded
 # when every set's family was still built separately; the two d5 digests were
 # recorded when the K closure still ran on Fraction vectors, and the w16 K=2
@@ -541,12 +558,13 @@ def test_each_set_holds_the_transport_of_its_ranks_first_family(data):
     assert list(family.families) == sets and len(family.families) == len(sets)
     for F in sets:
         fam = family.families[F]
-        assert type(fam) is list and fam == eager.families[F]
+        assert type(fam) is tuple and list(fam) == eager.families[F]
     foreign = SchemeSet(rank=1, elements=(0, scheme.universe_size), root_size=0)
     assert foreign not in family.families
     with pytest.raises(NotInSchemeError, match="no family attached"):
         family.functionals_for(foreign)
     loaded = family_loads(family_dumps(family))
+    assert all(type(loaded.families[F]) is tuple for F in sets)
     rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
     for _ in range(10):
         x = random_rational_vector(rng, scheme.universe_size)

@@ -1,7 +1,6 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings

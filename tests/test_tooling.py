@@ -19,8 +19,8 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_benchmark_trace_hooks_resolve():
     # the tracer patches the bindings of the csw modules already loaded, and
     # the benchmark's workloads load these before it is installed
-    import csw.analysis
-    import csw.cli
+    for module in ("csw.analysis", "csw.cli"):
+        importlib.import_module(module)
 
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
@@ -273,3 +273,31 @@ def test_every_public_name_is_used_outside_the_tests():
     assert {name: where for name, where in unused.items()
             if name not in TESTED_ONLY} == {}
     assert set(unused) >= TESTED_ONLY, "drop the names the package now uses"
+
+
+def _unused_imports(tree):
+    """(line, name) for every name that `tree` imports and never reads:
+    `import a.b` binds `a`, and a `__future__` import binds nothing."""
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound = [alias.asname or alias.name for alias in node.names]
+        else:
+            continue
+        yield from ((node.lineno, name) for name in bound if name not in read)
+
+
+# imported names kept bound for a reader outside their module: the
+# benchmark's tracer times `hull.norming_max` by that name
+IMPORTED_FOR_OTHERS = {("src/csw/hull.py", "norming_max")}
+
+
+def test_every_imported_name_is_used():
+    found = {(str(path.relative_to(ROOT)), name): line
+             for folder in ("src/csw", "tests", "demos")
+             for path in sorted((ROOT / folder).glob("*.py"))
+             for line, name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))}
+    assert {key: line for key, line in found.items() if key not in IMPORTED_FOR_OTHERS} == {}
+    assert set(found) >= IMPORTED_FOR_OTHERS, "drop the names their module now uses"
