@@ -12,7 +12,6 @@ from csw import (
     check_axioms,
     find_capture,
     is_delta_system,
-    make_captured_family,
     scheme_dumps,
     validate_type,
 )
@@ -31,7 +30,7 @@ report = check_axioms(scheme)
 print("axioms:", "all pass" if report.passed else report.failures())
 
 # engineer a family of aligned sets, then rediscover where it is captured
-family = make_captured_family(scheme, scheme.top, {2, 3}, 3)
+family = is_delta_system([[pm[p] for p in (2, 3)] for pm in scheme.piece_maps(scheme.top)[:3]])
 print("aligned family:", [list(m) for m in family.members], "root", list(family.root))
 capture = find_capture(scheme, family, 3)
 print("captured by:", capture.site, "using members", capture.member_indices)

@@ -28,9 +28,9 @@ _EXPORTS = {
     ),
     "schemes": (
         "AxiomReport", "Capture", "DeltaSystem", "Scheme", "SchemeSet", "TypeSpec",
-        "build_scheme", "check_axioms", "find_capture", "is_delta_system",
-        "make_captured_family", "position_map", "scheme_dumps", "scheme_from_json",
-        "scheme_loads", "scheme_to_json", "type_violations", "validate_type",
+        "build_scheme", "check_axioms", "find_capture", "is_delta_system", "position_map",
+        "scheme_dumps", "scheme_from_json", "scheme_loads", "scheme_to_json",
+        "type_violations", "validate_type",
     ),
     "simplex": ("LinearConstraint", "LpSolution", "constraint", "simplex_solve"),
     "vectors": (

@@ -19,6 +19,7 @@ from .errors import (
     ConfigInvalidError,
     NotBiorthogonalError,
     NotInSpanError,
+    PatternOutOfRangeError,
     WrongSpaceKindError,
 )
 from .hull import dual_norm, in_symmetric_hull, polar_support
@@ -32,7 +33,6 @@ from .norming import (
     norm,
     spread,
 )
-from .schemes import find_capture, make_captured_family
 from .vectors import SparseVector, format_rational, pair, parse_rational
 
 _REL_CHECK = {"==": eq, "<=": le, ">=": ge, "<": lt, ">": gt}
@@ -442,26 +442,27 @@ class KExperimentConfig:
 
 
 def _captured_copies(family: NormingFamily, count, pattern):
-    """(site, pieces, z, members, xs): the first scheme set with `count`
-    pieces, its pieces, the pattern (default: the first piece's first
-    non-root unit vector) normalised to z, the captured delta-system of
-    z's support (`make_captured_family` refuses a pattern outside the first
-    piece), and z moved onto each of the first `count` pieces."""
+    """(site, pieces, z, xs): the first scheme set with `count` pieces, its
+    pieces, the pattern (default: the first piece's first non-root unit
+    vector) normalised to z, and its copies by `Scheme.piece_maps(site)`:
+    the one construction of captured copies and the one check that the
+    pattern lies in the first piece (the site captures them: `run_eps_experiment`)."""
     scheme = family.scheme
     site = next((F for level in scheme.levels[1:] for F in level
                  if len(scheme.decomposition[F]) >= count), None)
     if site is None:
-        raise CaptureUnavailableError(
-            f"no scheme set has {count} pieces; use a wider type")
-    children = scheme.decomposition[site]
+        raise CaptureUnavailableError(f"no scheme set has {count} pieces; use a wider type")
+    pieces = scheme.decomposition[site]
     if pattern is None:
-        pattern = SparseVector.unit(next(p for p in children[0].elements if p not in site.root))
+        pattern = SparseVector.unit(next(p for p in pieces[0].elements if p not in site.root))
     if pattern.is_zero():
         raise ConfigInvalidError("pattern must be nonzero")
-    members = make_captured_family(scheme, site, pattern.support, count)
+    if not set(pattern.support) <= pieces[0].element_set:  # before `norm` reads it
+        raise PatternOutOfRangeError(
+            f"pattern {list(pattern.support)} is not inside the first piece {pieces[0]}")
     z = pattern / norm(pattern, family)
     xs = [z.map_positions(pm) for pm in scheme.piece_maps(site)[:count]]
-    return site, children, z, members, xs
+    return site, pieces, z, xs
 
 
 def _alternating_m(n, eps) -> int:
@@ -499,21 +500,26 @@ def run_eps_experiment(family: NormingFamily,
     With m = 2n eps, w = (x_0 - x_1) - (1/m) sum_{i=1..n} (x_{2i} - x_{2i+1})
     pairs to exactly zero against every functional of the first three
     amalgamation forms, and to at most 1/m against the copy form.
+
+    `captured_at` is the site, by no search: on a scheme that passes
+    `check_axioms` each piece is the site's root followed by one block, so
+    the copies' supports form an increasing delta-system rooted in the
+    site's root and aligned across the leading pieces, and `find_capture`,
+    which scans in the site search's rank-then-level order and skips sets
+    with fewer than 2n+2 pieces, returns the site first, members (0..2n+1).
     """
     if family.space_kind != EPS_KIND:
         raise WrongSpaceKindError("experiment needs the alternating variant")
     eps = family.parameter
     n, m = config.validated(eps)
-    count = 2 * n + 2
-    site, _, z, members, xs = _captured_copies(family, count, config.pattern)
-    capture = find_capture(family.scheme, members, count)
+    site, _, z, xs = _captured_copies(family, 2 * n + 2, config.pattern)
     w = _alternating_difference(xs, n, m)
     inv_m = Fraction(1, m)
 
     report = ExperimentReport(meta={
         "eps": format_rational(eps), "n": n, "m": m,
         "site": str(site),
-        "captured_at": str(capture.site) if capture else None,
+        "captured_at": str(site),
         "pattern": z.to_json(),
     })
     root_part = w.restrict_to(site.root)
@@ -561,10 +567,10 @@ def run_K_experiment(family: NormingFamily,
         raise WrongSpaceKindError("experiment needs the scaled-cut variant")
     K = family.parameter
     n, L, kprime = config.validated(K)
-    site, children, z, _, xs = _captured_copies(family, 2 * n, config.pattern)
+    site, pieces, z, xs = _captured_copies(family, 2 * n, config.pattern)
     v, w = _block_sums(xs, n)
 
-    first_family = family.functionals_for(children[0])
+    first_family = family.functionals_for(pieces[0])
     witness_h = max(first_family, key=lambda f: (abs(pair(f.vector, z)), f.label()))
     spread_vec = spread(family.scheme, witness_h, site).vector
     spread_label = next((f.label() for f in family.functionals_for(site)

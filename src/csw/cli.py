@@ -321,6 +321,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError:  # a valid input too large to hold, as a huge type's universe
+        print("configuration error: out of memory for this input", file=sys.stderr)
+        return EXIT_CONFIG
     except CswError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -30,10 +30,6 @@ class NotInSchemeError(CswError):
     pass
 
 
-class RankZeroError(CswError):
-    pass
-
-
 class LengthMismatchError(CswError):
     pass
 

@@ -93,7 +93,6 @@ def dual_norm(g: SparseVector, H):
     return sol.objective, coeffs
 
 
-
 @dataclass
 class HullCertificate:
     member: bool
@@ -122,7 +121,6 @@ def in_symmetric_hull(f: SparseVector, H) -> HullCertificate:
         return HullCertificate(False, None, None,
                                outside_witness=err.certificate, method="lp")
     return HullCertificate(value <= 1, value, coeffs, method="lp")
-
 
 
 def polar_support(g: SparseVector, H):

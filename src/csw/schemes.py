@@ -34,8 +34,6 @@ from .errors import (
     LengthMismatchError,
     NotDeltaError,
     NotInSchemeError,
-    PatternOutOfRangeError,
-    RankZeroError,
     TypeValidationError,
 )
 from .vectors import canonical_json
@@ -179,9 +177,6 @@ class Scheme:
         for k, level in enumerate(self.levels):
             for i, s in enumerate(level):
                 yield f"{k}:{i}", s
-
-    def has_set(self, s: SchemeSet) -> bool:
-        return 0 <= s.rank < len(self.levels) and s in self.levels[s.rank]
 
     def in_universe(self, positions) -> set:
         """`positions` as a set, refused unless each lies in the universe."""
@@ -508,12 +503,9 @@ def find_capture(scheme: Scheme, system, t: int):
     for k in range(1, scheme.depth + 1):
         for F in scheme.levels[k]:
             children = scheme.decomposition.get(F)
-            if children is None or t > len(children):
+            if children is None or t > len(children) or not root <= set(F.root):
                 continue
-            if not root <= set(F.root):
-                continue
-            first = set(children[0].elements)
-            maps = None
+            first, maps = children[0].element_set, None
             for combo in combinations(range(len(members)), t):
                 if not member_sets[combo[0]] <= first:
                     continue
@@ -524,26 +516,6 @@ def find_capture(scheme: Scheme, system, t: int):
                        for i in range(1, t)):
                     return Capture(site=F, member_indices=combo)
     return None
-
-
-def make_captured_family(scheme: Scheme, F: SchemeSet, pattern_positions, t: int) -> DeltaSystem:
-    """Engineer a delta-system that F captures: transport a pattern from the
-    first child through the first t increasing bijections."""
-    if not scheme.has_set(F):
-        raise NotInSchemeError(f"{F} is not in the scheme")
-    if F.rank == 0:
-        raise RankZeroError("capture sites need rank >= 1")
-    children = scheme.decomposition[F]
-    if t < 1 or t > len(children):
-        raise ConfigInvalidError(f"need 1 <= t <= {len(children)} pieces, got {t}")
-    base = tuple(sorted(set(pattern_positions)))
-    if not base:
-        raise PatternOutOfRangeError("pattern is empty")
-    if not set(base) <= set(children[0].elements):
-        raise PatternOutOfRangeError(
-            f"pattern {list(base)} is not inside the first piece {children[0]}")
-    members = [tuple(pm[p] for p in base) for pm in scheme.piece_maps(F)[:t]]
-    return is_delta_system(members)
 
 
 # ---------------------------------------------------------------------------

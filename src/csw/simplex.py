@@ -32,6 +32,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DimensionMismatchError
+from .vectors import parse_rational
 
 LE, GE, EQ = "<=", ">=", "=="
 _RELATIONS = (LE, GE, EQ)
@@ -49,7 +50,7 @@ class LinearConstraint:
 
 
 def constraint(coeffs, relation, rhs) -> LinearConstraint:
-    return LinearConstraint(tuple(Fraction(c) for c in coeffs), relation, Fraction(rhs))
+    return LinearConstraint(tuple(map(parse_rational, coeffs)), relation, parse_rational(rhs))
 
 
 @dataclass(frozen=True)
@@ -248,7 +249,7 @@ def simplex_solve(objective, constraints, sense="max") -> LpSolution:
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
     n = len(objective)
-    objective = [Fraction(c) for c in objective]
+    objective = [parse_rational(c) for c in objective]
     for con in constraints:
         if len(con.coeffs) != n:
             raise DimensionMismatchError(
@@ -260,13 +261,13 @@ def simplex_solve(objective, constraints, sense="max") -> LpSolution:
     rows, rhs = [], []
     ncols = n
     for con in constraints:
-        row = {j: c if isinstance(c, (int, Fraction)) else Fraction(c)
+        row = {j: c if type(c) is int or isinstance(c, Fraction) else parse_rational(c)
                for j, c in enumerate(con.coeffs) if c}
         if con.relation != EQ:
             row[ncols] = 1 if con.relation == LE else -1
             ncols += 1
         rows.append(row)
-        rhs.append(Fraction(con.rhs))
+        rhs.append(parse_rational(con.rhs))
 
     tab = _Tableau(rows, rhs, ncols)
     sign = 1 if sense == "min" else -1

@@ -145,13 +145,13 @@ class SparseVector:
         return self.scale(Fraction(-1))
 
     def scale(self, scalar) -> "SparseVector":
-        scalar = scalar if isinstance(scalar, Fraction) else Fraction(scalar)
+        scalar = parse_rational(scalar)
         if scalar == 0:
             return SparseVector()
         return SparseVector._of({p: scalar * v for p, v in self._entries.items()})
 
     def __truediv__(self, scalar):
-        return self.scale(Fraction(1) / Fraction(scalar))
+        return self.scale(1 / parse_rational(scalar))
 
     def restrict_to(self, positions) -> "SparseVector":
         """Keep only entries whose position lies in `positions`."""

@@ -49,6 +49,7 @@ from csw.norming import (
 from csw.schemes import (
     build_scheme,
     check_axioms,
+    find_capture,
     scheme_dumps,
     scheme_from_json,
     scheme_loads,
@@ -273,6 +274,24 @@ def test_eps_experiment_root_only_pattern(eps_half_depth3):
     assert report.passed
     assert report.norms["w_local"] == 0
     assert all(v == 0 for v in report.pairings.values())
+
+
+@pytest.mark.parametrize("fixture, n, vec", [
+    ("eps_half_depth1", 1, None), ("eps_half_depth1", 2, None), ("eps_half_depth3", 1, None),
+    ("eps_half_depth3", 1, "0:1"), ("eps_half_depth3", 1, "2:1,3:1/3")])
+def test_eps_experiment_is_captured_at_its_site(request, fixture, n, vec):
+    # the copies, moved here by the piece maps, are captured first at the
+    # site, by their leading members
+    family = request.getfixturevalue(fixture)
+    report = run_eps_experiment(
+        family, EpsExperimentConfig(n=n, pattern=parse_vector(vec) if vec else None))
+    scheme, count = family.scheme, 2 * n + 2
+    site = next(F for F in scheme.sets() if str(F) == report.meta["site"])
+    z = SparseVector({int(p): v for p, v in report.meta["pattern"].items()})
+    copies = [z.map_positions(pm) for pm in scheme.piece_maps(site)[:count]]
+    capture = find_capture(scheme, [x.support for x in copies], count)
+    assert (capture.site, capture.member_indices) == (site, tuple(range(count)))
+    assert report.meta["captured_at"] == report.meta["site"]
 
 
 # the first piece of either site is {0}; 99 lies outside the universe

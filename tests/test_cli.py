@@ -101,6 +101,14 @@ def test_a_scheme_file_naming_a_huge_universe_is_refused_in_bounded_memory(tmp_p
     assert {"set-sizes", "rank0-singletons", "top-covers-all"} <= failed
 
 
+def test_a_type_too_large_to_build_is_a_configuration_error_in_bounded_memory(tmp_path):
+    # a valid 23-character type names a universe of 10**8 positions: running
+    # out of memory building it is exit 2 with one line, not a traceback
+    proc = _limited(tmp_path, "scheme", "build", "--type", "1,100000000;100000000;0")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "configuration error: out of memory for this input\n"
+
+
 def test_missing_file_is_io_error(capsys):
     code, _, err = run(capsys, "scheme", "check", "/nonexistent/s.json")
     assert code == 3

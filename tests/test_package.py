@@ -26,7 +26,7 @@ PUBLIC = [
     "constraint", "dual_norm", "errors", "family_dumps", "family_from_json",
     "family_loads", "family_to_json", "find_capture", "format_rational",
     "format_vector", "global_dual", "hull", "in_symmetric_hull", "is_delta_system",
-    "make_captured_family", "norm", "norming", "pair", "parse_rational",
+    "norm", "norming", "pair", "parse_rational",
     "parse_vector", "polar_support", "position_map", "run_K_experiment",
     "run_eps_experiment", "scheme_dumps", "scheme_from_json", "scheme_loads",
     "scheme_to_json", "schemes", "simplex", "simplex_solve", "spread",

@@ -10,8 +10,6 @@ from csw.errors import (
     LengthMismatchError,
     NotDeltaError,
     NotInSchemeError,
-    PatternOutOfRangeError,
-    RankZeroError,
     TypeValidationError,
 )
 from csw.schemes import (
@@ -22,7 +20,6 @@ from csw.schemes import (
     check_axioms,
     find_capture,
     is_delta_system,
-    make_captured_family,
     position_map,
     scheme_from_json,
     scheme_loads,
@@ -302,7 +299,6 @@ def test_canonical_decomposition_examples(scheme_depth2):
     assert len(scheme_depth2.decomposition[rank1]) == 2
     assert not scheme_depth2.decomposition.get(scheme_depth2.levels[0][0])
     stranger = SchemeSet(rank=1, elements=(5, 6), root_size=0)
-    assert not scheme_depth2.has_set(stranger)
     with pytest.raises(NotInSchemeError):
         scheme_depth2.piece_maps(stranger)
 
@@ -393,29 +389,17 @@ def test_capture_can_be_absent(scheme_depth2):
     assert find_capture(scheme_depth2, [{1}, {3}], 2) is None
 
 
-def test_make_captured_family_examples(scheme_depth2):
-    top = scheme_depth2.top
-    family = make_captured_family(scheme_depth2, top, {0, 1}, 3)
-    assert family.members == ((0, 1), (0, 2), (0, 3))
-    family2 = make_captured_family(scheme_depth2, top, {1}, 2)
-    assert family2.members == ((1,), (2,))
-    single = make_captured_family(scheme_depth2, top, {0, 1}, 1)
-    assert find_capture(scheme_depth2, single, 1) is not None
-    with pytest.raises(PatternOutOfRangeError):
-        make_captured_family(scheme_depth2, top, {2}, 2)
-    with pytest.raises(ConfigInvalidError):
-        make_captured_family(scheme_depth2, top, {0}, 5)
-
-
 def test_capture_roundtrip_finds_site_at_or_below(scheme_depth3):
+    # the first piece moved onto the leading pieces by the piece maps
     for rank in range(1, scheme_depth3.depth + 1):
         site = scheme_depth3.levels[rank][0]
-        width = len(scheme_depth3.decomposition[site])
-        pattern = set(scheme_depth3.decomposition[site][0].elements)
-        family = make_captured_family(scheme_depth3, site, pattern, min(width, 3))
-        capture = find_capture(scheme_depth3, family, min(width, 3))
-        assert capture is not None
-        assert capture.site.rank <= site.rank
+        maps = scheme_depth3.piece_maps(site)
+        pattern = scheme_depth3.decomposition[site][0].elements
+        for t in (1, min(len(maps), 3)):
+            members = [[pm[p] for p in pattern] for pm in maps[:t]]
+            capture = find_capture(scheme_depth3, members, t)
+            assert capture is not None
+            assert capture.site.rank <= site.rank
 
 
 def test_scheme_set_hash_is_the_field_hash(scheme_depth3):
@@ -712,13 +696,3 @@ def test_delta_system_refuses_no_members_and_unequal_intersections():
 def test_find_capture_refuses_t_zero(scheme_depth2):
     with pytest.raises(ConfigInvalidError, match="^need 1 <= t <= 2, got 0$"):
         find_capture(scheme_depth2, [{1}, {2}], 0)
-
-
-def test_make_captured_family_refuses_a_bad_site_or_an_empty_pattern(scheme_depth2):
-    unlisted = SchemeSet(rank=1, elements=(1, 2), root_size=0)
-    with pytest.raises(NotInSchemeError, match=r"^rank1\{1,2\} is not in the scheme$"):
-        make_captured_family(scheme_depth2, unlisted, {1}, 2)
-    with pytest.raises(RankZeroError, match="^capture sites need rank >= 1$"):
-        make_captured_family(scheme_depth2, scheme_depth2.levels[0][0], {0}, 1)
-    with pytest.raises(PatternOutOfRangeError, match="^pattern is empty$"):
-        make_captured_family(scheme_depth2, scheme_depth2.top, set(), 2)

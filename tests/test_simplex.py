@@ -232,6 +232,22 @@ def test_constraint_and_solver_refuse_unknown_relation_and_sense():
         simplex_solve([1], [constraint([1], "<=", 3)], sense="maximize")
 
 
+@pytest.mark.parametrize("value", [0.1, True], ids=["float", "bool"])
+def test_constraint_and_solver_refuse_a_float_or_a_bool(value):
+    # refused as `parse_rational` refuses them, not read as the binary
+    # fraction or the int they stand for
+    calls = [
+        lambda: constraint([value], LE, 1),
+        lambda: constraint([1], LE, value),
+        lambda: simplex_solve([value], [constraint([1], LE, 1)]),
+        lambda: simplex_solve([1], [LinearConstraint((value,), LE, Fraction(1))]),
+        lambda: simplex_solve([1], [LinearConstraint((1,), LE, value)]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^refusing {type(value).__name__} input"):
+            call()
+
+
 def _random_lp(rng):
     """A small LP with mixed relations, int and Fraction coefficients (int
     zeros among them, as `csw.hull` poses them) and either sense."""

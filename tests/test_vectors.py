@@ -132,6 +132,15 @@ def test_sparse_vector_refuses_a_negative_position():
         SparseVector({-1: 1})
 
 
+@pytest.mark.parametrize("value", [0.1, True], ids=["float", "bool"])
+def test_scale_and_division_refuse_a_float_or_a_bool(value):
+    x = parse_vector("0:1")
+    with pytest.raises(ValueError, match=f"^refusing {type(value).__name__} input"):
+        x.scale(value)
+    with pytest.raises(ValueError, match=f"^refusing {type(value).__name__} input"):
+        x / value
+
+
 def test_map_positions_refuses_a_position_outside_its_domain_and_a_collision():
     x = SparseVector({0: 1, 1: 2})
     with pytest.raises(KeyError, match="position 1 outside transport domain"):
