@@ -9,7 +9,6 @@ dual norm was involved).
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import eq, ge, gt, le, lt
@@ -228,27 +227,28 @@ def basis_constant(family: NormingFamily) -> BasisConstantResult:
 # Coherence sweep
 
 def coherence_report(family: NormingFamily, lp_every=0) -> ExperimentReport:
-    """Exact restriction coherence and hull-membership coherence.
+    """Exact restriction coherence and hull-membership coherence, on a
+    rank-canonical family (`NormingFamily.rank_canonical`); any other family
+    is refused with ConfigInvalidError.
 
     Restriction coherence (alternating variant only): for E inside F and a
     in E, the F-functional at a restricted to E equals the E-functional at a;
     an E without a functional at a fails it.
     Hull coherence (both variants): every F-functional restricted to E lies
     in conv(+-H_E), certified by explicit coefficients that are re-verified
-    by reconstruction.  `lp_every` > 0 additionally forces every n-th
-    instance through the raw LP path as a cross-check.
+    by reconstruction.  `lp_every` > 0 additionally checks every n-th
+    checked instance with a direct certificate through the raw LP path.
 
     Both properties compose through a scheme set P with E < P < F: if f|P =
     sum c_h h over H_P with sum |c_h| <= 1 and every h|E lies in
     conv(+-H_E), so does f|E; and f|E = (f|P)|E = g|E for the P-functional g
     at a.  So a pair (E, F) with such a P in F's decomposition follows from
     (E, P) and (P, F).  Both properties also move through an increasing
-    bijection t: on a rank-canonical family (`NormingFamily.rank_canonical`),
-    if F is not the first set F0 of its rank and t = `Scheme.transport(F)`,
-    then E0 = t^-1(E) is a set of F0's tree (the lemma below), H_F = t(H_F0)
-    and H_E = t(H_E0), since increasing bijections compose uniquely, and
-    restriction and hull membership commute with t; so (E, F) follows from
-    (E0, F0).
+    bijection t: on a rank-canonical family, if F is not the first set F0 of
+    its rank and t = `Scheme.transport(F)`, then E0 = t^-1(E) is a set of
+    F0's tree (the lemma below), H_F = t(H_F0) and H_E = t(H_E0), since
+    increasing bijections compose uniquely, and restriction and hull
+    membership commute with t; so (E, F) follows from (E0, F0).
 
     Lemma: on a scheme that passes `check_axioms`, every scheme set E < F
     lies in F's decomposition tree.  Pieces are subsets of their parent
@@ -269,61 +269,50 @@ def coherence_report(family: NormingFamily, lp_every=0) -> ExperimentReport:
     other set is a transport.  A rank-canonical family's scheme is equal to
     the one its build checked, so the lemma holds on it.
 
-    Every call makes one scan.  With `lp_every` = 0 a rank-canonical family
-    gets the scan of only those pairs, whose witnesses, which only a builder
-    fault can make, name the first failing pair among them.  Every other
-    family, and any call with `lp_every` > 0, gets the scan of every pair,
-    and the cross-check schedule indexes it.  The instance counts are
-    always those of every nested pair.
+    The scan walks `Scheme.nested_pairs()` in order and checks only those
+    pairs, each instance by the reconstruction of its hull certificate, so
+    it looks up the families of those pairs alone.  The witnesses name the
+    first failing pair among them, which only a builder fault can make.
+    The instance counts are those of every nested pair, read from the
+    scheme: (E, F) has |H_F| = |H_F0| hull instances and, on the
+    alternating variant, whose families hold one functional per position
+    of their set, |E| restriction instances.
     """
     if _integer("lp_every", lp_every) < 0:
         raise ConfigInvalidError(f"lp_every must be >= 0, got {lp_every}")
-    return _scan(family, lp_every, every=lp_every > 0 or not family.rank_canonical)
-
-
-def _scan(family: NormingFamily, lp_every, every) -> ExperimentReport:
-    """The coherence report from one walk over `Scheme.nested_pairs()`.
-
-    Every pair adds its instance counts: |H_F|, and the F-functionals whose
-    alpha lies in E (alternating variant only).  A pair's instances are then
-    checked when `every` is set, or when F is the first set of a rank k >= 1
-    and E is one of its pieces, each by the reconstruction of its hull
-    certificate, and every `lp_every`-th instance, counted over all pairs,
-    is also checked through the coefficients of `dual_norm`.  The witnesses
-    are the first failures among the checked pairs, in scan order.  Every E
-    and F family is looked up, so a missing one raises."""
+    if not family.rank_canonical:
+        raise ConfigInvalidError("coherence_report needs a rank-canonical family: its "
+                                 "scan checks only the pieces of each rank's first set")
     scheme = family.scheme
-    pieces = {} if every else {level[0]: set(scheme.decomposition[level[0]])
-                               for level in scheme.levels[1:]}
+    firsts = [level[0] for level in scheme.levels]
+    pieces = {F: set(scheme.decomposition[F]) for F in firsts[1:]}
+    sizes = [len(family.functionals_for(F)) for F in firsts]
     eps = family.space_kind == EPS_KIND
-    alphas = {}
     restriction_bad = None
     restriction_count = 0
     hull_bad = None
     hull_count = 0
+    checked = 0
     lp_checked = 0
     for E, F in scheme.nested_pairs():
+        hull_count += sizes[F.rank]
+        if eps:
+            restriction_count += len(E.elements)
+        if E not in pieces.get(F, ()):
+            continue
         elems = E.element_set
         fam_E = family.functionals_for(E)
-        fam_F = family.functionals_for(F)
-        first = hull_count + 1
-        hull_count += len(fam_F)
-        if eps:
-            if F not in alphas:
-                alphas[F] = Counter(f.origin.alpha for f in fam_F)
-            restriction_count += sum(alphas[F][a] for a in elems)
-        if not (every or E in pieces.get(F, ())):
-            continue
         vectors_E = [g.vector for g in fam_E]
         by_alpha = {g.origin.alpha: g.vector for g in fam_E} if eps else None
-        for index, f in enumerate(fam_F, first):
+        for f in family.functionals_for(F):
+            checked += 1
             restricted = f.vector.restrict_to(elems)
             a = f.origin.alpha
             if eps and a in elems and restricted != by_alpha.get(a) and restriction_bad is None:
                 restriction_bad = {"E": str(E), "F": str(F), "alpha": a}
             cert = in_symmetric_hull(restricted, vectors_E)
             ok = verify_decomposition(restricted, vectors_E, cert.coefficients)
-            if ok and lp_every and index % lp_every == 0 and cert.method == "direct":
+            if ok and lp_every and checked % lp_every == 0 and cert.method == "direct":
                 # a direct certificate's vector is zero or a multiple of a
                 # member, so the LP is optimal and cannot raise
                 _, coefficients = dual_norm(restricted, vectors_E)

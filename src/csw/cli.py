@@ -280,7 +280,8 @@ def build_parser():
     p_an.add_argument("--family", required=True)
     p_an.add_argument("--format", choices=("json", "csv"), default="json")
     p_an.add_argument("--lp-every", dest="lp_every", type=parse_int,
-                      help="coherence only: cross-check every n-th hull certificate by LP")
+                      help="coherence only: cross-check every n-th checked direct "
+                           "hull certificate by LP")
     p_an.add_argument("--samples", type=parse_int, help="welldef only; default 200")
     p_an.add_argument("--seed", type=parse_int, help="welldef only; default 0")
     p_an.add_argument("--out")

@@ -50,8 +50,8 @@ when first read, with each distinct origin moved once.  Each set's family is
 a tuple and `NormingFamily` is frozen, so a family is an immutable value:
 `NormingFamily.rank_canonical` tells a built one, on a scheme equal to the
 one it was built on, from a `dataclasses.replace` copy with families made by
-hand or another scheme, each of which the coherence sweep checks at every
-pair.  Both builders run `check_axioms` once, before any amalgamation, and
+hand or another scheme, which the coherence sweep and the writer refuse.
+Both builders run `check_axioms` once, before any amalgamation, and
 refuse a scheme that fails it: under the axioms each piece of F is F's root
 and one consecutive block of F's other elements, in order, so the bijection
 carries the first set's decomposition onto every other set's and the

@@ -496,6 +496,8 @@ def find_capture(scheme: Scheme, system, t: int):
     if not isinstance(system, DeltaSystem):
         system = is_delta_system(system)
     members = system.members
+    if type(t) is not int:
+        raise ConfigInvalidError(f"t must be an integer, got {t!r}")
     if t < 1 or t > len(members):
         raise ConfigInvalidError(f"need 1 <= t <= {len(members)}, got {t}")
     root = set(system.root)

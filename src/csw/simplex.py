@@ -261,8 +261,9 @@ def simplex_solve(objective, constraints, sense="max") -> LpSolution:
     rows, rhs = [], []
     ncols = n
     for con in constraints:
-        row = {j: c if type(c) is int or isinstance(c, Fraction) else parse_rational(c)
-               for j, c in enumerate(con.coeffs) if c}
+        row = {j: c for j, c in enumerate(
+            c if type(c) is int or isinstance(c, Fraction) else parse_rational(c)
+            for c in con.coeffs) if c}
         if con.relation != EQ:
             row[ncols] = 1 if con.relation == LE else -1
             ncols += 1

@@ -1,8 +1,8 @@
 """Independent brute-force oracles used to cross-check the LP machinery
 and the integer kernels of `csw.kernels`.
 
-Everything here is deliberately simplex-free: plain Gaussian elimination
-over Fractions plus exhaustive vertex enumeration.  The gauge of the
+Everything here but `coherence_oracle` is deliberately simplex-free: plain
+Gaussian elimination over Fractions plus exhaustive vertex enumeration.  The gauge of the
 symmetric hull conv(+-H) at g equals the support function of the polar
 polytope {y : |<h, y>| <= 1}, so enumerating the polar's vertices and
 maximizing <y, g> reproduces dual_norm by a completely different route.
@@ -19,7 +19,12 @@ scheme passes `check_axioms`.  `in_decomposition_tree` walks a set's tree
 piece by piece, and `transport_preimage_is_listed` and `covered_by_a_piece`
 are the per-pair search and the per-pair covering test the coherence scan
 once made, which the decomposition-tree lemma of
-`csw.analysis.coherence_report` makes unnecessary.  `mutate_scheme_json`
+`csw.analysis.coherence_report` makes unnecessary.  `coherence_oracle` is
+the every-pair coherence scan, which assumes no axiom and no transport: the
+reference for `coherence_report`, which checks only the (piece, first set)
+pairs of a rank-canonical family and refuses any other family; it takes its
+hull certificates from `csw.hull` and rebuilds each with
+`verify_decomposition_oracle`.  `mutate_scheme_json`
 makes the scheme edits that the tests of that reliance draw from.
 `covering_sets_oracle` tests every scheme set for the positions it must
 hold, `nested_pairs_oracle` tests every pair of scheme sets, and
@@ -38,6 +43,7 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from csw.analysis import Claim, ExperimentReport, random_rational_vector
+from csw.hull import in_symmetric_hull
 from csw.norming import Functional, Origin
 from csw.schemes import position_map
 from csw.vectors import SparseVector, format_rational, pair
@@ -157,6 +163,46 @@ def well_definedness_oracle(family, samples=200, seed=0):
     report = ExperimentReport(meta={"samples": checked, "seed": seed})
     report.claims.append(Claim.first_failure(
         "norm_independent_of_covering_set", checked, bad))
+    return report
+
+
+def coherence_oracle(family):
+    """The coherence report from every nested pair, assuming no axiom and no
+    transport: each pair of `nested_pairs_oracle` looks up its E and F
+    families, adds |H_F| hull instances and, on the alternating variant, one
+    restriction instance per F-functional whose alpha lies in E, and checks
+    every such instance, the hull one by `in_symmetric_hull`'s certificate
+    rebuilt with `verify_decomposition_oracle`.  The witnesses are the first
+    failures in pair order; no instance is cross-checked by LP."""
+    eps = family.space_kind == "eps"
+    restriction_bad = None
+    restriction_count = 0
+    hull_bad = None
+    hull_count = 0
+    for E, F in nested_pairs_oracle(family.scheme):
+        elems = E.element_set
+        fam_E = family.functionals_for(E)
+        vectors_E = [g.vector for g in fam_E]
+        by_alpha = {g.origin.alpha: g.vector for g in fam_E}
+        for f in family.functionals_for(F):
+            hull_count += 1
+            restricted = f.vector.restrict_to(elems)
+            a = f.origin.alpha
+            if eps and a in elems:
+                restriction_count += 1
+                if restricted != by_alpha.get(a) and restriction_bad is None:
+                    restriction_bad = {"E": str(E), "F": str(F), "alpha": a}
+            cert = in_symmetric_hull(restricted, vectors_E)
+            if (not verify_decomposition_oracle(restricted, vectors_E, cert.coefficients)
+                    and hull_bad is None):
+                hull_bad = {"E": str(E), "F": str(F), "functional": f.label()}
+    report = ExperimentReport(meta={"kind": family.space_kind})
+    if eps:
+        report.claims.append(Claim.first_failure(
+            "restriction_coherence", restriction_count, restriction_bad))
+    report.claims.append(Claim.first_failure("hull_coherence", hull_count, hull_bad))
+    report.meta.update({"restriction_instances": restriction_count,
+                        "hull_instances": hull_count, "lp_cross_checked": 0})
     return report
 
 

@@ -62,6 +62,7 @@ from csw.vectors import SparseVector, format_rational, parse_vector
 from conftest import TYPE_DEPTH1, TYPE_DEPTH2, TYPE_DEPTH3, TYPE_WIDE8
 from oracles import (
     SCHEME_EDITS,
+    coherence_oracle,
     covered_by_a_piece,
     lp_digest,
     mutate_scheme_json,
@@ -521,7 +522,9 @@ def test_report_rendering(eps_half_depth1):
 
 # ---------------------------------------------------------------------------
 # sweep failures on tampered copies; every witness was recorded before the
-# coherence sweep became one pass per (E, F)
+# coherence sweep became one pass per (E, F).  A tampered copy is not
+# rank-canonical, so `coherence_report` refuses it and only the every-pair
+# scan, `coherence_oracle`, judges it
 
 def _tampered(family, s, index, vector):
     """A copy of `family` whose index-th functional on `s` carries `vector`;
@@ -533,6 +536,11 @@ def _tampered(family, s, index, vector):
 
 def _witnesses(report):
     return {c.name: (c.passed, c.witness) for c in report.claims}
+
+
+def _refused(family, lp_every=0):
+    with pytest.raises(ConfigInvalidError, match="rank-canonical"):
+        coherence_report(family, lp_every=lp_every)
 
 
 def test_biorthogonality_reports_first_bad_diagonal(eps_half_depth2):
@@ -575,7 +583,8 @@ def test_biorthogonality_reads_the_first_functional_at_each_alpha(eps_half_depth
 def test_coherence_reports_first_restriction_failure(eps_half_depth2):
     top = eps_half_depth2.scheme.top
     family = _tampered(eps_half_depth2, top, 1, parse_vector("1:1/2,3:1/2"))
-    report = coherence_report(family)
+    _refused(family)
+    report = coherence_oracle(family)
     assert _witnesses(report) == {
         "restriction_coherence": (
             False, {"E": "rank0{1}", "F": "rank2{0,1,2,3}", "alpha": 1}),
@@ -588,22 +597,23 @@ def test_coherence_reports_missing_restriction_as_failure(eps_half_depth2):
     first = eps_half_depth2.scheme.levels[1][0]
     fam = eps_half_depth2.families[first][:1]  # drops the functional at 1
     family = replace(eps_half_depth2, families={**eps_half_depth2.families, first: fam})
-    report = coherence_report(family)
-    found = _witnesses(report)
+    _refused(family)
+    found = _witnesses(coherence_oracle(family))
     assert found["restriction_coherence"] == (
         False, {"E": "rank1{0,1}", "F": "rank2{0,1,2,3}", "alpha": 1})
     assert not found["hull_coherence"][0]
 
 
-@pytest.mark.parametrize("lp_every, lp_checked", [(0, 0), (1, 139), (3, 47)])
-def test_coherence_reports_first_hull_failure(k2_depth2, lp_every, lp_checked):
+def test_coherence_reports_first_hull_failure(k2_depth2):
     top = k2_depth2.scheme.top
     family = _tampered(k2_depth2, top, 4, parse_vector("2:3"))
-    report = coherence_report(family, lp_every=lp_every)
+    _refused(family)
+    _refused(family, lp_every=3)
+    report = coherence_oracle(family)
     assert _witnesses(report) == {"hull_coherence": (
         False, {"E": "rank0{2}", "F": "rank2{0,1,2,3}", "functional": "unit/a2"})}
     assert report.meta == {"kind": "k", "restriction_instances": 0,
-                           "hull_instances": 141, "lp_cross_checked": lp_checked}
+                           "hull_instances": 141, "lp_cross_checked": 0}
 
 
 def test_well_definedness_reports_first_disagreement(k2_depth2):
@@ -642,7 +652,7 @@ def test_report_bytes_are_pinned(request, what, name, digest):
 
 
 # ---------------------------------------------------------------------------
-# coherence reports against the every-pair scan
+# coherence reports against the every-pair scan, `coherence_oracle`
 
 PINNED_FAMILIES = ["eps_half_depth1", "eps_half_depth2", "eps_half_depth3",
                    "k2_tiny", "k2_wide8", "k2_depth2", "k2_depth3"]
@@ -666,23 +676,55 @@ def test_piece_scan_matches_full_scan(request, name):
     family = request.getfixturevalue(name)
     report = coherence_report(family)
     assert report.passed
-    assert report.to_json() == analysis._scan(family, 0, every=True).to_json()
+    assert report.to_json() == coherence_oracle(family).to_json()
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+def _faulty_builds(monkeypatch, rank, index, vector):
+    """Make the builders give the index-th functional of the first set of
+    `rank` the vector `vector`: every family built from now on is
+    rank-canonical and wrong from its build, since a built family cannot be
+    edited in place."""
+    build = norming._build
+
+    def faulty(scheme, rank0, amalgamate):
+        first = scheme.levels[rank][0]
+
+        def fault(F, fam):
+            fam = tuple(fam)
+            if F != first:
+                return fam
+            return (*fam[:index], replace(fam[index], vector=vector), *fam[index + 1:])
+
+        return build(scheme, lambda s: fault(s, rank0(s)),
+                     lambda F, maps, first_family: fault(F, amalgamate(F, maps, first_family)))
+
+    monkeypatch.setattr(norming, "_build", faulty)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_piece_scan_matches_full_scan_on_tampered_families(
+def test_first_set_scan_matches_the_oracle_on_faulty_builds(
         data, eps_half_depth2, eps_half_depth3, k2_depth2, k2_depth3):
-    family = data.draw(st.sampled_from(
-        [eps_half_depth2, eps_half_depth3, k2_depth2, k2_depth3]))
-    s = data.draw(st.sampled_from(list(family.scheme.sets())))
-    index = data.draw(st.integers(0, len(family.families[s]) - 1))
-    support = data.draw(st.lists(st.sampled_from(s.elements), unique=True))
+    # the lemma's soundness claim: on a rank-canonical family the first-set
+    # scan passes exactly when every nested pair does
+    sound = data.draw(st.sampled_from([eps_half_depth2, eps_half_depth3, k2_depth2, k2_depth3]))
+    rank = data.draw(st.integers(0, sound.scheme.depth))
+    first = sound.scheme.levels[rank][0]
+    at = data.draw(st.integers(0, len(sound.functionals_for(first)) - 1))
+    support = data.draw(st.lists(st.sampled_from(first.elements), unique=True))
     values = st.fractions(min_value=-2, max_value=2, max_denominator=4)
     vector = SparseVector({p: data.draw(values) for p in support})
-    tampered = _tampered(family, s, index, vector)
-    assert (coherence_report(tampered).to_json()
-            == analysis._scan(tampered, 0, every=True).to_json())
+    with pytest.MonkeyPatch.context() as mp:
+        _faulty_builds(mp, rank, at, vector)
+        family = (build_eps_family(sound.scheme, sound.parameter) if sound.space_kind == "eps"
+                  else build_K_family(sound.scheme, sound.parameter, sound.scale_cap))
+    assert family.rank_canonical
+    report, oracle = coherence_report(family), coherence_oracle(family)
+    assert ({c.name: c.passed for c in report.claims}
+            == {c.name: c.passed for c in oracle.claims})
+    assert report.passed == oracle.passed
+    for count in ("restriction_instances", "hull_instances"):
+        assert report.meta[count] == oracle.meta[count]
 
 
 def test_piece_scan_checks_pairs_a_loaded_decomposition_leaves_uncovered(k2_depth2):
@@ -695,11 +737,11 @@ def test_piece_scan_checks_pairs_a_loaded_decomposition_leaves_uncovered(k2_dept
     single = scheme.levels[0][3]  # rank0{3}: covered by rank1{0,3} until it is dropped
     assert (single, top) not in _uncovered_pairs(scheme)
     assert {(single, top), (dropped, top)} <= set(_uncovered_pairs(family.scheme))
-    report = coherence_report(family)
+    _refused(family)
+    report = coherence_oracle(family)
     assert not report.passed
     assert _witnesses(report) == {"hull_coherence": (
         False, {"E": "rank0{3}", "F": "rank2{0,1,2,3}", "functional": "unit/a0"})}
-    assert report.to_json() == analysis._scan(family, 0, every=True).to_json()
 
 
 def _count_hull_calls(monkeypatch):
@@ -724,23 +766,30 @@ def test_piece_scan_checks_only_the_piece_pairs(request, monkeypatch, name):
     assert len(calls) == _first_set_instances(family)
     if family.scheme.depth > 1:
         assert len(calls) < report.meta["hull_instances"]
-    calls.clear()  # a plain dict is not rank-canonical: every pair is checked
+    calls.clear()  # a plain dict is not rank-canonical: refused before any check
     by_hand = replace(family, families=dict(family.families))
-    assert coherence_report(by_hand).to_json() == report.to_json()
-    assert len(calls) == report.meta["hull_instances"]
+    _refused(by_hand)
+    assert calls == []
+    assert coherence_oracle(by_hand).to_json() == report.to_json()
 
 
 @pytest.mark.parametrize("lp_every", [0, 3])
 def test_coherence_scans_a_failing_family_once(k2_depth2, monkeypatch, lp_every):
-    family = _tampered(k2_depth2, k2_depth2.scheme.top, 4, parse_vector("2:3"))
     calls = _count_hull_calls(monkeypatch)
     lps = []
     monkeypatch.setattr(analysis, "dual_norm", lambda f, H: lps.append(f) or dual_norm(f, H))
+    # a tampered copy is refused before any check or LP
+    _refused(_tampered(k2_depth2, k2_depth2.scheme.top, 4, parse_vector("2:3")), lp_every)
+    assert calls == [] and lps == []
+    # the same fault made by the builder: one first-set scan of its 57
+    # instances, and every third of them that has a direct certificate
+    # through an LP when lp_every is 3
+    _faulty_builds(monkeypatch, 2, 4, parse_vector("2:3"))
+    family = build_K_family(k2_depth2.scheme, 2)
     report = coherence_report(family, lp_every=lp_every)
     assert not report.passed and report.meta["hull_instances"] == 141
-    # a plain dict is not rank-canonical: one every-pair scan, with its 47
-    # LP cross-checks when lp_every is 3
-    assert len(calls) == 141 and len(lps) == (47 if lp_every else 0)
+    assert len(calls) == 57 and len(lps) == report.meta["lp_cross_checked"]
+    assert report.meta["lp_cross_checked"] == (19 if lp_every else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -773,34 +822,47 @@ def test_first_set_scan_matches_full_scan_on_built_families(index, kind_param, c
         report = coherence_report(family)
     assert report.passed
     assert len(calls) == _first_set_instances(family)
-    full = analysis._scan(family, 0, every=True)
-    assert _json_text(report.to_json()) == _json_text(full.to_json())
+    assert _json_text(report.to_json()) == _json_text(coherence_oracle(family).to_json())
+
+
+@pytest.mark.parametrize("name, moved", [("eps_half_depth3", 6), ("eps_half_depth5", 15)])
+def test_coherence_moves_only_the_families_of_the_checked_pairs(request, monkeypatch, name, moved):
+    # a fresh family keeps each rank's first-set family alone; the scan reads
+    # the n_k pieces of each rank k's first set, the first of which is the
+    # first set of rank k - 1, so it moves sum over k of (n_k - 1) families
+    built = request.getfixturevalue(name)
+    family = build_eps_family(built.scheme, HALF)
+    calls, move = [], norming._moved
+    monkeypatch.setattr(norming, "_moved", lambda *args: calls.append(args[2]) or move(*args))
+    report = coherence_report(family)
+    scheme = family.scheme
+    assert len(calls) == sum(len(scheme.decomposition[level[0]]) - 1
+                             for level in scheme.levels[1:]) == moved
+    assert report.to_json() == coherence_report(built).to_json()
 
 
 @pytest.mark.parametrize("name", ["eps_half_depth3", "k2_depth3"])
-def test_a_permuted_level_takes_the_every_pair_scan(request, monkeypatch, name):
+def test_a_permuted_level_takes_the_every_pair_scan(request, name):
     # a scheme is equal to the built one or the family is not rank-canonical,
-    # even when the axioms still pass; such a family cannot be written
+    # even when the axioms still pass; such a family is judged by the
+    # every-pair scan alone, and cannot be written
     family = request.getfixturevalue(name)
     scheme = family.scheme
     levels = [*scheme.levels[:2], scheme.levels[2][::-1], *scheme.levels[3:]]
     permuted = replace(family, scheme=replace(scheme, levels=levels))
     assert permuted.scheme.levels[2][0] != scheme.levels[2][0]
     assert check_axioms(permuted.scheme).passed and not permuted.rank_canonical
+    _refused(permuted)
     expected = _json_text(coherence_report(family).to_json())
-    calls = _count_hull_calls(monkeypatch)
-    report = coherence_report(permuted)
-    assert report.passed
-    assert len(calls) == report.meta["hull_instances"]
-    assert _json_text(report.to_json()) == expected
+    assert _json_text(coherence_oracle(permuted).to_json()) == expected
     with pytest.raises(ConfigInvalidError, match="rank-canonical"):
         family_dumps(permuted)
 
 
-def test_first_set_scan_checks_a_pair_whose_preimage_is_not_listed(k2_depth2, monkeypatch):
+def test_a_scheme_that_lost_a_set_is_refused(k2_depth2):
     # a scheme that lost a set after the build no longer lists the sets the
-    # family was built on, so it is not rank-canonical and takes the
-    # every-pair scan
+    # family was built on, so it is not rank-canonical: the first-set scan
+    # would transport a pair whose preimage is not listed
     scheme = k2_depth2.scheme
     dropped = scheme.levels[0][1]  # rank0{1}, a piece of the first rank-1 set
     levels = [[s for s in scheme.levels[0] if s != dropped], *scheme.levels[1:]]
@@ -809,11 +871,8 @@ def test_first_set_scan_checks_a_pair_whose_preimage_is_not_listed(k2_depth2, mo
     assert not transport_preimage_is_listed(family.scheme, scheme.levels[0][2],
                                             scheme.levels[1][1])
     assert not family.rank_canonical
-    calls = _count_hull_calls(monkeypatch)
-    report = coherence_report(family)
-    assert report.passed
-    assert len(calls) == report.meta["hull_instances"]
-    assert report.to_json() == analysis._scan(family, 0, every=True).to_json()
+    _refused(family)
+    assert coherence_oracle(family).passed
 
 
 def test_a_set_added_to_a_level_is_not_rank_canonical(k2_depth2):
@@ -833,15 +892,13 @@ def test_a_set_moved_to_another_level_is_not_rank_canonical(k2_depth2):
     assert not family.rank_canonical
 
 
-def test_an_empty_level_added_after_the_build_keeps_the_report(k2_depth2, monkeypatch):
+def test_an_empty_level_added_after_the_build_keeps_the_report(k2_depth2):
     scheme = k2_depth2.scheme
     family = replace(k2_depth2, scheme=replace(scheme, levels=[*scheme.levels, []]))
     assert not family.rank_canonical
+    _refused(family)
     expected = _json_text(coherence_report(k2_depth2).to_json())
-    calls = _count_hull_calls(monkeypatch)
-    report = coherence_report(family)
-    assert len(calls) == report.meta["hull_instances"]
-    assert _json_text(report.to_json()) == expected
+    assert _json_text(coherence_oracle(family).to_json()) == expected
 
 
 @pytest.mark.parametrize("name", ["eps_half_depth3", "k2_depth3"])
@@ -880,22 +937,17 @@ def test_an_equal_scheme_keeps_the_family_rank_canonical(request, monkeypatch, n
         "hull_coherence": (
             False, {"E": "rank1{0,3}", "F": "rank2{0,1,2,3}", "functional": "copy/a3"})}),
 ], ids=["k", "eps"])
-def test_a_tampered_set_that_is_not_first_still_fails(
-        request, monkeypatch, name, index, vector, witnesses):
+def test_a_tampered_set_that_is_not_first_still_fails(request, name, index, vector, witnesses):
     family = request.getfixturevalue(name)
     s = family.scheme.levels[1][2]  # rank1{0,3}, the last rank-1 set
     tampered = _tampered(family, s, index, parse_vector(vector))
     assert not tampered.rank_canonical
-    calls = _count_hull_calls(monkeypatch)
-    report = coherence_report(tampered)
-    assert _witnesses(report) == witnesses
-    # a plain dict is not rank-canonical: one every-pair scan
-    assert len(calls) == report.meta["hull_instances"]
+    _refused(tampered)
+    assert _witnesses(coherence_oracle(tampered)) == witnesses
 
 
 @pytest.mark.parametrize("loaded", [False, True], ids=["replaced", "loaded"])
-def test_a_decomposition_changed_after_the_build_is_not_rank_canonical(
-        k2_depth2, monkeypatch, loaded):
+def test_a_decomposition_changed_after_the_build_is_not_rank_canonical(k2_depth2, loaded):
     scheme = k2_depth2.scheme
     top = scheme.top
     edited = {**scheme.decomposition, top: scheme.decomposition[top][:-1]}
@@ -909,27 +961,13 @@ def test_a_decomposition_changed_after_the_build_is_not_rank_canonical(
     family = replace(k2_depth2, scheme=changed)
     assert set(family.scheme.sets()) == set(scheme.sets())
     assert not family.rank_canonical
-    calls = _count_hull_calls(monkeypatch)
-    report = coherence_report(family)
-    assert len(calls) == report.meta["hull_instances"]
-    assert report.to_json() == analysis._scan(family, 0, every=True).to_json()
+    _refused(family)
+    assert coherence_oracle(family).to_json() == coherence_report(k2_depth2).to_json()
 
 
 def test_a_builder_fault_fails_the_first_set_scan_alone(monkeypatch):
-    # a built family cannot be edited in place, so only a faulty
-    # amalgamation makes a rank-canonical family that fails: here the top
-    # family is wrong from its build
-    build = norming._build
-
-    def faulty(scheme, rank0, amalgamate):
-        def wrong(F, maps, first_family):
-            fam = amalgamate(F, maps, first_family)
-            if F == scheme.top:
-                fam = (*fam[:4], replace(fam[4], vector=parse_vector("2:3")), *fam[5:])
-            return fam
-        return build(scheme, rank0, wrong)
-
-    monkeypatch.setattr(norming, "_build", faulty)
+    # here the top family is wrong from its build
+    _faulty_builds(monkeypatch, 2, 4, parse_vector("2:3"))
     family = build_K_family(build_scheme(validate_type(*TYPE_DEPTH2)), 2)
     assert family.rank_canonical
     assert family.functionals_for(family.scheme.top)[4].vector == parse_vector("2:3")
@@ -939,11 +977,28 @@ def test_a_builder_fault_fails_the_first_set_scan_alone(monkeypatch):
     assert len(calls) == _first_set_instances(family) == 57
     assert report.meta["hull_instances"] == 141
     # the first failing (piece, first set) pair; the every-pair scan, which
-    # checks rank0{2} inside the top set first, would name that pair
+    # checks rank0{2} inside the top set first, names that pair
     assert _witnesses(report) == {"hull_coherence": (
         False, {"E": "rank1{0,2}", "F": "rank2{0,1,2,3}", "functional": "unit/a2"})}
-    assert _witnesses(analysis._scan(family, 0, every=True)) == {"hull_coherence": (
+    assert _witnesses(coherence_oracle(family)) == {"hull_coherence": (
         False, {"E": "rank0{2}", "F": "rank2{0,1,2,3}", "functional": "unit/a2"})}
+
+
+def test_a_builder_fault_fails_restriction_on_the_first_set_scan(monkeypatch):
+    # the top family's functional at 1 is wrong from its build
+    _faulty_builds(monkeypatch, 2, 1, parse_vector("1:1/2,3:1/2"))
+    family = build_eps_family(build_scheme(validate_type(*TYPE_DEPTH2)), HALF)
+    assert family.rank_canonical
+    report = coherence_report(family)
+    assert (report.meta["restriction_instances"], report.meta["hull_instances"]) == (16, 40)
+    # the first failing (piece, first set) pair, and the every-pair scan's
+    assert _witnesses(report) == {
+        "restriction_coherence": (
+            False, {"E": "rank1{0,1}", "F": "rank2{0,1,2,3}", "alpha": 1}),
+        "hull_coherence": (True, None),
+    }
+    assert _witnesses(coherence_oracle(family))["restriction_coherence"] == (
+        False, {"E": "rank0{1}", "F": "rank2{0,1,2,3}", "alpha": 1})
 
 
 # ---------------------------------------------------------------------------

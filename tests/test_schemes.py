@@ -696,3 +696,10 @@ def test_delta_system_refuses_no_members_and_unequal_intersections():
 def test_find_capture_refuses_t_zero(scheme_depth2):
     with pytest.raises(ConfigInvalidError, match="^need 1 <= t <= 2, got 0$"):
         find_capture(scheme_depth2, [{1}, {2}], 0)
+
+
+@pytest.mark.parametrize("t", [True, 1.0], ids=["bool", "float"])
+def test_find_capture_refuses_a_t_that_is_not_an_int(scheme_depth2, t):
+    # True would be read as 1 and capture one member
+    with pytest.raises(ConfigInvalidError, match=f"^t must be an integer, got {t!r}$"):
+        find_capture(scheme_depth2, [{1}, {2}], t)

@@ -248,6 +248,14 @@ def test_constraint_and_solver_refuse_a_float_or_a_bool(value):
             call()
 
 
+@pytest.mark.parametrize("value", [0.0, False], ids=["float", "bool"])
+def test_solver_refuses_a_zero_float_or_bool_cell(value):
+    # a falsy cell is parsed before it is dropped as a zero, so it is refused
+    # as 0.1 and True are
+    with pytest.raises(ValueError, match=f"^refusing {type(value).__name__} input"):
+        simplex_solve([1, 1], [LinearConstraint((value, 1), LE, Fraction(1))])
+
+
 def _random_lp(rng):
     """A small LP with mixed relations, int and Fraction coefficients (int
     zeros among them, as `csw.hull` poses them) and either sense."""

@@ -155,8 +155,8 @@ def _private_imports(tree):
 
 
 def test_no_module_imports_a_private_name_of_another():
-    # what one csw module needs of another is public, as the rank-canonical
-    # query NormingFamily.rank_canonical is for analysis
+    # what one csw module needs of another is public, as
+    # NormingFamily.rank_canonical is for the coherence sweep's refusal
     found = [f"{source.name}:{line}: {name}"
              for source in sorted((ROOT / "src" / "csw").glob("*.py"))
              for line, name in _private_imports(ast.parse(source.read_text(encoding="utf-8")))]
