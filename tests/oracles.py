@@ -43,7 +43,7 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from csw.analysis import Claim, ExperimentReport, random_rational_vector
-from csw.hull import in_symmetric_hull
+from csw.hull import dual_norm, in_symmetric_hull
 from csw.norming import Functional, Origin
 from csw.schemes import position_map
 from csw.vectors import SparseVector, format_rational, pair
@@ -166,19 +166,22 @@ def well_definedness_oracle(family, samples=200, seed=0):
     return report
 
 
-def coherence_oracle(family):
+def coherence_oracle(family, lp_every=0):
     """The coherence report from every nested pair, assuming no axiom and no
     transport: each pair of `nested_pairs_oracle` looks up its E and F
     families, adds |H_F| hull instances and, on the alternating variant, one
     restriction instance per F-functional whose alpha lies in E, and checks
     every such instance, the hull one by `in_symmetric_hull`'s certificate
-    rebuilt with `verify_decomposition_oracle`.  The witnesses are the first
-    failures in pair order; no instance is cross-checked by LP."""
+    rebuilt with `verify_decomposition_oracle`.  With `lp_every` > 0, every
+    n-th hull instance, counted over all pairs, that passes with a direct
+    certificate is rebuilt again from the coefficients of `dual_norm`.  The
+    witnesses are the first failures in pair order."""
     eps = family.space_kind == "eps"
     restriction_bad = None
     restriction_count = 0
     hull_bad = None
     hull_count = 0
+    lp_checked = 0
     for E, F in nested_pairs_oracle(family.scheme):
         elems = E.element_set
         fam_E = family.functionals_for(E)
@@ -193,8 +196,12 @@ def coherence_oracle(family):
                 if restricted != by_alpha.get(a) and restriction_bad is None:
                     restriction_bad = {"E": str(E), "F": str(F), "alpha": a}
             cert = in_symmetric_hull(restricted, vectors_E)
-            if (not verify_decomposition_oracle(restricted, vectors_E, cert.coefficients)
-                    and hull_bad is None):
+            ok = verify_decomposition_oracle(restricted, vectors_E, cert.coefficients)
+            if ok and lp_every and hull_count % lp_every == 0 and cert.method == "direct":
+                _, coefficients = dual_norm(restricted, vectors_E)
+                lp_checked += 1
+                ok = verify_decomposition_oracle(restricted, vectors_E, coefficients)
+            if not ok and hull_bad is None:
                 hull_bad = {"E": str(E), "F": str(F), "functional": f.label()}
     report = ExperimentReport(meta={"kind": family.space_kind})
     if eps:
@@ -202,7 +209,7 @@ def coherence_oracle(family):
             "restriction_coherence", restriction_count, restriction_bad))
     report.claims.append(Claim.first_failure("hull_coherence", hull_count, hull_bad))
     report.meta.update({"restriction_instances": restriction_count,
-                        "hull_instances": hull_count, "lp_cross_checked": 0})
+                        "hull_instances": hull_count, "lp_cross_checked": lp_checked})
     return report
 
 

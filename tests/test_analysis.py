@@ -604,16 +604,16 @@ def test_coherence_reports_missing_restriction_as_failure(eps_half_depth2):
     assert not found["hull_coherence"][0]
 
 
-def test_coherence_reports_first_hull_failure(k2_depth2):
+@pytest.mark.parametrize("lp_every, lp_checked", [(0, 0), (1, 139), (3, 47)])
+def test_coherence_reports_first_hull_failure(k2_depth2, lp_every, lp_checked):
     top = k2_depth2.scheme.top
     family = _tampered(k2_depth2, top, 4, parse_vector("2:3"))
-    _refused(family)
-    _refused(family, lp_every=3)
-    report = coherence_oracle(family)
+    _refused(family, lp_every)
+    report = coherence_oracle(family, lp_every=lp_every)
     assert _witnesses(report) == {"hull_coherence": (
         False, {"E": "rank0{2}", "F": "rank2{0,1,2,3}", "functional": "unit/a2"})}
     assert report.meta == {"kind": "k", "restriction_instances": 0,
-                           "hull_instances": 141, "lp_cross_checked": 0}
+                           "hull_instances": 141, "lp_cross_checked": lp_checked}
 
 
 def test_well_definedness_reports_first_disagreement(k2_depth2):
