@@ -21,7 +21,7 @@ from .errors import (
     PatternOutOfRangeError,
     WrongSpaceKindError,
 )
-from .hull import dual_norm, in_symmetric_hull, polar_support
+from .hull import dual_norm, dual_norm_with_basis, in_symmetric_hull, polar_support
 from .kernels import norming_max, proportional_member, verify_decomposition
 from .norming import (
     EPS_FORM_OF_RULE,
@@ -180,6 +180,12 @@ def basis_constant(family: NormingFamily) -> BasisConstantResult:
 
     The attaining vector comes from the polar program of the winning cut, so
     |attaining| = 1 and |attaining restricted below d| equals the constant.
+
+    A cut whose gauge is certified to be at most the best so far cannot
+    pass the strict test, so its LP is skipped: when it is c·h for a member
+    h with |c| <= best, or when the optimal basis of an LP solved earlier
+    writes it as sum c_h·h with sum |c_h| <= best.  Every other cut is
+    solved as if no cut were skipped, so the result is the same.
     """
     top = family.scheme.top
     functionals = family.functionals_for(top)
@@ -189,6 +195,7 @@ def basis_constant(family: NormingFamily) -> BasisConstantResult:
     best_at = (0, "", {}, SparseVector())
     skipped = []
     seen = set()
+    decomposers = []  # one per LP solved, most recent last
     for cut in range(family.scheme.universe_size + 1):
         for g, label in zip(H, labels):
             cut_vec = g.restrict_below(cut)
@@ -198,11 +205,14 @@ def basis_constant(family: NormingFamily) -> BasisConstantResult:
             # a gauge at most `best` cannot pass the strict test below
             if cut_vec.is_zero() or proportional_member(cut_vec, H, best) is not None:
                 continue
+            if decomposers and _bounded_by_a_kept_basis(cut_vec, H, best, decomposers):
+                continue
             try:
-                value, coeffs = dual_norm(cut_vec, H)
+                value, coeffs, decompose = dual_norm_with_basis(cut_vec, H)
             except NotInSpanError as err:  # report the skip, do not abort
                 skipped.append({"cut": cut, "functional": label, "reason": str(err)})
                 continue
+            decomposers.append(decompose)
             if value > best:
                 best = value
                 best_at = (cut, label, coeffs, cut_vec)
@@ -221,6 +231,18 @@ def basis_constant(family: NormingFamily) -> BasisConstantResult:
     return BasisConstantResult(value=best, cut=cut, functional_label=label,
                                coefficients=coeffs, attaining=attaining,
                                skipped=skipped, report=report)
+
+
+def _bounded_by_a_kept_basis(cut_vec, H, best, decomposers):
+    """Whether a kept basis, most recent first, writes cut_vec over H with
+    mass at most `best` (> 0), checked exactly by `verify_decomposition`."""
+    scaled = cut_vec.scale(1 / best)
+    for decompose in reversed(decomposers):
+        coefficients = decompose(cut_vec)
+        if coefficients is not None and verify_decomposition(
+                scaled, H, {i: c / best for i, c in coefficients.items()}):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

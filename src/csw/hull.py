@@ -7,6 +7,9 @@ that body at g,
 
 is computed by an exact LP with the coefficients split into positive and
 negative parts.  Membership in conv(+-H) is the test dual_norm <= 1.
+Every gauge LP over one H poses the same rows, so `dual_norm_with_basis`
+also hands back the LP's optimal basis, which writes any other vector over
+H with no LP.
 
 `polar_support(g, H)` solves the dual program
 max { <y, g> : |<y, h>| <= 1 for all h in H }; by LP duality its value equals
@@ -66,9 +69,24 @@ def dual_norm(g: SparseVector, H):
     g is not a linear combination of H; the attached certificate is a vector
     y with <y, h> = 0 for every h in H but <y, g> > 0.
     """
+    return dual_norm_with_basis(g, H)[:2]
+
+
+def dual_norm_with_basis(g: SparseVector, H):
+    """`dual_norm(g, H)` and the optimal basis of its LP, as (value,
+    coefficients, decompose).
+
+    decompose(v) reads signed coefficients c with sum c_i H[i] == v off the
+    same basis, with no LP: every gauge LP over H poses the same rows and
+    only the right-hand side changes.  It returns None when no such c sits
+    on that basis, which holds for every v outside the span of H.  The mass
+    sum |c_i| bounds dual_norm(v, H) from above, and equals it when the
+    point read off is nonnegative.  decompose is None when no LP was
+    solved: g is zero.
+    """
     H = list(H)
     if g.is_zero():
-        return Fraction(0), {}
+        return Fraction(0), {}, None
     if not H:
         raise NotInSpanError("empty norming set cannot express a nonzero vector",
                              certificate=g)
@@ -89,8 +107,21 @@ def dual_norm(g: SparseVector, H):
     if sol.status != "optimal":
         raise NotInSpanError("vector lies outside the span of the norming set",
                              certificate=_on(positions, sol.certificate["farkas"]))
-    coeffs = {i: c for i, c in enumerate(_merge(sol.primal)) if c != 0}
-    return sol.objective, coeffs
+    basis = sol.basis
+
+    def decompose(v: SparseVector):
+        entries = v._entries
+        if not entries.keys() <= index.keys():  # no member is nonzero there
+            return None
+        point = basis.solve([entries.get(p, 0) for p in positions])
+        return None if point is None else _coefficients(point)
+
+    return sol.objective, _coefficients(sol.primal), decompose
+
+
+def _coefficients(columns):
+    """{member index: signed coefficient} of the nonzero (plus, minus) pairs."""
+    return {i: c for i, c in enumerate(_merge(columns)) if c != 0}
 
 
 @dataclass

@@ -19,7 +19,10 @@ entry; and an optimal point and its objective are read in one walk over the
 basis, every nonbasic variable being zero.
 
 Certificates:
-  optimal    -> the primal point itself (exact feasibility is checkable)
+  optimal    -> the primal point itself (exact feasibility is checkable),
+                and a read-only `LpBasis`, kept outside `certificate`,
+                that gives the basic solution of the same rows for another
+                right-hand side
   infeasible -> a Farkas vector y: combining the standardized rows by y
                 yields 0 <= (something positive)
   unbounded  -> a feasible ray along which the objective improves forever
@@ -65,6 +68,57 @@ class LpStats:
     max_bits: int           # largest integer bit length held in the tableau
 
 
+class LpBasis:
+    """The optimal basis of one solved LP, read-only, for other right-hand
+    sides of the same rows.
+
+    The artificial identity block of the final tableau holds B^-1 of the
+    system [S A | I], S the row signs chosen when the LP was posed, so the
+    basic solution for a right-hand side b is x_B = B^-1 (S b).  Only
+    references to the final tableau's integer rows are kept, and x_B is
+    summed in integers when `solve` asks for it.
+    """
+
+    __slots__ = ("_rows", "_basis", "_signs", "_art", "_n")
+
+    def __init__(self, tab, n):
+        self._rows, self._basis, self._signs = tab.rows, tab.basis, tab.signs
+        self._art, self._n = tab.ncols, n
+
+    def solve(self, rhs):
+        """The point whose nonbasic variables are zero and whose rows, with
+        their slacks, are met exactly at `rhs` (one rational per row), over
+        the LP's own variables; its entries may be negative.  None when a
+        basic artificial, the variable of a redundant row, would be nonzero:
+        no point meets the rows at `rhs`.
+        """
+        if len(rhs) != len(self._signs):
+            raise DimensionMismatchError(
+                f"right-hand side has {len(rhs)} entries, expected {len(self._signs)}")
+        values = [b if type(b) is int or isinstance(b, Fraction) else parse_rational(b)
+                  for b in rhs]
+        rhs = {self._art + i: sign * b
+               for i, (sign, b) in enumerate(zip(self._signs, values)) if b}
+        scale = 1
+        for v in rhs.values():
+            scale = lcm(scale, v.denominator)
+        rhs = {k: v.numerator * (scale // v.denominator) for k, v in rhs.items()}
+        point = [Fraction(0)] * self._n
+        for row, b in zip(self._rows, self._basis):
+            total = 0
+            for k, v in rhs.items():
+                a = row.get(k)
+                if a:
+                    total += a * v
+            if not total:
+                continue
+            if b >= self._art:
+                return None
+            if b < self._n:
+                point[b] = Fraction(total, row[b] * scale)
+        return point
+
+
 @dataclass
 class LpSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -72,6 +126,8 @@ class LpSolution:
     primal: list | None = None
     certificate: dict = field(default_factory=dict)
     stats: LpStats | None = None
+    # set when optimal; not part of the solution's value
+    basis: LpBasis | None = field(default=None, repr=False, compare=False)
 
 
 _DEN = -1  # key of the objective row's positive denominator
@@ -317,4 +373,5 @@ def simplex_solve(objective, constraints, sense="max") -> LpSolution:
         primal=primal,
         certificate={"primal": list(primal)},
         stats=stats,
+        basis=LpBasis(tab, n),
     )

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to cross-check the LP machinery
 and the integer kernels of `csw.kernels`.
 
-Everything here but `coherence_oracle` is deliberately simplex-free: plain
+Everything here but `coherence_oracle` and `basis_constant_oracle` is
+deliberately simplex-free: plain
 Gaussian elimination over Fractions plus exhaustive vertex enumeration.  The gauge of the
 symmetric hull conv(+-H) at g equals the support function of the polar
 polytope {y : |<h, y>| <= 1}, so enumerating the polar's vertices and
@@ -24,7 +25,10 @@ the every-pair coherence scan, which assumes no axiom and no transport: the
 reference for `coherence_report`, which checks only the (piece, first set)
 pairs of a rank-canonical family and refuses any other family; it takes its
 hull certificates from `csw.hull` and rebuilds each with
-`verify_decomposition_oracle`.  `mutate_scheme_json`
+`verify_decomposition_oracle`.  `basis_constant_oracle` is the every-cut
+basis-constant scan, one gauge LP per cut that no member multiple bounds:
+the reference for `basis_constant`, which also skips the cuts that the
+basis of an LP it solved earlier bounds.  `mutate_scheme_json`
 makes the scheme edits that the tests of that reliance draw from.
 `covering_sets_oracle` tests every scheme set for the positions it must
 hold, `nested_pairs_oracle` tests every pair of scheme sets, and
@@ -42,8 +46,10 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from csw.analysis import Claim, ExperimentReport, random_rational_vector
-from csw.hull import dual_norm, in_symmetric_hull
+from csw.analysis import BasisConstantResult, Claim, ExperimentReport, random_rational_vector
+from csw.errors import NotInSpanError
+from csw.hull import dual_norm, in_symmetric_hull, polar_support
+from csw.kernels import proportional_member
 from csw.norming import Functional, Origin
 from csw.schemes import position_map
 from csw.vectors import SparseVector, format_rational, pair
@@ -211,6 +217,51 @@ def coherence_oracle(family, lp_every=0):
     report.meta.update({"restriction_instances": restriction_count,
                         "hull_instances": hull_count, "lp_cross_checked": lp_checked})
     return report
+
+
+def basis_constant_oracle(family):
+    """The basis constant with a gauge LP for every distinct nonzero cut of
+    a top functional that is not a member multiple c·h with |c| at most the
+    best so far: the scan `csw.analysis.basis_constant` made before it
+    skipped the cuts an earlier LP's basis bounds.  Same result fields and
+    report as that function."""
+    functionals = family.functionals_for(family.scheme.top)
+    H = [f.vector for f in functionals]
+    best = Fraction(0)
+    best_at = (0, "", {}, SparseVector())
+    skipped = []
+    seen = set()
+    for cut in range(family.scheme.universe_size + 1):
+        for f in functionals:
+            cut_vec = f.vector.restrict_below(cut)
+            if cut_vec in seen:
+                continue
+            seen.add(cut_vec)
+            if cut_vec.is_zero() or proportional_member(cut_vec, H, best) is not None:
+                continue
+            try:
+                value, coeffs = dual_norm(cut_vec, H)
+            except NotInSpanError as err:
+                skipped.append({"cut": cut, "functional": f.label(), "reason": str(err)})
+                continue
+            if value > best:
+                best = value
+                best_at = (cut, f.label(), coeffs, cut_vec)
+    cut, label, coeffs, best_vec = best_at
+    attaining = polar_support(best_vec, H)[1] if best > 0 else SparseVector()
+    report = ExperimentReport(meta={
+        "constant": format_rational(best),
+        "cut": cut,
+        "functional": label,
+        "skipped": skipped,
+        "attaining_vector": attaining.to_json(),
+    })
+    report.claims.append(Claim.compare("prefix_constant_at_least_one",
+                                       best, ">=", Fraction(1)))
+    report.norms["constant"] = best
+    return BasisConstantResult(value=best, cut=cut, functional_label=label,
+                               coefficients=coeffs, attaining=attaining,
+                               skipped=skipped, report=report)
 
 
 def proportional_member_oracle(f, H, bound):

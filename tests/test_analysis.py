@@ -62,11 +62,13 @@ from csw.vectors import SparseVector, format_rational, parse_vector
 from conftest import TYPE_DEPTH1, TYPE_DEPTH2, TYPE_DEPTH3, TYPE_WIDE8
 from oracles import (
     SCHEME_EDITS,
+    basis_constant_oracle,
     coherence_oracle,
     covered_by_a_piece,
     lp_digest,
     mutate_scheme_json,
     nested_pairs_oracle,
+    random_fraction,
     transport_preimage_is_listed,
     well_definedness_oracle,
 )
@@ -172,13 +174,15 @@ def test_basis_constant_witness_is_pinned(request, fixture, value, cut, attainin
 
 @pytest.fixture(scope="module")
 def basis_constant_lps(request):
-    """name -> the LPs basis_constant poses on that family, as (rows,
-    columns, solution) in call order, seen through the name `csw.hull`
-    calls, which is the one perfbench's trace wraps; each family once."""
+    """(name, scan) -> the LPs `scan` (`basis_constant` or its oracle) poses
+    on that family, as (LP, rows, columns, solution) in call order, the LP
+    being its objective and constraints, seen through the name `csw.hull`
+    calls, which is the one perfbench's trace wraps; each family and scan
+    once."""
     recorded = {}
 
-    def lps(name):
-        if name not in recorded:
+    def lps(name, scan=basis_constant):
+        if (name, scan) not in recorded:
             family = (build_K_family(request.getfixturevalue("scheme_depth2"),
                                      Fraction(5, 2), scale_cap=2)
                       if name == "k52cap2_depth2" else request.getfixturevalue(name))
@@ -186,43 +190,77 @@ def basis_constant_lps(request):
 
             def solve(objective, constraints, sense="max"):
                 sol = simplex_solve(objective, constraints, sense)
-                calls.append((len(constraints), len(objective), sol))
+                calls.append(((tuple(objective), tuple(constraints), sense),
+                              len(constraints), len(objective), sol))
                 return sol
 
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(hull, "simplex_solve", solve)
-                basis_constant(family)
-            recorded[name] = calls
-        return recorded[name]
+                scan(family)
+            recorded[name, scan] = calls
+        return recorded[name, scan]
 
     return lps
 
 
+LP_FAMILIES = ["eps_half_depth3", "k52cap2_depth2", "k2_wide8", "k2_depth3"]
+
+
 @pytest.mark.parametrize("name, calls, cells", [
-    ("eps_half_depth3", 22, 4600),
-    ("k52cap2_depth2", 5, 1152),
+    ("eps_half_depth3", 3, 800),
+    ("k52cap2_depth2", 4, 960),
     ("k2_wide8", 3, 1536),
-    ("k2_depth3", 7, 7840),
+    ("k2_depth3", 4, 4900),
 ])
 def test_basis_constant_poses_every_lp_through_hull(basis_constant_lps, name, calls, cells):
     # perfbench's simplex.calls and simplex.cells count these calls and shapes
     lps = basis_constant_lps(name)
-    assert (len(lps), sum(rows * columns for rows, columns, _ in lps)) == (calls, cells)
+    assert (len(lps), sum(rows * columns for _, rows, columns, _ in lps)) == (calls, cells)
 
 
 @pytest.mark.parametrize("name, digest", [
     ("eps_half_depth3",
-     "38cbe1aa0fa0d2d96de0fe2655149e7aefc88b4731f3909124ba784d1751d851"),
+     "1cebd7a3eeef06566349e0a6c06a58de8b74a787ca288659f3042cbc2a1f50bb"),
     ("k52cap2_depth2",
-     "d032a2400e09f893fcc4a75c72aabb57637e1e2e921bc60eb7be2913bb3beb12"),
+     "fdeb6f488e2abbf81bb701ab953cd46aebca80855d02c870c1225890fc687ca6"),
     ("k2_wide8",
      "7605c14fac9c42b096630dd7f98c59cb2d93df09ee64e3dfa62ec99eaa52671a"),
     ("k2_depth3",
-     "56f540b36358be9a9db8632d1c15fb9e78593e6cefd2b5552f66fc4986523494"),
+     "17c5e8ad5864fb9dd17b9c83a65d82ffadaba5a5cb46b10e8eb750a7e66a4c69"),
 ])
 def test_basis_constant_lps_replay_the_recorded_solutions(basis_constant_lps, name, digest):
     # status, objective, point, certificate and stats of every LP as recorded
-    assert lp_digest(sol for _, _, sol in basis_constant_lps(name)) == digest
+    assert lp_digest(sol for *_, sol in basis_constant_lps(name)) == digest
+
+
+@pytest.mark.parametrize("name, calls, cells, digest", [
+    ("eps_half_depth3", 22, 4600,
+     "38cbe1aa0fa0d2d96de0fe2655149e7aefc88b4731f3909124ba784d1751d851"),
+    ("k52cap2_depth2", 5, 1152,
+     "d032a2400e09f893fcc4a75c72aabb57637e1e2e921bc60eb7be2913bb3beb12"),
+    ("k2_wide8", 3, 1536,
+     "7605c14fac9c42b096630dd7f98c59cb2d93df09ee64e3dfa62ec99eaa52671a"),
+    ("k2_depth3", 7, 7840,
+     "56f540b36358be9a9db8632d1c15fb9e78593e6cefd2b5552f66fc4986523494"),
+])
+def test_basis_constant_oracle_replays_the_every_cut_lps(basis_constant_lps, name, calls,
+                                                        cells, digest):
+    # the LPs basis_constant posed, as recorded, before it kept the bases of
+    # the LPs it solves
+    lps = basis_constant_lps(name, basis_constant_oracle)
+    assert (len(lps), sum(rows * columns for _, rows, columns, _ in lps)) == (calls, cells)
+    assert lp_digest(sol for *_, sol in lps) == digest
+
+
+@pytest.mark.parametrize("name", LP_FAMILIES)
+def test_basis_constant_only_drops_lps_of_the_every_cut_scan(basis_constant_lps, name):
+    # each LP posed is the oracle's LP for the same cut, in the same order,
+    # with the same solution: a kept basis skips LPs and changes none
+    def posed(scan):
+        return [(lp, lp_digest([sol])) for lp, *_, sol in basis_constant_lps(name, scan)]
+
+    every = iter(posed(basis_constant_oracle))
+    assert all(lp in every for lp in posed(basis_constant))
 
 
 def test_polar_support_witness_is_pinned():
@@ -239,6 +277,86 @@ def test_prefix_inequality_holds_on_random_vectors(k2_wide8):
         total = norm(x, k2_wide8)
         for cut in range(universe + 1):
             assert norm(x.restrict_below(cut), k2_wide8) <= constant * total
+
+
+# ---------------------------------------------------------------------------
+# basis constants against the every-cut scan, `basis_constant_oracle`
+
+def _matches_the_oracle(family):
+    """basis_constant(family), asserted equal to the every-cut scan's
+    result field by field and to its report byte for byte."""
+    result, oracle = basis_constant(family), basis_constant_oracle(family)
+    fields = ("value", "cut", "functional_label", "coefficients", "attaining", "skipped")
+    assert [getattr(result, f) for f in fields] == [getattr(oracle, f) for f in fields]
+    assert _json_text(result.report.to_json()) == _json_text(oracle.report.to_json())
+    return result
+
+
+@functools.cache
+def _family(spec, kind, parameter, cap=1):
+    scheme = build_scheme(validate_type(*([int(v) for v in part.split(",")]
+                                          for part in spec.split(";"))))
+    return (build_eps_family(scheme, parameter) if kind == "eps"
+            else build_K_family(scheme, parameter, scale_cap=cap))
+
+
+D2, D3, W8 = ("1,2,4;2,3;0,1", "1,2,4,10;2,3,4;0,1,2", "1,8;8;0")
+T17 = "1,2,5,17;2,4,4;0,1,1"  # the smallest type whose cap-1 constant exceeds K
+
+
+@pytest.mark.parametrize("family", [
+    *[pytest.param(("fixture", name), id=name)
+      for name in ("eps_half_depth3", "k2_wide8", "k2_depth3")],
+    pytest.param((D2, "k", Fraction(5, 2), 2), id="k52cap2_depth2"),
+    # the nine families of perfbench's lp-basis jobs
+    *[pytest.param((D3, "eps", eps), id=f"d3-eps-{eps}")
+      for eps in (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2))],
+    *[pytest.param((spec, "k", K, cap), id=f"{name}-K-{K}-cap{cap}")
+      for name, spec, cap in (("d2", D2, 2), ("w8", W8, 1))
+      for K in (Fraction(3, 2), Fraction(2), Fraction(5, 2))],
+])
+def test_basis_constant_matches_the_every_cut_scan(request, family):
+    _matches_the_oracle(request.getfixturevalue(family[1]) if family[0] == "fixture"
+                        else _family(*family))
+
+
+@pytest.mark.parametrize("cap, value, cut, label", [
+    (1, Fraction(5, 2), 10, "spread/exp1"),
+    (2, Fraction(2), 2, "spread/a0"),
+])
+def test_t17_constant_exceeds_K_at_cap_1_and_is_K_at_cap_2(cap, value, cut, label):
+    result = _matches_the_oracle(_family(T17, "k", Fraction(2), cap))
+    assert (result.value, result.cut, result.functional_label) == (value, cut, label)
+    assert result.skipped == []
+
+
+def test_basis_constant_matches_the_every_cut_scan_on_hand_made_top_families(
+        scheme_wide8, monkeypatch):
+    # members of random density on eight positions, some multiples of
+    # others: many families have cuts outside the span, many skip LPs
+    bounded = analysis._bounded_by_a_kept_basis
+    hits = []
+
+    def counted(*args):
+        hits.append(bounded(*args))
+        return hits[-1]
+
+    monkeypatch.setattr(analysis, "_bounded_by_a_kept_basis", counted)
+    rng = random.Random(59)
+    outside = skipping = 0
+    for _ in range(60):
+        density = rng.uniform(0.3, 0.9)
+        vectors = []
+        for _ in range(rng.randint(2, 10)):
+            if vectors and rng.random() < 0.2:
+                vectors.append(rng.choice(vectors).scale(random_fraction(rng, nonzero=True)))
+            else:
+                vectors.append(SparseVector((p, random_fraction(rng, 3, 2, nonzero=True))
+                                            for p in range(8) if rng.random() < density))
+        hits.clear()
+        outside += bool(_matches_the_oracle(_top_only(scheme_wide8, vectors)).skipped)
+        skipping += any(hits)
+    assert (outside, skipping) == (46, 15)
 
 
 # ---------------------------------------------------------------------------

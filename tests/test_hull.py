@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csw import hull
 from csw.errors import NotInSpanError
-from csw.hull import dual_norm, in_symmetric_hull, polar_support
+from csw.hull import dual_norm, dual_norm_with_basis, in_symmetric_hull, polar_support
 from csw.kernels import norming_max, proportional_member, verify_decomposition
+from csw.simplex import simplex_solve
 from csw.vectors import SparseVector, pair, parse_vector
 
 from oracles import (
     gauge_oracle,
+    matrix_rank,
     norming_max_oracle,
     proportional_member_oracle,
     random_fraction,
@@ -251,3 +254,77 @@ def test_dual_norm_and_polar_support_refuse_a_vector_outside_the_span():
             y = err.value.certificate
             assert isinstance(y, SparseVector)
             assert all(pair(y, h) == 0 for h in H) and pair(y, g) != 0
+
+
+def _with_its_lp(g, H):
+    """dual_norm_with_basis(g, H) and the one LpSolution behind it."""
+    solved = []
+
+    def solve(*args, **kwargs):
+        solved.append(simplex_solve(*args, **kwargs))
+        return solved[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hull, "simplex_solve", solve)
+        result = dual_norm_with_basis(g, H)
+    (sol,) = solved
+    return result, sol
+
+
+def _rebuilt(H, coefficients):
+    total = SparseVector()
+    for i, c in coefficients.items():
+        total = total + H[i].scale(c)
+    return total
+
+
+def test_a_kept_basis_decomposes_every_span_member():
+    rng = random.Random(37)
+    exact = 0
+    for trial in range(60):
+        dim = 1 + trial % 4
+        H = random_norming_set(rng, dim)
+        g = random_span_member(rng, H, dim)
+        if g.is_zero():
+            continue
+        (value, coefficients, decompose), sol = _with_its_lp(g, H)
+        assert (value, coefficients) == dual_norm(g, H)
+        positions = sorted({p for v in H + [g] for p in v.support})
+        # on its own LP's g: that LP's coefficients and primal point
+        assert decompose(g) == coefficients
+        assert sol.basis.solve([g[p] for p in positions]) == sol.primal
+        for other in (random_span_member(rng, H, dim), g.scale(random_fraction(rng, nonzero=True))):
+            found = decompose(other)
+            assert found is not None and _rebuilt(H, found) == other
+            mass = sum(abs(c) for c in found.values())
+            cold = dual_norm(other, H)[0]
+            assert mass >= cold
+            point = sol.basis.solve([other[p] for p in positions])
+            if all(x >= 0 for x in point):  # the basis stays feasible, so optimal
+                exact += 1
+                assert mass == sum(point) == cold
+    assert exact > 20
+
+
+def test_a_kept_basis_decomposes_nothing_outside_the_span():
+    rng = random.Random(41)
+    outside = 0
+    for trial in range(40):
+        dim = 2 + trial % 3
+        H = random_norming_set(rng, dim - 1, count=dim - 1)  # rank dim-1 in dim positions
+        H = [h + SparseVector.unit(dim - 1).scale(random_fraction(rng)) for h in H]
+        g = random_span_member(rng, H, dim)
+        if g.is_zero():
+            continue
+        decompose = dual_norm_with_basis(g, H)[2]
+        v = SparseVector((p, random_fraction(rng)) for p in range(dim))
+        rows = [[h[p] for p in range(dim)] for h in H]
+        if matrix_rank(rows + [[v[p] for p in range(dim)]]) > matrix_rank(rows):
+            outside += 1
+            assert decompose(v) is None
+        assert decompose(v + SparseVector.unit(dim)) is None  # no member reaches dim
+    assert outside > 20
+
+
+def test_no_lp_no_basis():
+    assert dual_norm_with_basis(SparseVector(), [E0]) == (0, {}, None)

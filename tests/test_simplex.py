@@ -279,3 +279,46 @@ def test_random_lps_replay_the_recorded_solutions():
         "optimal": 63, "infeasible": 99, "unbounded": 38}
     assert lp_digest(solutions) == (
         "9ee79181f6b9130536a16e7e06b39d631dff4941e67b695a18a8cafe2db0b4ca")
+
+
+def test_a_kept_basis_returns_its_own_primal_and_meets_equalities_elsewhere():
+    # the 63 optimal LPs of the recorded set: the basis read at the LP's own
+    # right-hand side is its point, and at another one meets every equality
+    rng, other = random.Random(31), random.Random(32)
+    moved = 0
+    for objective, cons, sense in (_random_lp(rng) for _ in range(200)):
+        sol = simplex_solve(objective, cons, sense)
+        if sol.status != "optimal":
+            assert sol.basis is None
+            continue
+        assert sol.basis.solve([con.rhs for con in cons]) == sol.primal
+        rhs = [random_fraction(other, max_den=6) for _ in cons]
+        point = sol.basis.solve(rhs)
+        if point is not None:
+            moved += 1
+            for con, b in zip(cons, rhs):
+                if con.relation == EQ:
+                    assert sum(c * v for c, v in zip(con.coeffs, point)) == b
+    assert moved > 0
+
+
+def test_a_kept_basis_refuses_a_right_hand_side_a_redundant_row_breaks():
+    # the second row is twice the first, so its artificial stays basic
+    cons = [constraint([1, 1], "==", 1), constraint([2, 2], "==", 2)]
+    sol = simplex_solve([1, 2], cons, sense="min")
+    assert sol.primal == [1, 0]
+    assert sol.basis.solve([3, 6]) == [3, 0]
+    assert sol.basis.solve([Fraction(1, 2), "1"]) == [Fraction(1, 2), 0]
+    assert sol.basis.solve([1, 3]) is None
+    with pytest.raises(DimensionMismatchError):
+        sol.basis.solve([1])
+    with pytest.raises(ValueError):
+        sol.basis.solve([0.0, 1])
+
+
+def test_a_kept_basis_is_not_part_of_the_solution_value():
+    cons = [constraint([1, 1], "<=", 2)]
+    sol = simplex_solve([1, 0], cons)
+    again = simplex_solve([1, 0], cons)
+    assert sol == again and sol.basis is not again.basis
+    assert "basis" not in repr(sol)
