@@ -291,14 +291,16 @@ def coherence_report(family: NormingFamily, lp_every=0) -> ExperimentReport:
     other set is a transport.  A rank-canonical family's scheme is equal to
     the one its build checked, so the lemma holds on it.
 
-    The scan walks `Scheme.nested_pairs()` in order and checks only those
-    pairs, each instance by the reconstruction of its hull certificate, so
-    it looks up the families of those pairs alone.  The witnesses name the
-    first failing pair among them, which only a builder fault can make.
-    The instance counts are those of every nested pair, read from the
-    scheme: (E, F) has |H_F| = |H_F0| hull instances and, on the
-    alternating variant, whose families hold one functional per position
-    of their set, |E| restriction instances.
+    The scan reads the first set F0 of each rank k >= 1 alone: it checks
+    F0's pieces in level order, each instance by the reconstruction of its
+    hull certificate, and looks up the families of those pairs alone.  The
+    witnesses name the first failing pair, which only a builder fault can
+    make.  The instance counts are those of every nested pair, added once
+    per rank: with `below` the sets strictly inside F0, each of the
+    |levels[k]| rank-k sets F has |below| sets inside it (the transport
+    carries F0's tree onto F's), and (E, F) has |H_F| = |H_F0| hull
+    instances and, on the alternating variant, whose families hold one
+    functional per position of their set, |E| restriction instances.
     """
     if _integer("lp_every", lp_every) < 0:
         raise ConfigInvalidError(f"lp_every must be >= 0, got {lp_every}")
@@ -306,9 +308,6 @@ def coherence_report(family: NormingFamily, lp_every=0) -> ExperimentReport:
         raise ConfigInvalidError("coherence_report needs a rank-canonical family: its "
                                  "scan checks only the pieces of each rank's first set")
     scheme = family.scheme
-    firsts = [level[0] for level in scheme.levels]
-    pieces = {F: set(scheme.decomposition[F]) for F in firsts[1:]}
-    sizes = [len(family.functionals_for(F)) for F in firsts]
     eps = family.space_kind == EPS_KIND
     restriction_bad = None
     restriction_count = 0
@@ -316,12 +315,15 @@ def coherence_report(family: NormingFamily, lp_every=0) -> ExperimentReport:
     hull_count = 0
     checked = 0
     lp_checked = 0
-    for E, F in scheme.nested_pairs():
-        hull_count += sizes[F.rank]
+    checks = []  # the (piece, first set) pairs, in scan order
+    for lower, level in zip(scheme.levels, scheme.levels[1:]):
+        F = level[0]
+        below = [E for E in scheme.sets() if E.element_set < F.element_set]
+        hull_count += len(level) * len(below) * len(family.functionals_for(F))
         if eps:
-            restriction_count += len(E.elements)
-        if E not in pieces.get(F, ()):
-            continue
+            restriction_count += len(level) * sum(len(E.elements) for E in below)
+        checks += [(E, F) for E in lower if E in scheme.decomposition[F]]
+    for E, F in checks:
         elems = E.element_set
         fam_E = family.functionals_for(E)
         vectors_E = [g.vector for g in fam_E]

@@ -195,16 +195,6 @@ class Scheme:
         """Every set covering `positions`, by rank then in level order."""
         return list(self._covering(positions))
 
-    def nested_pairs(self):
-        """Every (E, F) of sets with E a proper subset of F, by F then E in scan order: no axiom used."""
-        sets = self._index[0]
-        inside = [[] for _ in sets]  # inside[j]: the sets inside sets[j], in scan order
-        for E in sets:
-            for j in self._holding(E.element_set):
-                if E.element_set < sets[j].element_set:
-                    inside[j].append(E)
-        return [(E, F) for F, below in zip(sets, inside) for E in below]
-
     @cached_property
     def _index(self):
         """(the sets in scan order, position -> scan indices of the sets holding it)."""

@@ -59,14 +59,12 @@ from csw.schemes import (
 from csw.simplex import simplex_solve
 from csw.vectors import SparseVector, format_rational, parse_vector
 
-from conftest import TYPE_DEPTH1, TYPE_DEPTH2, TYPE_DEPTH3, TYPE_WIDE8
+from conftest import TYPE_DEPTH2
 from oracles import (
-    SCHEME_EDITS,
     basis_constant_oracle,
     coherence_oracle,
     covered_by_a_piece,
     lp_digest,
-    mutate_scheme_json,
     nested_pairs_oracle,
     random_fraction,
     transport_preimage_is_listed,
@@ -785,7 +783,7 @@ def _first_set_instances(family):
 
 
 def _uncovered_pairs(scheme):
-    return [(E, F) for E, F in scheme.nested_pairs()
+    return [(E, F) for E, F in nested_pairs_oracle(scheme)
             if not covered_by_a_piece(scheme, E, F)]
 
 
@@ -918,11 +916,15 @@ SMALL_TYPES = [([1, 2], [2], [0]), ([1, 2, 4], [2, 3], [0, 1]),
                ([1, 2, 4, 10], [2, 3, 4], [0, 1, 2]), ([1, 8], [8], [0])]
 
 
+def _built_family(triple, kind, param, cap):
+    scheme = build_scheme(validate_type(*triple))
+    return (build_eps_family(scheme, param) if kind == "eps"
+            else build_K_family(scheme, param, scale_cap=cap))
+
+
 @functools.cache
 def _small_family(index, kind, param, cap, loaded):
-    scheme = build_scheme(validate_type(*SMALL_TYPES[index]))
-    family = (build_eps_family(scheme, param) if kind == "eps"
-              else build_K_family(scheme, param, scale_cap=cap))
+    family = _built_family(SMALL_TYPES[index], kind, param, cap)
     return family_loads(family_dumps(family)) if loaded else family
 
 
@@ -941,6 +943,29 @@ def test_first_set_scan_matches_full_scan_on_built_families(index, kind_param, c
     assert report.passed
     assert len(calls) == _first_set_instances(family)
     assert _json_text(report.to_json()) == _json_text(coherence_oracle(family).to_json())
+
+
+SHARED_ROOT_TYPES = {
+    "t17": ([1, 2, 5, 17], [2, 4, 4], [0, 1, 1]),
+    "1,3,7": ([1, 3, 7], [3, 3], [0, 1]),
+    "u23": ([1, 2, 4, 7, 23], [2, 3, 4, 5], [0, 1, 3, 3]),
+}
+
+
+@pytest.mark.parametrize("kind, param, cap", [("eps", HALF, 0), ("k", Fraction(2), 1),
+                                              ("k", Fraction(2), 2)],
+                         ids=["eps1/2", "K2cap1", "K2cap2"])
+@pytest.mark.parametrize("triple", SHARED_ROOT_TYPES.values(), ids=SHARED_ROOT_TYPES)
+def test_first_set_scan_matches_full_scan_where_pieces_share_roots(triple, kind, param, cap):
+    # pieces share their parent's nonempty root, so a set can lie in two
+    # pieces of a first set; built and loaded, the report counts each set
+    # inside once, as the every-pair scan does
+    built = _built_family(triple, kind, param, cap)
+    for family in (built, family_loads(family_dumps(built))):
+        assert family.rank_canonical
+        report = coherence_report(family)
+        assert report.passed
+        assert _json_text(report.to_json()) == _json_text(coherence_oracle(family).to_json())
 
 
 @pytest.mark.parametrize("name, moved", [("eps_half_depth3", 6), ("eps_half_depth5", 15)])
@@ -1117,49 +1142,6 @@ def test_a_builder_fault_fails_restriction_on_the_first_set_scan(monkeypatch):
     }
     assert _witnesses(coherence_oracle(family))["restriction_coherence"] == (
         False, {"E": "rank0{1}", "F": "rank2{0,1,2,3}", "alpha": 1})
-
-
-# ---------------------------------------------------------------------------
-# nested pairs by largest element, against the walk over every pair of sets
-
-NESTED_TYPES = [TYPE_DEPTH1, TYPE_DEPTH2, TYPE_DEPTH3, TYPE_WIDE8, ([1, 3, 7], [3, 3], [0, 1])]
-
-
-@pytest.mark.parametrize("triple", NESTED_TYPES, ids=["d1", "d2", "d3", "w8", "1,3,7"])
-def test_nested_pairs_match_their_oracle_on_built_schemes(triple):
-    scheme = build_scheme(validate_type(*triple))
-    assert scheme.nested_pairs() == nested_pairs_oracle(scheme)
-
-
-@pytest.mark.parametrize("edit", SCHEME_EDITS)
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_nested_pairs_match_their_oracle_on_edited_schemes(edit, data):
-    payload = scheme_to_json(build_scheme(validate_type(*data.draw(st.sampled_from(NESTED_TYPES)))))
-    mutate_scheme_json(data, payload, edit)
-    for _ in range(data.draw(st.integers(0, 2))):
-        mutate_scheme_json(data, payload)
-    scheme = scheme_from_json(payload)
-    assert scheme.nested_pairs() == nested_pairs_oracle(scheme)
-
-
-@pytest.mark.parametrize("edit", [
-    # -1 made the last element: the largest element of rank1{0,-1} is 0
-    lambda levels: levels[1][1].__setitem__(1, -1),
-    # ... and of the top set, which no longer holds 3
-    lambda levels: levels[2][0].__setitem__(3, -1),
-    # scheme_from_json accepts a set with no elements, twice: each is a
-    # proper subset of every set with elements, and not of the other
-    lambda levels: levels[0].extend([[], []]),
-], ids=["minus-one-in-a-piece", "minus-one-in-the-top", "empty-sets"])
-def test_nested_pairs_match_their_oracle_on_odd_elements(edit):
-    payload = scheme_to_json(build_scheme(validate_type(*TYPE_DEPTH2)))
-    edit(payload["levels"])
-    scheme = scheme_from_json(payload)
-    pairs = scheme.nested_pairs()
-    assert pairs == nested_pairs_oracle(scheme)
-    if not scheme.levels[0][-1].elements:
-        assert sum(not E.elements for E, _ in pairs) == 2 * (len(list(scheme.sets())) - 2)
 
 
 # ---------------------------------------------------------------------------

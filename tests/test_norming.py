@@ -46,6 +46,7 @@ from oracles import (
     k_family_vectors,
     k_scaled_cut_origins,
     mutate_scheme_json,
+    nested_pairs_oracle,
     norming_max_oracle,
     transport_is_exact,
     transported,
@@ -188,7 +189,7 @@ def test_biorthogonality_bound_and_attainment(eps_half_depth3):
 
 
 def test_restriction_coherence_exhaustive(scheme_depth3, eps_half_depth3):
-    for E, F in scheme_depth3.nested_pairs():
+    for E, F in nested_pairs_oracle(scheme_depth3):
         elems = set(E.elements)
         outer = {f.origin.alpha: f.vector
                  for f in eps_half_depth3.functionals_for(F)}

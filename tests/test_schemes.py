@@ -1,9 +1,11 @@
 import dataclasses
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from csw.analysis import coherence_report
 from csw.errors import (
     ArityMismatchError,
     ConfigInvalidError,
@@ -458,7 +460,7 @@ def _lemma_pairs(scheme):
     assert check_axioms(scheme).passed
     firsts = {level[0] for level in scheme.levels}
     pairs = moved = 0
-    for E, F in scheme.nested_pairs():
+    for E, F in nested_pairs_oracle(scheme):
         assert in_decomposition_tree(scheme, E, F), (E, F)
         pairs += 1
         if F not in firsts:
@@ -516,7 +518,7 @@ def _first_set_pairs_no_piece_covers(scheme):
     covering test leaves unchecked, and the (piece, first set) pairs: the
     coherence scan's closed form says they are the same."""
     firsts = {level[0] for level in scheme.levels[1:]}
-    uncovered = {(E, F) for E, F in scheme.nested_pairs()
+    uncovered = {(E, F) for E, F in nested_pairs_oracle(scheme)
                  if F in firsts and not covered_by_a_piece(scheme, E, F)}
     return uncovered, {(P, F) for F in firsts for P in scheme.decomposition[F]}
 
@@ -600,15 +602,12 @@ def test_a_replaced_copy_answers_from_its_own_levels(rank):
     queries = [(), (0,), (3,), (2, 3), (0, 1, 4), (9,), (10,)]
     for positions in queries:  # index the scheme before the copy is made
         _covering_matches_its_oracle(scheme, positions)
-    pairs = scheme.nested_pairs()
     levels = [level[::-1] if k == rank else level for k, level in enumerate(scheme.levels)]
     copy = dataclasses.replace(scheme, levels=levels)
     for positions in queries:
         _covering_matches_its_oracle(copy, positions)
         _covering_matches_its_oracle(scheme, positions)
     assert copy.minimal_containing(()) is levels[0][0]
-    assert copy.nested_pairs() == nested_pairs_oracle(copy) != pairs
-    assert scheme.nested_pairs() == pairs
 
 
 class _CountedElements(set):
@@ -636,19 +635,27 @@ def _count_subset_tests(scheme, query):
     return result, _CountedElements.tests
 
 
-@pytest.mark.parametrize("triple, tests", [(TYPE_DEPTH4, 682), (TYPE_DEPTH5, 4790)],
-                         ids=["d4", "d5"])
-def test_lookups_test_only_the_sets_holding_the_largest_position(triple, tests):
+@pytest.mark.parametrize("triple", [TYPE_DEPTH4, TYPE_DEPTH5], ids=["d4", "d5"])
+def test_lookups_test_only_the_sets_holding_the_largest_position(triple):
     scheme = build_scheme(validate_type(*triple))
     sets = list(scheme.sets())
     holding = {p: sum(p in s.elements for s in sets) for p in range(scheme.universe_size)}
-    pairs, made = _count_subset_tests(scheme, scheme.nested_pairs)
-    assert made == sum(holding[max(E.elements)] for E in sets) == tests
-    assert pairs == nested_pairs_oracle(scheme)
     for positions in [(0,), (0, 1), (1, 5, 9), (0, scheme.universe_size - 1)]:
         covering, made = _count_subset_tests(scheme, lambda: scheme.containing_sets(positions))
         assert made == holding[max(positions)]
         assert covering == covering_sets_oracle(scheme, positions)
+
+
+@pytest.mark.parametrize("triple, tests", [(TYPE_DEPTH4, 468), (TYPE_DEPTH5, 3490)],
+                         ids=["d4", "d5"])
+def test_coherence_tests_each_set_once_per_rank(triple, tests):
+    # the report lists the sets inside each rank's first set, one subset
+    # test per set and rank, and lists no pair of sets
+    scheme = build_scheme(validate_type(*triple))
+    family = build_eps_family(scheme, Fraction(1, 2))
+    report, made = _count_subset_tests(scheme, lambda: coherence_report(family))
+    assert report.passed
+    assert made == scheme.depth * len(list(scheme.sets())) == tests
 
 
 def test_in_universe_checks_both_edges(scheme_depth3):
