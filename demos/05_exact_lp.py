@@ -4,6 +4,8 @@ support points, and certificates for every outcome.
 The dual norm of g over a finite set H is the least total coefficient mass
 writing g as a signed combination of H; it is the gauge of conv(+-H).  Its
 LP dual maximizes <y, g> over the polar body, and both sides agree exactly.
+The LP's optimal basis also writes any other vector over the same H, with
+no second LP.
 """
 
 from fractions import Fraction
@@ -20,11 +22,12 @@ from csw.errors import NotInSpanError
 
 e0, e1 = SparseVector.unit(0), SparseVector.unit(1)
 
-value, coeffs = dual_norm(e0 + e1, [e0, e1])
+value, coeffs, _ = dual_norm(e0 + e1, [e0, e1])
 print("dual_norm(e0+e1 | {e0, e1}) =", value, "via", coeffs)
 
-value, coeffs = dual_norm(e1, [e0 + e1, e0])
+value, coeffs, decompose = dual_norm(e1, [e0 + e1, e0])
 print("dual_norm(e1 | {e0+e1, e0}) =", value, "via", coeffs)
+print("e0+2e1 read off the same basis:", decompose(e0 + e1.scale(2)))
 
 support_value, point = polar_support(e1, [e0 + e1, e0])
 print("polar support value:", support_value, "attained at", point)

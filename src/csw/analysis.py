@@ -21,7 +21,7 @@ from .errors import (
     PatternOutOfRangeError,
     WrongSpaceKindError,
 )
-from .hull import dual_norm, dual_norm_with_basis, in_symmetric_hull, polar_support
+from .hull import dual_norm, in_symmetric_hull, polar_support
 from .kernels import norming_max, proportional_member, verify_decomposition
 from .norming import (
     EPS_FORM_OF_RULE,
@@ -183,9 +183,10 @@ def basis_constant(family: NormingFamily) -> BasisConstantResult:
 
     A cut whose gauge is certified to be at most the best so far cannot
     pass the strict test, so its LP is skipped: when it is c·h for a member
-    h with |c| <= best, or when the optimal basis of an LP solved earlier
-    writes it as sum c_h·h with sum |c_h| <= best.  Every other cut is
-    solved as if no cut were skipped, so the result is the same.
+    h with |c| <= best, or when the optimal basis of an LP solved earlier,
+    most recent first, writes it as sum c_h·h with sum |c_h| <= best, which
+    `verify_decomposition` checks exactly at the bound best.  Every other
+    cut is solved as if no cut were skipped, so the result is the same.
     """
     top = family.scheme.top
     functionals = family.functionals_for(top)
@@ -205,10 +206,11 @@ def basis_constant(family: NormingFamily) -> BasisConstantResult:
             # a gauge at most `best` cannot pass the strict test below
             if cut_vec.is_zero() or proportional_member(cut_vec, H, best) is not None:
                 continue
-            if decomposers and _bounded_by_a_kept_basis(cut_vec, H, best, decomposers):
+            if any(verify_decomposition(cut_vec, H, decompose(cut_vec), best)
+                   for decompose in reversed(decomposers)):
                 continue
             try:
-                value, coeffs, decompose = dual_norm_with_basis(cut_vec, H)
+                value, coeffs, decompose = dual_norm(cut_vec, H)
             except NotInSpanError as err:  # report the skip, do not abort
                 skipped.append({"cut": cut, "functional": label, "reason": str(err)})
                 continue
@@ -231,18 +233,6 @@ def basis_constant(family: NormingFamily) -> BasisConstantResult:
     return BasisConstantResult(value=best, cut=cut, functional_label=label,
                                coefficients=coeffs, attaining=attaining,
                                skipped=skipped, report=report)
-
-
-def _bounded_by_a_kept_basis(cut_vec, H, best, decomposers):
-    """Whether a kept basis, most recent first, writes cut_vec over H with
-    mass at most `best` (> 0), checked exactly by `verify_decomposition`."""
-    scaled = cut_vec.scale(1 / best)
-    for decompose in reversed(decomposers):
-        coefficients = decompose(cut_vec)
-        if coefficients is not None and verify_decomposition(
-                scaled, H, {i: c / best for i, c in coefficients.items()}):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +325,13 @@ def coherence_report(family: NormingFamily, lp_every=0) -> ExperimentReport:
             if eps and a in elems and restricted != by_alpha.get(a) and restriction_bad is None:
                 restriction_bad = {"E": str(E), "F": str(F), "alpha": a}
             cert = in_symmetric_hull(restricted, vectors_E)
-            ok = verify_decomposition(restricted, vectors_E, cert.coefficients)
+            ok = verify_decomposition(restricted, vectors_E, cert.coefficients, 1)
             if ok and lp_every and checked % lp_every == 0 and cert.method == "direct":
                 # a direct certificate's vector is zero or a multiple of a
                 # member, so the LP is optimal and cannot raise
-                _, coefficients = dual_norm(restricted, vectors_E)
+                _, coefficients, _ = dual_norm(restricted, vectors_E)
                 lp_checked += 1
-                ok = verify_decomposition(restricted, vectors_E, coefficients)
+                ok = verify_decomposition(restricted, vectors_E, coefficients, 1)
             if not ok and hull_bad is None:
                 hull_bad = {"E": str(E), "F": str(F), "functional": f.label()}
     report = ExperimentReport(meta={"kind": family.space_kind})

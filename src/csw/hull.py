@@ -7,8 +7,8 @@ that body at g,
 
 is computed by an exact LP with the coefficients split into positive and
 negative parts.  Membership in conv(+-H) is the test dual_norm <= 1.
-Every gauge LP over one H poses the same rows, so `dual_norm_with_basis`
-also hands back the LP's optimal basis, which writes any other vector over
+Every gauge LP over one H poses the same rows, so `dual_norm` also hands
+back a reader of the LP's optimal basis, which writes any other vector over
 H with no LP.
 
 `polar_support(g, H)` solves the dual program
@@ -62,27 +62,19 @@ def _on(positions, values):
 
 
 def dual_norm(g: SparseVector, H):
-    """Minimal total coefficient mass expressing g over H.
-
-    Returns (value, coefficients) where coefficients maps the index of each
-    used functional to its (signed) coefficient.  Raises NotInSpanError when
-    g is not a linear combination of H; the attached certificate is a vector
-    y with <y, h> = 0 for every h in H but <y, g> > 0.
-    """
-    return dual_norm_with_basis(g, H)[:2]
-
-
-def dual_norm_with_basis(g: SparseVector, H):
-    """`dual_norm(g, H)` and the optimal basis of its LP, as (value,
-    coefficients, decompose).
+    """Minimal total coefficient mass expressing g over H, as (value,
+    coefficients, decompose).  coefficients maps the index of each used
+    functional to its (signed) coefficient.  Raises NotInSpanError when g is
+    not a linear combination of H; the attached certificate is a vector y
+    with <y, h> = 0 for every h in H but <y, g> > 0.
 
     decompose(v) reads signed coefficients c with sum c_i H[i] == v off the
-    same basis, with no LP: every gauge LP over H poses the same rows and
-    only the right-hand side changes.  It returns None when no such c sits
-    on that basis, which holds for every v outside the span of H.  The mass
-    sum |c_i| bounds dual_norm(v, H) from above, and equals it when the
-    point read off is nonnegative.  decompose is None when no LP was
-    solved: g is zero.
+    LP's optimal basis, with no LP: every gauge LP over H poses the same
+    rows and only the right-hand side changes.  It returns None when no
+    such c sits on that basis, which holds for every v outside the span of
+    H.  The mass sum |c_i| bounds dual_norm(v, H) from above, and equals it
+    when the point read off is nonnegative.  decompose is None when no LP
+    was solved: g is zero.
     """
     H = list(H)
     if g.is_zero():
@@ -147,7 +139,7 @@ def in_symmetric_hull(f: SparseVector, H) -> HullCertificate:
         i, ratio = found
         return HullCertificate(True, abs(ratio), {i: ratio}, method="direct")
     try:
-        value, coeffs = dual_norm(f, H)
+        value, coeffs, _ = dual_norm(f, H)
     except NotInSpanError as err:
         return HullCertificate(False, None, None,
                                outside_witness=err.certificate, method="lp")

@@ -3,8 +3,9 @@ family and evaluating a norm never load the solver.
 
 `norming_max` evaluates a norm; `proportional_member` is the direct path of
 hull membership and the basis constant; `verify_decomposition` checks a
-hull certificate.  Each computes in scaled integers and returns what its
-`Fraction` definition returns.
+decomposition against a mass bound, 1 for a hull certificate.  Each
+computes in scaled integers and returns what its `Fraction` definition
+returns.
 """
 
 from __future__ import annotations
@@ -85,17 +86,18 @@ def proportional_member(f: SparseVector, H, bound):
     return None
 
 
-def verify_decomposition(f: SparseVector, H, coefficients) -> bool:
-    """Exact check that sum c_i H[i] == f and sum |c_i| <= 1; False if None.
+def verify_decomposition(f: SparseVector, H, coefficients, bound) -> bool:
+    """Exact check: sum c_i H[i] == f and sum |c_i| <= bound; False for None.
 
     Integers throughout: the coefficients are brought to one denominator C,
-    their lcm, as a_i = c_i C, so the mass test is sum |a_i| <= C.  V is the
-    lcm of the denominators of the used members' values, grown only when a
-    new one appears, so v V is an int for every member value v.  One pass
-    sums a_i (v V) per position in a dict, the int C V (sum c_i H[i])[p].
-    The check holds when the nonzero totals are as many as f's entries and
-    each entry f[p] = n/d has n C V == d total[p].  No Fraction and no
-    vector is built, so the result equals the Fraction sum's comparison.
+    their lcm, as a_i = c_i C, so for bound = p/q the mass test is
+    q sum |a_i| <= p C.  V is the lcm of the denominators of the used
+    members' values, grown only when a new one appears, so v V is an int
+    for every member value v.  One pass sums a_i (v V) per position in a
+    dict, the int C V (sum c_i H[i])[p].  The check holds when the nonzero
+    totals are as many as f's entries and each entry f[p] = n/d has
+    n C V == d total[p].  No Fraction and no vector is built, so the result
+    equals the Fraction sum's comparison.
     """
     if coefficients is None:
         return False
@@ -112,7 +114,7 @@ def verify_decomposition(f: SparseVector, H, coefficients) -> bool:
             b = v.denominator
             if V % b:
                 V *= b // gcd(V, b)
-    if mass > C:
+    if bound.denominator * mass > bound.numerator * C:
         return False
     total = {}
     for values, a in terms:

@@ -275,7 +275,18 @@ def _build(scheme, rank0, amalgamate) -> Mapping:
     ConfigInvalidError naming the first failing axiom: `rank0(set)` or
     `amalgamate(F, piece maps, first piece's family)` builds the first set of
     each rank, and every other set of that rank gets the transport of its
-    family, made when first read."""
+    family, made when first read.
+
+    Type-prefix lemma: on a scheme from `build_scheme`, the first set of
+    rank k and its family, origins included, depend only on the type's
+    prefix (m_0 ... m_k, n_1 ... n_k, r_1 ... r_k) and the builder's
+    parameters.  Proof: `build_scheme` cuts a rank-j set into n_j pieces,
+    each its first r_j elements and a consecutive block of m_{j-1} - r_j.
+    So the first piece of [0, m_j) is [0, m_{j-1}), the least set of its
+    level: the first set of rank k is [0, m_k), with a tree made from the
+    prefix alone.  Here its family is rank0 of it (k = 0) or `amalgamate`
+    of it, its piece maps and the family of its first piece, the first set
+    of rank k - 1, which is the same value by induction on k."""
     failures = check_axioms(scheme).failures()
     if failures:
         raise ConfigInvalidError(f"the scheme fails its axioms, first {failures[0].name}: "

@@ -202,11 +202,11 @@ def coherence_oracle(family, lp_every=0):
                 if restricted != by_alpha.get(a) and restriction_bad is None:
                     restriction_bad = {"E": str(E), "F": str(F), "alpha": a}
             cert = in_symmetric_hull(restricted, vectors_E)
-            ok = verify_decomposition_oracle(restricted, vectors_E, cert.coefficients)
+            ok = verify_decomposition_oracle(restricted, vectors_E, cert.coefficients, 1)
             if ok and lp_every and hull_count % lp_every == 0 and cert.method == "direct":
-                _, coefficients = dual_norm(restricted, vectors_E)
+                _, coefficients, _ = dual_norm(restricted, vectors_E)
                 lp_checked += 1
-                ok = verify_decomposition_oracle(restricted, vectors_E, coefficients)
+                ok = verify_decomposition_oracle(restricted, vectors_E, coefficients, 1)
             if not ok and hull_bad is None:
                 hull_bad = {"E": str(E), "F": str(F), "functional": f.label()}
     report = ExperimentReport(meta={"kind": family.space_kind})
@@ -240,7 +240,7 @@ def basis_constant_oracle(family):
             if cut_vec.is_zero() or proportional_member(cut_vec, H, best) is not None:
                 continue
             try:
-                value, coeffs = dual_norm(cut_vec, H)
+                value, coeffs, _ = dual_norm(cut_vec, H)
             except NotInSpanError as err:
                 skipped.append({"cut": cut, "functional": f.label(), "reason": str(err)})
                 continue
@@ -279,9 +279,9 @@ def proportional_member_oracle(f, H, bound):
     return None
 
 
-def verify_decomposition_oracle(f, H, coefficients):
-    """Whether sum c_i H[i] == f and sum |c_i| <= 1, False for None: the sum
-    built as a SparseVector, one scaled member at a time."""
+def verify_decomposition_oracle(f, H, coefficients, bound):
+    """Whether sum c_i H[i] == f and sum |c_i| <= bound, False for None: the
+    sum built as a SparseVector, one scaled member at a time."""
     if coefficients is None:
         return False
     total = SparseVector()
@@ -289,7 +289,7 @@ def verify_decomposition_oracle(f, H, coefficients):
     for i, c in coefficients.items():
         total = total + H[i].scale(c)
         mass += abs(c)
-    return total == f and mass <= 1
+    return total == f and mass <= bound
 
 
 def same_rank_initial_segments_oracle(scheme):

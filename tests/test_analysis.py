@@ -331,15 +331,17 @@ def test_t17_constant_exceeds_K_at_cap_1_and_is_K_at_cap_2(cap, value, cut, labe
 def test_basis_constant_matches_the_every_cut_scan_on_hand_made_top_families(
         scheme_wide8, monkeypatch):
     # members of random density on eight positions, some multiples of
-    # others: many families have cuts outside the span, many skip LPs
-    bounded = analysis._bounded_by_a_kept_basis
+    # others: many families have cuts outside the span, many skip LPs.  Only
+    # basis_constant calls analysis.verify_decomposition here, so every call
+    # is a kept-basis check
+    verify = analysis.verify_decomposition
     hits = []
 
     def counted(*args):
-        hits.append(bounded(*args))
+        hits.append(verify(*args))
         return hits[-1]
 
-    monkeypatch.setattr(analysis, "_bounded_by_a_kept_basis", counted)
+    monkeypatch.setattr(analysis, "verify_decomposition", counted)
     rng = random.Random(59)
     outside = skipping = 0
     for _ in range(60):

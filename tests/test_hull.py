@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from csw import hull
 from csw.errors import NotInSpanError
-from csw.hull import dual_norm, dual_norm_with_basis, in_symmetric_hull, polar_support
+from csw.hull import dual_norm, in_symmetric_hull, polar_support
 from csw.kernels import norming_max, proportional_member, verify_decomposition
 from csw.simplex import simplex_solve
 from csw.vectors import SparseVector, pair, parse_vector
@@ -54,12 +54,12 @@ def test_hull_membership_examples():
 def test_hull_certificates_reconstruct():
     H = [E0 + E1, E0 - E1, E0]
     target = parse_vector("0:1/2,1:1/2")
-    _, coefficients = dual_norm(target, H)  # the LP's coefficients, not the direct path's
-    assert verify_decomposition(target, H, coefficients)
+    _, coefficients, _ = dual_norm(target, H)  # the LP's coefficients, not the direct path's
+    assert verify_decomposition(target, H, coefficients, 1)
     off_members = parse_vector("0:1/2,1:1/4")  # a multiple of no member
     cert = in_symmetric_hull(off_members, H)
     assert cert.member and cert.method == "lp"
-    assert verify_decomposition(off_members, H, cert.coefficients)
+    assert verify_decomposition(off_members, H, cert.coefficients, 1)
 
 
 def test_polar_support_matches_dual_norm():
@@ -76,7 +76,7 @@ def test_oracle_agreement_dims_1_to_3():
         dim = 1 + trial % 3
         H = random_norming_set(rng, dim)
         g = random_span_member(rng, H, dim)
-        value, coeffs = dual_norm(g, H)
+        value, coeffs, _ = dual_norm(g, H)
         assert value == gauge_oracle(g, H, dim), f"trial {trial}"
         rebuilt = SparseVector()
         for i, c in coeffs.items():
@@ -91,8 +91,8 @@ def test_dual_norm_homogeneous(seed, scalar):
     dim = rng.randint(1, 3)
     H = random_norming_set(rng, dim)
     g = random_span_member(rng, H, dim)
-    value, _ = dual_norm(g, H)
-    scaled, _ = dual_norm(g.scale(scalar), H)
+    value = dual_norm(g, H)[0]
+    scaled = dual_norm(g.scale(scalar), H)[0]
     assert scaled == abs(scalar) * value
 
 
@@ -104,9 +104,9 @@ def test_dual_norm_triangle_and_weak_duality(seed):
     H = random_norming_set(rng, dim)
     g1 = random_span_member(rng, H, dim)
     g2 = random_span_member(rng, H, dim)
-    v1, _ = dual_norm(g1, H)
-    v2, _ = dual_norm(g2, H)
-    v12, _ = dual_norm(g1 + g2, H)
+    v1 = dual_norm(g1, H)[0]
+    v2 = dual_norm(g2, H)[0]
+    v12 = dual_norm(g1 + g2, H)[0]
     assert v12 <= v1 + v2
     # weak duality: |<g, x>| <= dual_norm(g) * max_h |<h, x>|
     x = SparseVector((p, random_fraction(rng)) for p in range(dim))
@@ -179,8 +179,8 @@ COEFFICIENTS = st.one_of(
     st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
                      Fraction(-1, 3), Fraction(2, 5), Fraction(-5, 2)]),
     st.integers(-2, 2))
-# rescaled mass targets: 1 and its near neighbours over small and large
-# denominators
+# rescaled mass targets, as multiples of the bound: 1 and its near
+# neighbours over small and large denominators
 TARGETS = st.builds(lambda q, sign: 1 + sign * Fraction(1, q),
                     st.sampled_from([2, 9, 3 ** 12, 2 ** 7 * 5 ** 9]),
                     st.sampled_from([0, 1, -1]))
@@ -204,36 +204,54 @@ def test_verify_decomposition_matches_its_oracle(H, x, data):
         # mass exactly 1 over the large denominators of VALUES
         st.lists(VALUES, min_size=1, max_size=len(H)).map(
             lambda ws: {i: w / sum(map(abs, ws)) for i, w in enumerate(ws)})))
+    # None stands for the coefficients' own mass
+    bound = data.draw(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1),
+                                       Fraction(5, 2), None]))
     mass = sum(abs(v) for v in (coefficients or {}).values())
     if mass and data.draw(st.booleans()):
-        # rescaled to mass exactly 1, just above it, or just below it
-        target = data.draw(TARGETS)
+        # rescaled to mass exactly the bound (1 for bound 0 or their own
+        # mass), just above it, or just below it
+        target = data.draw(TARGETS) * (bound or 1)
         coefficients = {i: v * target / mass for i, v in coefficients.items()}
+    if bound is None:
+        bound = sum(abs(v) for v in (coefficients or {}).values())
     total = SparseVector()
     for i, v in (coefficients or {}).items():
         total = total + H[i].scale(v)
     f = data.draw(st.one_of(st.just(total), st.just(total + E0), VECTORS))
-    assert (verify_decomposition(f, H, coefficients)
-            == verify_decomposition_oracle(f, H, coefficients))
+    assert (verify_decomposition(f, H, coefficients, bound)
+            == verify_decomposition_oracle(f, H, coefficients, bound))
 
 
-@pytest.mark.parametrize("f, coefficients, expected", [
-    (E0, None, False),
-    (SparseVector(), {}, True),
-    (E0, {}, False),
-    (E0, {0: Fraction(1), 3: Fraction(0)}, True),
-    (SparseVector(), {0: Fraction(1, 2), 1: Fraction(-1, 2)}, True),
-    (SparseVector(), {0: Fraction(1, 2), 2: Fraction(1, 2)}, True),
-    (SparseVector(), {0: Fraction(1), 1: Fraction(-1)}, False),
-    (parse_vector("0:1/2,1:1/2"), {0: Fraction(1, 2), 3: Fraction(1, 2)}, True),
-    (parse_vector("0:4/3"), {0: Fraction(1), 1: Fraction(1, 3)}, False),
-    (parse_vector("0:1/2"), {0: Fraction(1, 2), 3: Fraction(1, 2)}, False),
+TINY = Fraction(1, 10 ** 9)
+
+
+@pytest.mark.parametrize("f, coefficients, bound, expected", [
+    (E0, None, 1, False),
+    (SparseVector(), {}, 1, True),
+    (E0, {}, 1, False),
+    (E0, {0: Fraction(1), 3: Fraction(0)}, 1, True),
+    (SparseVector(), {0: Fraction(1, 2), 1: Fraction(-1, 2)}, 1, True),
+    (SparseVector(), {0: Fraction(1, 2), 2: Fraction(1, 2)}, 1, True),
+    (SparseVector(), {0: Fraction(1), 1: Fraction(-1)}, 1, False),
+    (parse_vector("0:1/2,1:1/2"), {0: Fraction(1, 2), 3: Fraction(1, 2)}, 1, True),
+    (parse_vector("0:4/3"), {0: Fraction(1), 1: Fraction(1, 3)}, 1, False),
+    (parse_vector("0:1/2"), {0: Fraction(1, 2), 3: Fraction(1, 2)}, 1, False),
+    (SparseVector(), {}, Fraction(0), True),
+    (SparseVector(), {0: TINY, 1: -TINY}, Fraction(0), False),
+    (parse_vector("0:1/3"), {0: Fraction(1, 3)}, Fraction(1, 3), True),
+    (parse_vector("0:1/3"), {0: Fraction(1, 3) + TINY, 1: -TINY}, Fraction(1, 3), False),
+    (parse_vector("0:2,1:1/2"), {0: Fraction(2), 3: Fraction(1, 2)}, Fraction(5, 2), True),
+    (parse_vector("0:2,1:1/2"), {0: Fraction(2), 1: TINY, 2: TINY, 3: Fraction(1, 2)},
+     Fraction(5, 2), False),
 ], ids=["none", "empty", "empty_for_nonzero", "zero_coefficient", "equal_members",
-        "cancelling_members", "cancelling_mass_2", "mass_1", "mass_4/3", "wrong_sum"])
-def test_verify_decomposition_cases(f, coefficients, expected):
+        "cancelling_members", "cancelling_mass_2", "mass_1", "mass_4/3", "wrong_sum",
+        "empty_at_0", "above_0", "mass_1/3_at_1/3", "above_1/3",
+        "mass_5/2_at_5/2", "above_5/2"])
+def test_verify_decomposition_cases(f, coefficients, bound, expected):
     H = [E0, E0, -E0, E1]
-    assert verify_decomposition(f, H, coefficients) is expected
-    assert verify_decomposition_oracle(f, H, coefficients) is expected
+    assert verify_decomposition(f, H, coefficients, bound) is expected
+    assert verify_decomposition_oracle(f, H, coefficients, bound) is expected
 
 
 def test_dual_norm_and_polar_support_refuse_a_vector_outside_the_span():
@@ -257,7 +275,7 @@ def test_dual_norm_and_polar_support_refuse_a_vector_outside_the_span():
 
 
 def _with_its_lp(g, H):
-    """dual_norm_with_basis(g, H) and the one LpSolution behind it."""
+    """dual_norm(g, H) and the one LpSolution behind it."""
     solved = []
 
     def solve(*args, **kwargs):
@@ -266,7 +284,7 @@ def _with_its_lp(g, H):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(hull, "simplex_solve", solve)
-        result = dual_norm_with_basis(g, H)
+        result = dual_norm(g, H)
     (sol,) = solved
     return result, sol
 
@@ -288,7 +306,6 @@ def test_a_kept_basis_decomposes_every_span_member():
         if g.is_zero():
             continue
         (value, coefficients, decompose), sol = _with_its_lp(g, H)
-        assert (value, coefficients) == dual_norm(g, H)
         positions = sorted({p for v in H + [g] for p in v.support})
         # on its own LP's g: that LP's coefficients and primal point
         assert decompose(g) == coefficients
@@ -316,7 +333,7 @@ def test_a_kept_basis_decomposes_nothing_outside_the_span():
         g = random_span_member(rng, H, dim)
         if g.is_zero():
             continue
-        decompose = dual_norm_with_basis(g, H)[2]
+        decompose = dual_norm(g, H)[2]
         v = SparseVector((p, random_fraction(rng)) for p in range(dim))
         rows = [[h[p] for p in range(dim)] for h in H]
         if matrix_rank(rows + [[v[p] for p in range(dim)]]) > matrix_rank(rows):
@@ -327,4 +344,4 @@ def test_a_kept_basis_decomposes_nothing_outside_the_span():
 
 
 def test_no_lp_no_basis():
-    assert dual_norm_with_basis(SparseVector(), [E0]) == (0, {}, None)
+    assert dual_norm(SparseVector(), [E0]) == (0, {}, None)

@@ -573,6 +573,63 @@ def test_each_set_holds_the_transport_of_its_ranks_first_family(data):
             assert norm(x, loaded, mode=mode) == norm(x, eager, mode=mode)
 
 
+def _first_sets_agree(prefix, extension):
+    """The type-prefix lemma of `norming._build` on a type and an extension
+    of it, for eps 1/2 and K=2 cap 1: at every rank k of the shorter type,
+    the first set is range(m_k) on both, with equal vectors and origins."""
+    assert all(a == b[:len(a)] for a, b in zip(prefix, extension))
+    short, long = (build_scheme(validate_type(*t)) for t in (prefix, extension))
+    for build in (lambda s: build_eps_family(s, HALF), lambda s: build_K_family(s, 2)):
+        fam_short, fam_long = build(short), build(long)
+        for k, m_k in enumerate(prefix[0]):
+            first = short.levels[k][0]
+            assert first.elements == long.levels[k][0].elements == tuple(range(m_k))
+            assert ([(f.vector, f.origins) for f in fam_short.functionals_for(first)]
+                    == [(f.vector, f.origins) for f in fam_long.functionals_for(first)])
+
+
+@pytest.mark.parametrize("prefix, extension", [
+    (TYPE_DEPTH3, TYPE_DEPTH4),
+    (([1, 2, 5, 17], [2, 4, 4], [0, 1, 1]), ([1, 2, 5, 17, 21], [2, 4, 4, 5], [0, 1, 1, 16])),
+    (([1, 2, 4, 7], [2, 3, 4], [0, 1, 3]), ([1, 2, 4, 7, 23], [2, 3, 4, 5], [0, 1, 3, 3])),
+], ids=["d3-in-d4", "t17-in-depth4", "u23-prefix-in-u23"])
+def test_first_sets_depend_only_on_the_type_prefix(prefix, extension):
+    _first_sets_agree(prefix, extension)
+
+
+@st.composite
+def prefix_and_extension(draw):
+    """A valid type of depth 1 to 3 and universe at most 12, and its
+    extension by one level, of universe at most 50: each r_k is drawn from
+    the roots that keep m_k = n_k (m_{k-1} - r_k) + r_k in bounds, and the
+    prefix stops short when none does."""
+    m, n, r = [1], [], []
+
+    def grow(bound):
+        """Append a level with k < n_k <= k+2; False when none fits."""
+        nk = draw(st.integers(len(m) + 1, len(m) + 2))
+        low = max(0, -(-(nk * m[-1] - bound) // (nk - 1)))
+        if low >= m[-1]:
+            return False
+        n.append(nk)
+        r.append(draw(st.integers(low, m[-1] - 1)))
+        m.append(nk * (m[-1] - r[-1]) + r[-1])
+        return True
+
+    depth = draw(st.integers(1, 3))
+    while len(n) < depth and grow(12):
+        pass
+    prefix = (list(m), list(n), list(r))
+    assert grow(50)  # m_{k-1} <= 12 leaves room for every n_k
+    return prefix, (m, n, r)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(prefix_and_extension())
+def test_first_sets_depend_only_on_the_type_prefix_on_random_types(types):
+    _first_sets_agree(*types)
+
+
 def test_local_norm_on_a_loaded_family_transports_one_set(monkeypatch, k2_depth3):
     x = v(f"{k2_depth3.scheme.universe_size - 1}:1")
     expected = norm(x, k2_depth3)

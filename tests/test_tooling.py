@@ -16,17 +16,33 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _tracing():
+    """The benchmark's `perfbench/tracing.py`, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 def test_benchmark_trace_hooks_resolve():
     # the tracer patches the bindings of the csw modules already loaded, and
     # the benchmark's workloads load these before it is installed
     for module in ("csw.analysis", "csw.cli"):
         importlib.import_module(module)
+    assert _tracing().self_check() == []
 
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    assert tracing.self_check() == []
+
+def test_every_exact_lp_entry_point_is_timed():
+    # a traced run counts and times the LPs by the hull function that poses
+    # them, so each one the hull module poses must be a timed target
+    tree = ast.parse((ROOT / "src" / "csw" / "hull.py").read_text(encoding="utf-8"))
+    posing = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+              and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                      and call.func.id == "simplex_solve" for call in ast.walk(node))}
+    timed = {name for module, name, _ in _tracing().TIMED if module == "hull"}
+    assert sorted(posing - timed) == []
+    assert "polar_support" in posing  # the scan sees a call it must see
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")),
