@@ -575,7 +575,7 @@ def run_K_experiment(family: NormingFamily,
 
     first_family = family.functionals_for(pieces[0])
     witness_h = max(first_family, key=lambda f: (abs(pair(f.vector, z)), f.label()))
-    spread_vec = spread(family.scheme, witness_h, site).vector
+    spread_vec = spread(family.scheme, witness_h.vector, site)
     spread_label = next((f.label() for f in family.functionals_for(site)
                          if f.vector == spread_vec), None)
 
@@ -650,7 +650,7 @@ def verify_eps_separation(family: NormingFamily, ys, ystars,
                 raise NotBiorthogonalError(
                     f"|<y*_{i}, y_{j}>| exceeds tau = {format_rational(tau)}",
                     witness=(i, j))
-    H = [f.vector for f in family.top_functionals]
+    H = [f.vector for f in family.functionals_for(family.scheme.top)]
     bound = max(dual_norm(ystar, H)[0] for ystar in ystars)
     combo = _alternating_difference(ys, n, m)
     lhs = norm(combo, family)

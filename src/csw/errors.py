@@ -62,10 +62,6 @@ class NotInSpanError(CswError):
         super().__init__(message)
 
 
-class HomeMismatchError(CswError):
-    pass
-
-
 class ParameterOutOfRangeError(ConfigError):
     pass
 

@@ -43,6 +43,10 @@ set containing supp(x) ("local" mode; coherence makes the choice of F
 irrelevant).  "all" mode maxes over every functional of every set instead;
 the two genuinely differ and both are exposed.
 
+A `Functional` is its vector and its origins; its set is the key its family
+is stored under.  `spread(scheme, vec, F)` is the spread over F of a vector
+on F's first piece, and refuses a vector outside that piece.
+
 Construction runs bottom-up with one amalgamation per rank, at the first
 rank-k set, and only those families are stored: every other rank-k set gets
 that family's transport through the increasing bijection `Scheme.transport`
@@ -76,9 +80,9 @@ from typing import NamedTuple
 from .errors import (
     ConfigInvalidError,
     EmptyFamilyError,
-    HomeMismatchError,
     NotInSchemeError,
     ParameterOutOfRangeError,
+    PatternOutOfRangeError,
     WrongSpaceKindError,
 )
 from .kernels import norming_max
@@ -125,7 +129,6 @@ class Origin(NamedTuple):
 @dataclass(frozen=True)
 class Functional:
     vector: SparseVector
-    home: SchemeSet
     origins: tuple
 
     @property
@@ -152,10 +155,6 @@ class NormingFamily:
     families: Mapping  # SchemeSet -> tuple[Functional, ...], in scan order
     scale_cap: int = 1
 
-    @property
-    def top_functionals(self):
-        return self.families[self.scheme.top]
-
     def functionals_for(self, s: SchemeSet):
         try:
             return self.families[s]
@@ -176,17 +175,13 @@ class NormingFamily:
         return isinstance(self.families, _Transports) and self.families.scheme == self.scheme
 
 
-def spread(scheme: Scheme, f: Functional, F: SchemeSet) -> Functional:
-    """Extend a first-piece functional to all pieces of F via the increasing
-    bijections; well-defined because each bijection fixes the root."""
+def spread(scheme: Scheme, vec: SparseVector, F: SchemeSet) -> SparseVector:
+    """A vector on F's first piece, refused otherwise, extended to all pieces
+    of F via the increasing bijections; well-defined as each fixes the root."""
     maps = scheme.piece_maps(F)
-    first = scheme.decomposition[F][0]
-    if f.home != first:
-        raise HomeMismatchError(f"functional lives on {f.home}, expected first piece {first}")
-    vec = _spread_vector(f.vector, maps)
-    origin = Origin(rule=RULE_SPREAD, rank=F.rank, alpha=f.origin.alpha,
-                    exponent=f.origin.exponent)
-    return Functional(vector=vec, home=F, origins=(origin,))
+    if not maps[0].keys() >= set(vec.support):
+        raise PatternOutOfRangeError(f"{list(vec.support)} lies outside the first piece of {F}")
+    return _spread_vector(vec, maps)
 
 
 def _spread_vector(vec: SparseVector, maps) -> SparseVector:
@@ -219,7 +214,7 @@ def _parameter(space_kind, param, scale_cap) -> Fraction:
 def _units(s, inv, scale_cap):
     """The family of the singleton s = {a}, made lazily: inv^j e_a for
     j <= scale_cap (for each a in s, so a set of any size has one)."""
-    return (Functional(SparseVector.unit(a).scale(inv ** j), s,
+    return (Functional(SparseVector.unit(a).scale(inv ** j),
                        (Origin(RULE_UNIT, 0, alpha=a, exponent=j),))
             for a in s.elements for j in range(scale_cap + 1))
 
@@ -232,10 +227,10 @@ def _origin_map(fam, pm) -> dict:
             for o in dict.fromkeys(chain.from_iterable(f.origins for f in fam))}
 
 
-def _moved(fam, pm, target) -> tuple:
-    """A family carried through the increasing bijection `pm` onto `target`."""
+def _moved(fam, pm) -> tuple:
+    """A family carried through the increasing bijection `pm`."""
     moved = _origin_map(fam, pm)
-    return tuple(Functional(f.vector.map_positions(pm), target, tuple(map(moved.get, f.origins)))
+    return tuple(Functional(f.vector.map_positions(pm), tuple(map(moved.get, f.origins)))
                  for f in fam)
 
 
@@ -294,7 +289,7 @@ def _build(scheme, rank0, amalgamate) -> Mapping:
     built = {}
 
     def family(s):
-        built[s] = _moved(built[scheme.levels[s.rank][0]], scheme.transport(s), s)
+        built[s] = _moved(built[scheme.levels[s.rank][0]], scheme.transport(s))
         return built[s]
 
     families = _Transports(scheme, family, built)
@@ -315,7 +310,7 @@ def build_eps_family(scheme: Scheme, eps) -> NormingFamily:
         for f in first_family:  # h_b is spread on the root, else moved to every piece
             b = f.origin.alpha
             if b in F.root:
-                fam.append(Functional(_spread_vector(f.vector, maps), F,
+                fam.append(Functional(_spread_vector(f.vector, maps),
                                       (Origin(RULE_ROOT_SPREAD, F.rank, alpha=b),)))
                 continue
             tail = SparseVector()
@@ -327,7 +322,7 @@ def build_eps_family(scheme: Scheme, eps) -> NormingFamily:
                 if j < 2:
                     vec = vec + (tail if j == 0 else -tail)
                 rule = (RULE_FIRST_ALT, RULE_SECOND_ALT, RULE_COPY)[min(j, 2)]
-                fam.append(Functional(vec, F, (Origin(rule, F.rank, alpha=pm[b]),)))
+                fam.append(Functional(vec, (Origin(rule, F.rank, alpha=pm[b]),)))
         return tuple(sorted(fam, key=lambda g: g.origin.alpha))
 
     return NormingFamily(scheme=scheme, space_kind=EPS_KIND, parameter=eps, scale_cap=0,
@@ -372,7 +367,7 @@ def build_K_family(scheme: Scheme, K, scale_cap=1) -> NormingFamily:
             for i, (lo, hi) in enumerate(pairwise(bounds), 1):
                 register((support[:i], e + 1), scaled[e + 1][lo:hi])
         powers = [inv ** e for e in range(scale_cap + 1)]
-        return tuple(Functional(SparseVector._of(dict.fromkeys(support, powers[e])), F,
+        return tuple(Functional(SparseVector._of(dict.fromkeys(support, powers[e])),
                                 tuple(origins[support, e]))
                      for e, support in sorted((e, s) for s, e in origins))
 

@@ -204,15 +204,12 @@ class Scheme:
                 holders.setdefault(p, []).append(i)
         return sets, holders
 
-    def _holding(self, needed):
-        """Scan indices of the sets holding max(needed), or of all sets for no positions."""
-        sets, holders = self._index
-        return holders.get(max(needed), ()) if needed else range(len(sets))
-
     def _covering(self, positions):
-        """Every set covering `positions`, in scan order: those `_holding` names that do."""
-        needed, sets = set(positions), self._index[0]
-        return (sets[i] for i in self._holding(needed) if needed <= sets[i].element_set)
+        """Every set covering `positions`, in scan order: of the sets holding
+        max(positions), or of all sets for no positions, those that do."""
+        needed, (sets, holders) = set(positions), self._index
+        held = holders.get(max(needed), ()) if needed else range(len(sets))
+        return (sets[i] for i in held if needed <= sets[i].element_set)
 
     def piece_maps(self, F: SchemeSet) -> list:
         """phi_0 .. phi_{n-1}: the increasing bijections from F's first piece

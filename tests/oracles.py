@@ -493,12 +493,12 @@ def k_scaled_cut_origins(scheme, K, cap):
             for F in (level[0] for level in scheme.levels[1:])}
 
 
-def transported(fam, pm, target):
-    """A family carried through the increasing bijection `pm` onto `target`:
-    each vector moved, `home` set to `target`, and every origin of every
-    functional rebuilt on its own with its alpha and cut moved."""
+def transported(fam, pm):
+    """A family carried through the increasing bijection `pm`: each vector
+    moved, and every origin of every functional rebuilt on its own with its
+    alpha and cut moved."""
     at = {None: None, **pm}  # origins store None for "no index" and "no cut"
-    return [Functional(f.vector.map_positions(pm), target,
+    return [Functional(f.vector.map_positions(pm),
                        tuple(Origin(o.rule, o.rank, at[o.alpha], at[o.cut], o.exponent)
                              for o in f.origins))
             for f in fam]

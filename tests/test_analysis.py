@@ -104,8 +104,8 @@ def test_hand_injected_sup_family_has_constant_one(scheme_tiny):
     fam = NormingFamily(
         scheme=scheme_tiny, space_kind="k", parameter=Fraction(2),
         families={top: [
-            Functional(SparseVector.unit(0), top, (Origin("unit", 1, alpha=0),)),
-            Functional(SparseVector.unit(1), top, (Origin("unit", 1, alpha=1),)),
+            Functional(SparseVector.unit(0), (Origin("unit", 1, alpha=0),)),
+            Functional(SparseVector.unit(1), (Origin("unit", 1, alpha=1),)),
         ]})
     assert basis_constant(fam).value == 1
 
@@ -115,7 +115,7 @@ def _top_only(scheme, vectors):
     top = scheme.top
     return NormingFamily(
         scheme=scheme, space_kind="k", parameter=Fraction(2),
-        families={top: [Functional(v, top, (Origin("unit", 1, alpha=0),))
+        families={top: [Functional(v, (Origin("unit", 1, alpha=0),))
                         for v in vectors]})
 
 
@@ -477,7 +477,7 @@ def test_separation_vacuous_at_tau_equal_eps(eps_half_depth1):
 def test_separation_tau_zero_exact(eps_half_depth1):
     ys = _unit_system(6)
     ystars = _unit_system(6)
-    H = [f.vector for f in eps_half_depth1.top_functionals]
+    H = [f.vector for f in eps_half_depth1.functionals_for(eps_half_depth1.scheme.top)]
     bound = max(dual_norm(y, H)[0] for y in ystars)
     config = SeparationConfig(tau=Fraction(0), n=2)
     report = verify_eps_separation(eps_half_depth1, ys, ystars, config)
@@ -490,7 +490,7 @@ def test_separation_tau_zero_exact(eps_half_depth1):
 def test_separation_two_term_degenerate(eps_half_depth1):
     ys = _unit_system(6)
     ystars = _unit_system(6)
-    H = [f.vector for f in eps_half_depth1.top_functionals]
+    H = [f.vector for f in eps_half_depth1.functionals_for(eps_half_depth1.scheme.top)]
     bound = max(dual_norm(y, H)[0] for y in ystars)
     config = SeparationConfig(tau=Fraction(0), n=0)
     report = verify_eps_separation(eps_half_depth1, ys, ystars, config)
@@ -978,7 +978,8 @@ def test_coherence_moves_only_the_families_of_the_checked_pairs(request, monkeyp
     built = request.getfixturevalue(name)
     family = build_eps_family(built.scheme, HALF)
     calls, move = [], norming._moved
-    monkeypatch.setattr(norming, "_moved", lambda *args: calls.append(args[2]) or move(*args))
+    monkeypatch.setattr(norming, "_moved",
+                        lambda fam, pm: calls.append(tuple(pm.values())) or move(fam, pm))
     report = coherence_report(family)
     scheme = family.scheme
     assert len(calls) == sum(len(scheme.decomposition[level[0]]) - 1

@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 from csw import norming
 from csw.errors import (
     ConfigInvalidError,
-    HomeMismatchError,
     NotInSchemeError,
     ParameterOutOfRangeError,
+    PatternOutOfRangeError,
     WrongSpaceKindError,
 )
 from csw.hull import in_symmetric_hull
 from csw.norming import (
     NormingFamily,
+    Origin,
     build_K_family,
     build_eps_family,
     family_dumps,
@@ -79,9 +80,9 @@ def test_origin_keeps_its_public_construction_and_behaviour(scheme_depth2):
     cut = csw.Origin("scaled_cut", 2, cut=5, exponent=2)
     assert o.to_json() == {"rule": "unit", "rank": 1, "alpha": 0}
     assert cut.to_json() == {"rule": "scaled_cut", "rank": 2, "cut": 5, "exponent": 2}
-    top = scheme_depth2.top
-    assert csw.Functional(SparseVector.unit(0), top, (o, cut)).label() == "unit/a0"
-    assert csw.Functional(SparseVector.unit(0), top, (cut, o)).label() == "scaled_cut/cut5/exp2"
+    assert csw.Functional(SparseVector.unit(0), (o, cut)).label() == "unit/a0"
+    assert csw.Functional(SparseVector.unit(0), (cut, o)).label() == "scaled_cut/cut5/exp2"
+    assert [field.name for field in fields(csw.Functional)] == ["vector", "origins"]
 
 
 # ---------------------------------------------------------------------------
@@ -92,29 +93,70 @@ def vv(text):
 
 
 def test_spread_examples(scheme_depth2):
-    from csw.norming import Functional, Origin
-    top = scheme_depth2.top
-    first = scheme_depth2.decomposition[top][0]
-    f = Functional(vector=vv("0:1/2,1:1"), home=first,
-                   origins=(Origin("unit", 1, alpha=1),))
-    widened = spread(scheme_depth2, f, top)
-    assert widened.vector == vv("0:1/2,1:1,2:1,3:1")
+    widened = spread(scheme_depth2, vv("0:1/2,1:1"), scheme_depth2.top)
+    assert type(widened) is SparseVector
+    assert widened == vv("0:1/2,1:1,2:1,3:1")
 
 
 def test_spread_fixes_root_and_transports_rest(scheme_depth2, eps_half_depth2):
     top = scheme_depth2.top
     first = scheme_depth2.decomposition[top][0]
     by_alpha = {f.origin.alpha: f for f in eps_half_depth2.functionals_for(first)}
-    assert spread(scheme_depth2, by_alpha[0], top).vector == vv("0:1")
-    assert spread(scheme_depth2, by_alpha[1], top).vector == vv("1:1,2:1,3:1")
+    assert spread(scheme_depth2, by_alpha[0].vector, top) == vv("0:1")
+    assert spread(scheme_depth2, by_alpha[1].vector, top) == vv("1:1,2:1,3:1")
 
 
-def test_spread_rejects_wrong_home(scheme_depth2, eps_half_depth2):
+def test_spread_refuses_a_vector_outside_the_first_piece(scheme_depth2, eps_half_depth2):
     top = scheme_depth2.top
-    second = scheme_depth2.decomposition[top][1]
-    f = eps_half_depth2.functionals_for(second)[0]
-    with pytest.raises(HomeMismatchError):
-        spread(scheme_depth2, f, top)
+    first, second = scheme_depth2.decomposition[top][:2]
+    outside = next(p for p in second.elements if p not in first)
+    with pytest.raises(PatternOutOfRangeError):
+        spread(scheme_depth2, vv(f"{first.elements[-1]}:1,{outside}:1"), top)
+    with pytest.raises(NotInSchemeError):
+        spread(scheme_depth2, vv("0:1"), scheme_depth2.levels[0][0])
+    # another piece's root functional lies on the root, inside the first piece
+    root_unit = next(f for f in eps_half_depth2.functionals_for(second)
+                     if f.origin.alpha in top.root)
+    assert spread(scheme_depth2, root_unit.vector, top) == root_unit.vector
+
+
+SPREAD_FAMILIES = [("d3", TYPE_DEPTH3), ("t17", ([1, 2, 5, 17], [2, 4, 4], [0, 1, 1]))]
+
+
+@pytest.mark.parametrize("name, triple", SPREAD_FAMILIES, ids=[n for n, _ in SPREAD_FAMILIES])
+def test_spread_agrees_with_the_eps_builder(name, triple):
+    scheme = build_scheme(validate_type(*triple))
+    family = build_eps_family(scheme, HALF)
+    for level in scheme.levels[1:]:
+        F = level[0]
+        first = {g.origin.alpha: g for g in
+                 family.functionals_for(scheme.decomposition[F][0])}
+        spreads = [f for f in family.functionals_for(F) if f.origin.rule == "root_spread"]
+        assert [f.origin.alpha for f in spreads] == list(F.root)
+        for f in spreads:
+            assert f.vector == spread(scheme, first[f.origin.alpha].vector, F)
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+@pytest.mark.parametrize("name, triple", SPREAD_FAMILIES, ids=[n for n, _ in SPREAD_FAMILIES])
+def test_spread_agrees_with_the_K_builder(name, triple, cap):
+    # a spread origin names the alpha and exponent of g's first origin, which
+    # a unit and a spread of the first piece can share, so it may be carried
+    # by more than one functional: each carrier is the spread of one such g
+    scheme = build_scheme(validate_type(*triple))
+    family = build_K_family(scheme, 2, scale_cap=cap)
+    for level in scheme.levels[1:]:
+        F = level[0]
+        spreads = {}  # spread origin -> the spreads of the g it names
+        for g in family.functionals_for(scheme.decomposition[F][0]):
+            found = Origin("spread", F.rank, alpha=g.origin.alpha, exponent=g.origin.exponent)
+            spreads.setdefault(found, set()).add(spread(scheme, g.vector, F))
+        carried = {}
+        for f in family.functionals_for(F):
+            for o in f.origins:
+                if o.rule == "spread":
+                    carried.setdefault(o, set()).add(f.vector)
+        assert carried == spreads
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +350,7 @@ def test_scale_cap_changes_a_norm_at_depth4():
     cap1, cap2 = (build_K_family(scheme, 2, scale_cap=cap) for cap in (1, 2))
     assert norm(y, cap1) == 1
     assert norm(y, cap2) == Fraction(5, 2)
-    assert {f.label() for f in cap2.top_functionals
+    assert {f.label() for f in cap2.functionals_for(scheme.top)
             if abs(pair(f.vector, y)) == Fraction(5, 2)} == {"scaled_cut/cut23/exp2"}
 
 
@@ -541,7 +583,7 @@ def _eager(family):
     transport of its rank's first family."""
     scheme = family.scheme
     return replace(family, families={
-        F: transported(family.families[level[0]], scheme.transport(F), F)
+        F: transported(family.families[level[0]], scheme.transport(F))
         for level in scheme.levels for F in level})
 
 
@@ -636,12 +678,12 @@ def test_local_norm_on_a_loaded_family_transports_one_set(monkeypatch, k2_depth3
     moved = []
     move = norming._moved
     monkeypatch.setattr(norming, "_moved",
-                        lambda fam, pm, target: moved.append(target) or move(fam, pm, target))
+                        lambda fam, pm: moved.append(tuple(pm.values())) or move(fam, pm))
     loaded = family_loads(family_dumps(k2_depth3))
     assert moved == []
     assert norm(x, loaded) == norm(x, loaded) == expected
-    assert moved == [loaded.scheme.minimal_containing(x.support)]
-    assert moved[0] != loaded.scheme.levels[0][0]
+    assert moved == [loaded.scheme.minimal_containing(x.support).elements]
+    assert moved[0] != loaded.scheme.levels[0][0].elements
 
 
 @pytest.mark.parametrize("build", [

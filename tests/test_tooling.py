@@ -317,3 +317,24 @@ def test_every_imported_name_is_used():
              for line, name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))}
     assert {key: line for key, line in found.items() if key not in IMPORTED_FOR_OTHERS} == {}
     assert set(found) >= IMPORTED_FOR_OTHERS, "drop the names their module now uses"
+
+
+def test_every_error_class_is_raised():
+    # an error class that no `raise` in the package names, itself or through
+    # a subclass that is raised, is dead code the import rule counts as used
+    raised = set()
+    for path in sorted((ROOT / "src" / "csw").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    errors = ast.parse((ROOT / "src" / "csw" / "errors.py").read_text(encoding="utf-8"))
+    bases = {node.name: {base.id for base in node.bases}
+             for node in errors.body if isinstance(node, ast.ClassDef)}
+
+    def is_raised(name):
+        return name in raised or any(name in parents and is_raised(sub)
+                                     for sub, parents in bases.items())
+
+    assert sorted(name for name in bases if not is_raised(name)) == []
+    assert "NotInSchemeError" in raised  # the scan sees a raise it must see
