@@ -20,6 +20,7 @@ from .errors import (
     NotInSpanError,
     PatternOutOfRangeError,
     WrongSpaceKindError,
+    require_int,
 )
 from .hull import dual_norm, in_symmetric_hull, polar_support
 from .kernels import norming_max, proportional_member, verify_decomposition
@@ -35,13 +36,6 @@ from .norming import (
 from .vectors import SparseVector, format_rational, pair, parse_rational
 
 _REL_CHECK = {"==": eq, "<=": le, ">=": ge, "<": lt, ">": gt}
-
-
-def _integer(name, value) -> int:
-    """`value`, refused unless its type is int: a bool or a float is not."""
-    if type(value) is not int:
-        raise ConfigInvalidError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 @dataclass
@@ -174,51 +168,65 @@ class BasisConstantResult:
     report: ExperimentReport
 
 
-def basis_constant(family: NormingFamily) -> BasisConstantResult:
-    """max over cut points d and functionals g of dual_norm(g restricted
-    below d): the operator norm of the worst prefix projection.
+def _largest_gauge(named, H):
+    """The largest dual_norm(v, H) over the (name, vector) pairs of `named`,
+    scanned in order, as (value, (name, coefficients, vector), outside):
+    the name, LP coefficients and vector of the first vector to reach the
+    value (name None when no vector's gauge exceeds 0), and outside the
+    (name, NotInSpanError) of each vector outside the span of H, in order.
+    A vector met before is not scanned again: its first name wins.
 
-    The attaining vector comes from the polar program of the winning cut, so
-    |attaining| = 1 and |attaining restricted below d| equals the constant.
-
-    A cut whose gauge is certified to be at most the best so far cannot
+    A vector whose gauge is certified to be at most the best so far cannot
     pass the strict test, so its LP is skipped: when it is c·h for a member
     h with |c| <= best, or when the optimal basis of an LP solved earlier,
     most recent first, writes it as sum c_h·h with sum |c_h| <= best, which
     `verify_decomposition` checks exactly at the bound best.  Every other
-    cut is solved as if no cut were skipped, so the result is the same.
+    vector is solved as if no vector were skipped, so the result is the same.
     """
-    top = family.scheme.top
-    functionals = family.functionals_for(top)
-    H = [f.vector for f in functionals]
-    labels = [f.label() for f in functionals]
     best = Fraction(0)
-    best_at = (0, "", {}, SparseVector())
-    skipped = []
+    best_at = (None, {}, SparseVector())
+    outside = []
     seen = set()
     decomposers = []  # one per LP solved, most recent last
-    for cut in range(family.scheme.universe_size + 1):
-        for g, label in zip(H, labels):
-            cut_vec = g.restrict_below(cut)
-            if cut_vec in seen:
-                continue
-            seen.add(cut_vec)
-            # a gauge at most `best` cannot pass the strict test below
-            if cut_vec.is_zero() or proportional_member(cut_vec, H, best) is not None:
-                continue
-            if any(verify_decomposition(cut_vec, H, decompose(cut_vec), best)
-                   for decompose in reversed(decomposers)):
-                continue
-            try:
-                value, coeffs, decompose = dual_norm(cut_vec, H)
-            except NotInSpanError as err:  # report the skip, do not abort
-                skipped.append({"cut": cut, "functional": label, "reason": str(err)})
-                continue
-            decomposers.append(decompose)
-            if value > best:
-                best = value
-                best_at = (cut, label, coeffs, cut_vec)
-    cut, label, coeffs, best_vec = best_at
+    for name, v in named:
+        if v in seen:
+            continue
+        seen.add(v)
+        # a gauge at most `best` cannot pass the strict test below
+        if v.is_zero() or proportional_member(v, H, best) is not None or any(
+                verify_decomposition(v, H, decompose(v), best)
+                for decompose in reversed(decomposers)):
+            continue
+        try:
+            value, coeffs, decompose = dual_norm(v, H)
+        except NotInSpanError as err:  # record it, do not abort
+            outside.append((name, err))
+            continue
+        decomposers.append(decompose)
+        if value > best:
+            best = value
+            best_at = (name, coeffs, v)
+    return best, best_at, outside
+
+
+def basis_constant(family: NormingFamily) -> BasisConstantResult:
+    """max over cut points d and functionals g of dual_norm(g restricted
+    below d): the operator norm of the worst prefix projection, found by
+    `_largest_gauge` over the cuts, cut ascending, then the top set's
+    functional order.  A cut outside the span is reported as skipped.
+
+    The attaining vector comes from the polar program of the winning cut, so
+    |attaining| = 1 and |attaining restricted below d| equals the constant.
+    """
+    functionals = family.functionals_for(family.scheme.top)
+    H = [f.vector for f in functionals]
+    labels = [f.label() for f in functionals]
+    cuts = (((cut, label), g.restrict_below(cut))
+            for cut in range(family.scheme.universe_size + 1) for g, label in zip(H, labels))
+    best, (name, coeffs, best_vec), outside = _largest_gauge(cuts, H)
+    skipped = [{"cut": cut, "functional": label, "reason": str(err)}
+               for (cut, label), err in outside]
+    cut, label = name or (0, "")
     attaining = polar_support(best_vec, H)[1] if best > 0 else SparseVector()
     report = ExperimentReport(meta={
         "constant": format_rational(best),
@@ -292,7 +300,7 @@ def coherence_report(family: NormingFamily, lp_every=0) -> ExperimentReport:
     instances and, on the alternating variant, whose families hold one
     functional per position of their set, |E| restriction instances.
     """
-    if _integer("lp_every", lp_every) < 0:
+    if require_int("lp_every", lp_every) < 0:
         raise ConfigInvalidError(f"lp_every must be >= 0, got {lp_every}")
     if not family.rank_canonical:
         raise ConfigInvalidError("coherence_report needs a rank-canonical family: its "
@@ -378,9 +386,9 @@ def well_definedness_report(family: NormingFamily, samples=200, seed=0) -> Exper
     one raises.  Norms are evaluated only when two or more sets cover the
     sample: a lone value can only equal itself, so that sample passes as it
     would if evaluated, and a sample no set covers fails with no values."""
-    if _integer("samples", samples) < 1:
+    if require_int("samples", samples) < 1:
         raise ConfigInvalidError(f"samples must be >= 1, got {samples}")
-    rng = random.Random(_integer("seed", seed))
+    rng = random.Random(require_int("seed", seed))
     scheme = family.scheme
     vectors = {}  # each covering set's vector list, built at its first use
     bad = None
@@ -417,7 +425,7 @@ class EpsExperimentConfig:
 
     def validated(self, eps):
         """(n, m) once n >= 1 and m = 2 n eps is an integer."""
-        if _integer("n", self.n) < 1:
+        if require_int("n", self.n) < 1:
             raise ConfigInvalidError("n must be a positive integer")
         return self.n, _alternating_m(self.n, eps)
 
@@ -431,7 +439,7 @@ class KExperimentConfig:
 
     def validated(self, K):
         """(n, L, K') once n >= 1, 1 <= K' < L < K and 1/K + 1/n < 1/L hold."""
-        n, L, kprime = _integer("n", self.n), parse_rational(self.L), parse_rational(self.kprime)
+        n, L, kprime = require_int("n", self.n), parse_rational(self.L), parse_rational(self.kprime)
         if n < 1:
             raise ConfigInvalidError("n must be a positive integer")
         if not (1 <= kprime < L < K):
@@ -623,8 +631,8 @@ def verify_eps_separation(family: NormingFamily, ys, ystars,
     """Evaluate the alternating separation inequality on explicit data.
 
     `ys`/`ystars` form a tau-biorthogonal system (validated exactly).  With
-    m = 2 n eps and N the largest dual norm of the ystars (by LP), the
-    alternating combination of ys[0], ..., ys[2n+1] must have norm >= delta =
+    m = 2 n eps and N the largest dual norm of the ystars (`_largest_gauge`),
+    the alternating combination of ys[0], ..., ys[2n+1] must have norm >= delta =
     (1/N)(1 - tau (1 + 2n/m)), which is (1/N)(1 - tau (1+eps)/eps) for n >= 1
     and (1 - tau)/N for the two-term n = 0 case.  A nonpositive delta, that
     is tau >= eps/(1+eps) for n >= 1, is reported as vacuous.
@@ -633,7 +641,7 @@ def verify_eps_separation(family: NormingFamily, ys, ystars,
         raise WrongSpaceKindError("separation bound needs the alternating variant")
     if len(ystars) != len(ys):
         raise ConfigInvalidError("need one dual per vector")
-    n = _integer("n", config.n)
+    n = require_int("n", config.n)
     if n < 0:
         raise ConfigInvalidError(f"n must be >= 0, got {n}")
     m = _alternating_m(n, family.parameter)
@@ -651,7 +659,9 @@ def verify_eps_separation(family: NormingFamily, ys, ystars,
                     f"|<y*_{i}, y_{j}>| exceeds tau = {format_rational(tau)}",
                     witness=(i, j))
     H = [f.vector for f in family.functionals_for(family.scheme.top)]
-    bound = max(dual_norm(ystar, H)[0] for ystar in ystars)
+    bound, _, outside = _largest_gauge(enumerate(ystars), H)
+    if outside:
+        raise outside[0][1]
     combo = _alternating_difference(ys, n, m)
     lhs = norm(combo, family)
     ratio = 1 + Fraction(2 * n, m) if n else Fraction(1)

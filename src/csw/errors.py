@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all csw modules."""
+"""Exception hierarchy shared by all csw modules, and the one refusal of a
+non-integer argument: `require_int` raises `ConfigInvalidError` for any
+value whose type is not int, a bool or a float included."""
 
 
 class CswError(Exception):
@@ -86,3 +88,10 @@ class NotBiorthogonalError(CswError):
     def __init__(self, message, witness=None):
         self.witness = witness
         super().__init__(message)
+
+
+def require_int(name, value) -> int:
+    """`value`, refused unless its type is int: a bool or a float is not."""
+    if type(value) is not int:
+        raise ConfigInvalidError(f"{name} must be an integer, got {value!r}")
+    return value

@@ -32,11 +32,12 @@ from .simplex import EQ, GE, LE, LinearConstraint, simplex_solve
 from .vectors import SparseVector
 
 
-def _positions(vectors):
-    positions = set()
-    for v in vectors:
-        positions.update(v.support)
-    return sorted(positions)
+def _layout(g: SparseVector, H):
+    """(H as a list, the sorted positions of H and g, position -> place):
+    the columns and rows that both hull LPs are posed on."""
+    H = list(H)
+    positions = sorted(set(g._entries).union(*(h._entries for h in H)))
+    return H, positions, {p: i for i, p in enumerate(positions)}
 
 
 def _split(v: SparseVector, index):
@@ -76,16 +77,14 @@ def dual_norm(g: SparseVector, H):
     when the point read off is nonnegative.  decompose is None when no LP
     was solved: g is zero.
     """
-    H = list(H)
     if g.is_zero():
         return Fraction(0), {}, None
+    H, positions, index = _layout(g, H)
     if not H:
         raise NotInSpanError("empty norming set cannot express a nonzero vector",
                              certificate=g)
-    positions = _positions(H + [g])
     # one row per position, one (plus, minus) column pair per member: the
     # transpose of the members split on the positions
-    index = {p: i for i, p in enumerate(positions)}
     rows = [[0] * (2 * len(H)) for _ in positions]
     for k, h in enumerate(H):
         for p, v in h._entries.items():
@@ -154,9 +153,7 @@ def polar_support(g: SparseVector, H):
     NotInSpanError whose certificate is the program's ray, a SparseVector y
     with <y, h> = 0 for every h in H but <y, g> > 0.
     """
-    H = list(H)
-    positions = _positions(H + [g])
-    index = {p: i for i, p in enumerate(positions)}
+    H, positions, index = _layout(g, H)
     objective = _split(g, index)
     constraints = []
     for h in H:

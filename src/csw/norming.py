@@ -84,6 +84,7 @@ from .errors import (
     ParameterOutOfRangeError,
     PatternOutOfRangeError,
     WrongSpaceKindError,
+    require_int,
 )
 from .kernels import norming_max
 from .schemes import Scheme, SchemeSet, check_axioms, scheme_from_json, scheme_to_json
@@ -200,8 +201,7 @@ def _spread_vector(vec: SparseVector, maps) -> SparseVector:
 def _parameter(space_kind, param, scale_cap) -> Fraction:
     """`param` as a Fraction once it and `scale_cap` are valid for the space."""
     param = parse_rational(param)
-    if type(scale_cap) is not int:
-        raise ParameterOutOfRangeError(f"scale_cap must be an integer, got {scale_cap!r}")
+    require_int("scale_cap", scale_cap)
     if space_kind == EPS_KIND and not 0 < param < 1:
         raise ParameterOutOfRangeError(f"eps must lie in (0, 1), got {param}")
     if space_kind == K_KIND and param <= 1:
@@ -398,7 +398,7 @@ def global_dual(family: NormingFamily, alpha: int) -> SparseVector:
     if family.space_kind != EPS_KIND:
         raise WrongSpaceKindError("global duals exist only for the alternating variant")
     top = family.scheme.top
-    if alpha not in top:
+    if require_int("alpha", alpha) not in top:
         raise NotInSchemeError(f"{alpha} is outside the universe")
     for f in family.functionals_for(top):
         if f.origin.alpha == alpha:

@@ -70,7 +70,7 @@ def format_rational(value) -> str:
 class SparseVector:
     """Immutable finitely supported rational vector."""
 
-    __slots__ = ("_entries", "_hash")
+    __slots__ = ("_entries",)
 
     def __init__(self, entries=()):
         data = {}
@@ -84,7 +84,6 @@ class SparseVector:
             if val != 0:
                 data[pos] = val
         self._entries = data
-        self._hash = None
 
     @classmethod
     def _of(cls, data) -> "SparseVector":
@@ -92,7 +91,6 @@ class SparseVector:
         nonzero Fractions that the caller has checked and hands over."""
         out = cls.__new__(cls)
         out._entries = data
-        out._hash = None
         return out
 
     @classmethod
@@ -124,9 +122,7 @@ class SparseVector:
         return self._entries == other._entries
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self._entries.items()))
-        return self._hash
+        return hash(frozenset(self._entries.items()))
 
     def __add__(self, other):
         data = dict(self._entries)

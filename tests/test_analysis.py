@@ -30,6 +30,7 @@ from csw.errors import (
     EmptyFamilyError,
     NotBiorthogonalError,
     NotInSchemeError,
+    NotInSpanError,
     PatternOutOfRangeError,
     WrongSpaceKindError,
 )
@@ -498,6 +499,20 @@ def test_separation_two_term_degenerate(eps_half_depth1):
     assert report.claim("separation_lower_bound").passed
 
 
+def test_separation_reraises_the_first_dual_outside_the_span(eps_half_depth1):
+    top = eps_half_depth1.scheme.top
+    fam = [f for f in eps_half_depth1.families[top] if f.origin.alpha != 2]
+    family = replace(eps_half_depth1, families={**eps_half_depth1.families, top: fam})
+    with pytest.raises(NotInSpanError) as expected:
+        dual_norm(SparseVector.unit(0), [f.vector for f in fam])
+    assert expected.value.certificate == parse_vector("0:1,1:-1,2:-2")
+    units = _unit_system(6)
+    with pytest.raises(NotInSpanError) as err:
+        verify_eps_separation(family, units, units, SeparationConfig(tau=Fraction(0), n=2))
+    assert str(err.value) == str(expected.value)
+    assert err.value.certificate == expected.value.certificate
+
+
 def test_separation_refuses_fewer_than_2n_plus_2_vectors(eps_half_depth1):
     units = _unit_system(5)
     with pytest.raises(ConfigInvalidError, match="need 2n[+]2 = 6 vectors, got 5"):
@@ -595,6 +610,8 @@ INT_FIELDS = {
         eps, _unit_system(6), _unit_system(6), SeparationConfig(tau=Fraction(0), n=v)),
     "welldef-samples": lambda eps, k, v: well_definedness_report(eps, samples=v),
     "coherence-lp-every": lambda eps, k, v: coherence_report(k, lp_every=v),
+    "global-dual-alpha": lambda eps, k, v: global_dual(eps, v),
+    "k-family-scale-cap": lambda eps, k, v: build_K_family(k.scheme, 2, scale_cap=v),
 }
 
 
